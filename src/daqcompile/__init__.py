@@ -17,8 +17,6 @@ from .circuits import (
     ScheduleStats,
     ata_circuit,
     ata_circuit_general,
-    ata_circuit_per_path,
-    bridge_layers,
     circuit_stats,
     general_swap,
     lower_iswap_layer,
@@ -33,8 +31,6 @@ from .graphs import (
     compose_weighted_paths,
     path_edges,
     walecki_cover,
-    walecki_paths,
-    walecki_paths_odd,
     zigzag_path,
 )
 from .scheduler import (
@@ -52,11 +48,8 @@ from .scheduler import (
 from .swaps import (
     SwapSequence,
     apply_sequence,
-    head_ladders,
     identity_permutation,
     sort_network_sequence,
-    swap_ladder,
-    tail_ladders,
     walecki_sequence,
 )
 from .unitaries import (

@@ -10,11 +10,12 @@ A Circuit is an ordered instruction list over three kinds:
   non-negative duration, conjugated on both sides by X gates where x_mask is
   true (flipping the sign of every coupling whose endpoints differ in mask).
 
-Compilation strategy: split the target graph into zig-zag Hamiltonian paths,
-realise each path by conjugating a chain evolution with adjacent swap-gate
-layers, and between consecutive paths keep only the two mixed bridge layers
-that survive gate cancellation (even L).  Odd L falls back to per-path
-conjugation synthesised by the generic sorting network.
+Compilation strategy, the same for every L: split the target graph into
+zig-zag Hamiltonian paths, realise each path by conjugating a chain
+evolution with the iSWAP layers of its sorting-network swap frame, then
+cancel the inverse gates that meet between consecutive frames and re-layer
+what survives.  For even L the survivors are the paper's two mixed bridge
+layers per path boundary.
 
 Requested analog angles are kept unreduced (no mod 2*pi) so durations stay
 minimal and well defined; global phase is not tracked.
@@ -25,10 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Union
 
-from .graphs import CouplingGraph, PathCover, walecki_cover
-from .swaps import SwapSequence, sort_network_sequence, walecki_sequence
+from .graphs import CouplingGraph, walecki_cover
+from .swaps import sort_network_sequence
 
 
 class GateType(str, Enum):
@@ -233,114 +234,80 @@ def general_swap(alpha: float, beta: float, gamma: float) -> GeneralSwap:
 
 # --- path-frame circuits ----------------------------------------------------
 
-def _iswap_layer(starts: Iterable[int], dagger: bool) -> DigitalLayer:
-    mk = Gate.iswap_dg if dagger else Gate.iswap
-    return DigitalLayer(tuple(mk(i) for i in sorted(starts)))
+def _cancel_inverses(gates: list[tuple[int, bool]], num_qubits: int) -> list[tuple[int, bool]]:
+    """Drop every iSWAP that meets its own inverse with no gate in between.
 
-
-def _mixed_layer(plain: Iterable[int], dagger: Iterable[int]) -> DigitalLayer:
-    gates = [(i, Gate.iswap(i)) for i in plain] + [(i, Gate.iswap_dg(i)) for i in dagger]
-    return DigitalLayer(tuple(g for _, g in sorted(gates)))
-
-
-def _opening_layers(seq: SwapSequence) -> list[DigitalLayer]:
-    """Gate layers entering a path frame: plain iSWAPs in sequence order."""
-    return [_iswap_layer(layer, dagger=False) for layer in seq.layers]
-
-
-def _closing_layers(seq: SwapSequence) -> list[DigitalLayer]:
-    """Gate layers leaving a path frame: daggered iSWAPs in reverse order."""
-    return [_iswap_layer(layer, dagger=True) for layer in reversed(seq.layers)]
-
-
-def bridge_layers(k: int, num_qubits: int) -> list[DigitalLayer]:
-    """iSWAP layers between consecutive analog blocks of the even-L pipeline.
-
-    Bridge 0 opens path 1, bridge L/2 closes path L/2, and bridge k in
-    between both closes path k and opens path k+1.  After cancelling
-    adjacent inverse gates the middle bridges shrink to exactly two mixed
-    layers: plain gates on pair starts below 2k (0-based) and daggered gates
-    from 2k upward, odd-position pairs first, then even-position pairs.
+    Gates are (left qubit, dagger) pairs in program order.  last[q] indexes
+    the latest kept gate on qubit q.  A gate cancels when both its qubits
+    point at one kept gate with the opposite dagger flag; that gate is
+    removed and both qubits fall back to the pointers saved when it was kept.
     """
-    L = num_qubits
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"even qubit count >= 2 required, got {L}")
-    if not 0 <= k <= L // 2:
-        raise ValueError(f"bridge index {k} out of range 0..{L // 2}")
-    if k == 0:
-        return _opening_layers(walecki_sequence(1, L))
-    if k == L // 2:
-        return _closing_layers(walecki_sequence(L // 2, L))
-    first = _mixed_layer(range(0, 2 * k - 1, 2), range(2 * k, L - 1, 2))
-    second = _mixed_layer(range(1, 2 * k, 2), range(2 * k + 1, L - 2, 2))
-    return [first, second]
+    kept: list[tuple[int, bool] | None] = []
+    saved: list[tuple[int, int]] = []
+    last = [-1] * num_qubits
+    for i, dagger in gates:
+        top = last[i]
+        if top >= 0 and top == last[i + 1] and kept[top][1] != dagger:
+            last[i], last[i + 1] = saved[top]
+            kept[top] = None
+        else:
+            saved.append((top, last[i + 1]))
+            last[i] = last[i + 1] = len(kept)
+            kept.append((i, dagger))
+    return [g for g in kept if g is not None]
 
 
-def _path_requests(target: CouplingGraph, cover: PathCover, t_f: float) -> list[AnalogRequest]:
-    """Per-path slot angles: slot j of path P carries t_f * g'(P[j], P[j+1])."""
-    requests = []
-    for p, disabled in zip(cover.paths, cover.disabled_slots):
-        angles = [
-            0.0 if slot in disabled else t_f * target.weight(p[slot], p[slot + 1])
-            for slot in range(cover.num_qubits - 1)
-        ]
-        requests.append(AnalogRequest(tuple(angles)))
-    return requests
+def _asap_layers(gates: list[tuple[int, bool]], num_qubits: int) -> list[DigitalLayer]:
+    """Pack gates into the earliest layer after their qubits' previous gates.
+
+    Program order is kept and each layer lists its gates by left qubit.
+    """
+    layers: list[list[tuple[int, bool]]] = []
+    depth = [0] * num_qubits
+    for i, dagger in gates:
+        d = max(depth[i], depth[i + 1])
+        if d == len(layers):
+            layers.append([])
+        layers[d].append((i, dagger))
+        depth[i] = depth[i + 1] = d + 1
+    return [
+        DigitalLayer(tuple(Gate.iswap_dg(i) if dg else Gate.iswap(i) for i, dg in sorted(layer)))
+        for layer in layers
+    ]
 
 
 def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     """High-level circuit whose unitary is exp(i t_f H) for the target graph.
 
-    Even L uses the bridged zig-zag pipeline; odd L emits one conjugated
-    frame per path of the odd cover.  Analog requests are ideal and still
-    need scheduling onto a concrete resource chain.
-    """
-    if not math.isfinite(t_f):
-        raise ValueError("non-finite evolution time")
-    L = target.num_qubits
-    if L % 2 != 0:
-        return ata_circuit_per_path(target, t_f)
-    cover = walecki_cover(L)
-    requests = _path_requests(target, cover, t_f)
-    instrs: list[Instruction] = []
-    half = L // 2
-    instrs.extend(bridge_layers(0, L))
-    for k in range(1, half + 1):
-        instrs.append(requests[k - 1])
-        if k < half:
-            instrs.extend(bridge_layers(k, L))
-    instrs.extend(bridge_layers(half, L))
-    return Circuit(L, tuple(instrs))
-
-
-def ata_circuit_per_path(target: CouplingGraph, t_f: float) -> Circuit:
-    """Unsimplified variant: every path opens and closes its own swap frame.
-
-    Equal in unitary to ata_circuit_general but without the inter-path gate
-    cancellation; this is also the production route for odd L, where the
-    frames come from the generic sorting network.
+    Path P of the zig-zag cover becomes its sorting-network swap frame
+    (plain iSWAPs), an analog request whose slot j carries
+    t_f * g'(P[j], P[j+1]), and the frame undone (iSWAP-daggers, layers
+    reversed).  Between two requests the closing frame of one path meets the
+    opening frame of the next: inverse gates cancel and the rest is packed
+    into ASAP layers.  Analog requests are ideal and still need scheduling
+    onto a concrete resource chain.
     """
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
     L = target.num_qubits
     cover = walecki_cover(L)
-    requests = _path_requests(target, cover, t_f)
     instrs: list[Instruction] = []
-    for idx, path in enumerate(cover.paths):
-        if L % 2 == 0:
-            seq = walecki_sequence(idx + 1, L)
-        else:
-            seq = sort_network_sequence(path)
-        instrs.extend(_opening_layers(seq))
-        instrs.append(requests[idx])
-        instrs.extend(_closing_layers(seq))
+    between: list[tuple[int, bool]] = []
+    for path, disabled in zip(cover.paths, cover.disabled_slots):
+        layers = sort_network_sequence(path).layers
+        between.extend((i, False) for layer in layers for i in layer)
+        instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
+        instrs.append(AnalogRequest(tuple(
+            0.0 if slot in disabled else t_f * target.weight(path[slot], path[slot + 1])
+            for slot in range(L - 1)
+        )))
+        between = [(i, True) for layer in reversed(layers) for i in layer]
+    instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
     return Circuit(L, tuple(instrs))
 
 
 def ata_circuit(num_qubits: int, t_f: float, coupling: float = 1.0) -> Circuit:
-    """Homogeneous all-to-all evolution exp(i t_f g sum_{i<j} Z_i Z_j), even L."""
-    if num_qubits % 2 != 0:
-        raise ValueError("odd qubit count: use ata_circuit_general")
+    """Homogeneous all-to-all evolution exp(i t_f g sum_{i<j} Z_i Z_j)."""
     return ata_circuit_general(CouplingGraph.complete(num_qubits, coupling), t_f)
 
 

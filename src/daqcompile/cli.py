@@ -9,6 +9,7 @@ stderr; outputs are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -34,6 +35,10 @@ def _target_unitary(problem: ProblemSpec, max_qubits: int):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    # checked here, not as an argparse type: argparse exits 2, which means unschedulable
+    if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
+        print(f"error: --epsilon must be finite and >= 0, got {args.epsilon!r}", file=sys.stderr)
+        return 1
     problem = load_problem(args.input)
     try:
         if problem.target_type == "ata":

@@ -2,8 +2,8 @@
 
 Both formats are UTF-8 JSON with fixed field order on emission and floats
 written with 17 significant digits (enough to round-trip binary64 exactly),
-so identical inputs produce byte-identical outputs.  Unknown fields are
-rejected on parse.
+so identical inputs produce byte-identical outputs.  Unknown and repeated
+fields are rejected on parse.
 """
 
 from __future__ import annotations
@@ -79,10 +79,19 @@ def _as_number_list(value: Any, length: int, where: str) -> tuple[float, ...]:
     return tuple(_as_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """JSON object hook: a repeated key is an error, not "last one wins"."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise FileFormatError(f"duplicate keys {sorted(k for k in obj if keys.count(k) > 1)}")
+    return obj
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -5,8 +5,9 @@ K_L, while the chip's native chain is the Hamiltonian path 0-1-...-(L-1).
 The zig-zag path family splits K_L into Hamiltonian paths so the chain can
 realise every target edge exactly once: path 1 walks forward one node, back
 two, forward three, ... around the cycle Z_L, and path k is path 1 rotated by
-k-1.  For even L the L/2 paths tile K_L exactly; for odd L the (L+1)/2 paths
-overlap and duplicated slots are disabled (first occurrence wins).
+k-1.  walecki_cover takes paths 1..(L+1)//2 for every L: for even L these
+L/2 paths tile K_L exactly, for odd L they overlap and each duplicated slot
+is disabled (first occurrence wins).
 
 Qubit indices are 0-based throughout.
 """
@@ -104,13 +105,12 @@ def zigzag_path(k: int, num_qubits: int) -> tuple[int, ...]:
     """Vertex permutation of the k-th zig-zag Hamiltonian path (1-based label k).
 
     Position j (1-based) holds (k-1 + j/2) mod L for even j and
-    (k-1 - (j-1)/2) mod L for odd j.  Labels run 1..L/2 for even L and
-    1..(L+1)/2 for odd L.
+    (k-1 - (j-1)/2) mod L for odd j.  Labels run 1..(L+1)//2.
     """
     L = num_qubits
     if L < 2:
         raise ValueError("need at least 2 qubits")
-    max_k = L // 2 if L % 2 == 0 else (L + 1) // 2
+    max_k = (L + 1) // 2
     if not 1 <= k <= max_k:
         raise ValueError(f"path label {k} out of range 1..{max_k} for L={L}")
     entries = []
@@ -128,21 +128,14 @@ def path_edges(perm: Sequence[int]) -> set[Edge]:
     return {canonical_edge(p[j], p[j + 1], len(p)) for j in range(len(p) - 1)}
 
 
-def walecki_paths(num_qubits: int) -> list[tuple[int, ...]]:
-    """The L/2 zig-zag paths whose edge sets tile K_L (even L only)."""
-    if num_qubits < 2 or num_qubits % 2 != 0:
-        raise ValueError(f"even qubit count >= 2 required, got {num_qubits}")
-    return [zigzag_path(k, num_qubits) for k in range(1, num_qubits // 2 + 1)]
-
-
 @dataclass(frozen=True)
 class PathCover:
     """A set of Hamiltonian paths with per-path disabled slots.
 
-    Slot j of a path couples its entries j and j+1.  The zig-zag
-    constructors guarantee every complete-graph edge is enabled exactly once
-    (odd-L overlaps get disabled); arbitrary covers, including repeated
-    paths, are allowed for composition.
+    Slot j of a path couples its entries j and j+1.  walecki_cover
+    guarantees every complete-graph edge is enabled exactly once (odd-L
+    overlaps get disabled); arbitrary covers, including repeated paths, are
+    allowed for composition.
     """
 
     num_qubits: int
@@ -176,16 +169,16 @@ class PathCover:
         return out
 
 
-def walecki_paths_odd(num_qubits: int) -> PathCover:
-    """Zig-zag cover of K_L for odd L: (L+1)/2 paths, duplicate edges disabled.
+def walecki_cover(num_qubits: int) -> PathCover:
+    """Zig-zag cover of K_L for any L >= 2: paths 1..(L+1)//2.
 
     Scanning paths in label order and slots left to right, the first
     occurrence of an edge stays enabled and every later duplicate is disabled,
-    so the result is deterministic.
+    so the result is deterministic.  Even L has no duplicates to disable.
     """
     L = num_qubits
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"odd qubit count >= 3 required, got {L}")
+    if L < 2:
+        raise ValueError(f"qubit count >= 2 required, got {L}")
     paths = tuple(zigzag_path(k, L) for k in range(1, (L + 1) // 2 + 1))
     seen: set[Edge] = set()
     disabled: list[frozenset[int]] = []
@@ -199,13 +192,6 @@ def walecki_paths_odd(num_qubits: int) -> PathCover:
                 seen.add(edge)
         disabled.append(frozenset(dead))
     return PathCover(L, paths, tuple(disabled))
-
-
-def walecki_cover(num_qubits: int) -> PathCover:
-    """Path cover of K_L for any L >= 2 (no disabled slots when L is even)."""
-    if num_qubits % 2 == 0:
-        return PathCover.from_paths(walecki_paths(num_qubits))
-    return walecki_paths_odd(num_qubits)
 
 
 def compose_weighted_paths(

@@ -6,11 +6,10 @@ parallel.  Applying a sequence to a permutation swaps array *positions* layer
 by layer; applying it to the identity yields the permutation the sequence
 synthesises.  The same layers drive the swap-gate circuits: conjugating a
 chain evolution by the matching gate layers relabels the chain's vertices
-into the synthesised path (see circuits.ata_circuit_per_path).
+into the synthesised path (see circuits.ata_circuit_general).
 
-The closed-form ladders below synthesise exactly the zig-zag path family for
-even L; `sort_network_sequence` is the generic odd-even-sort fallback used
-for odd L and arbitrary permutations.
+`sort_network_sequence`, an odd-even transposition sort, synthesises every
+path the compiler uses, for even and odd L alike.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import validate_permutation
+from .graphs import validate_permutation, zigzag_path
 
 Layer = tuple[int, ...]
 
@@ -70,66 +69,6 @@ def apply_sequence(perm: Sequence[int], seq: SwapSequence) -> tuple[int, ...]:
     return tuple(arr)
 
 
-def swap_ladder(lo: int, hi: int, num_qubits: int) -> SwapSequence:
-    """One parallel layer of swaps (lo,lo+1), (lo+2,lo+3), ... ending by `hi`.
-
-    Empty (identity) when lo >= hi.  Indices are 0-based qubit positions.
-    """
-    if not (0 <= lo <= num_qubits - 1 and 0 <= hi <= num_qubits - 1):
-        raise ValueError(f"ladder bounds ({lo}, {hi}) out of range for {num_qubits} qubits")
-    starts = tuple(range(lo, hi, 2))
-    if not starts:
-        return SwapSequence(num_qubits, ())
-    return SwapSequence(num_qubits, (starts,))
-
-
-def head_ladders(k: int, num_qubits: int) -> SwapSequence:
-    """Ladder layers acting on the low positions 0..2k-2 for path label k.
-
-    Layer s (1-based, application order) is the ladder from position 1 (s odd)
-    or 0 (s even) up to position 2k-s-1; k=1 yields the empty sequence.
-    """
-    L = num_qubits
-    if not 1 <= k <= L // 2:
-        raise ValueError(f"path label {k} out of range 1..{L // 2}")
-    seq = SwapSequence(L, ())
-    for s in range(1, 2 * k - 1):
-        lo = 1 if s % 2 == 1 else 0
-        seq = seq + swap_ladder(lo, 2 * k - s - 1, L)
-    return seq
-
-
-def tail_ladders(k: int, num_qubits: int) -> SwapSequence:
-    """Ladder layers acting on the high positions 2k..L-1 for path label k.
-
-    Layer s starts at position 2k+s-1 and ends at L-1 (s odd) or L-2 (s even);
-    empty when 2k+1 > L.  Head and tail ladders touch disjoint position
-    ranges, so they commute.
-    """
-    L = num_qubits
-    if not 1 <= k <= L // 2:
-        raise ValueError(f"path label {k} out of range 1..{L // 2}")
-    seq = SwapSequence(L, ())
-    for s in range(1, L - 2 * k):
-        hi = L - 1 if s % 2 == 1 else L - 2
-        seq = seq + swap_ladder(2 * k + s - 1, hi, L)
-    return seq
-
-
-def walecki_sequence(k: int, num_qubits: int) -> SwapSequence:
-    """Swap sequence mapping the identity to zig-zag path k (even L).
-
-    The ladder groups sort path k down to the identity; replayed in reverse
-    they build the path up from the identity, which is the order the gate
-    circuit needs.
-    """
-    if num_qubits % 2 != 0:
-        raise ValueError("closed-form synthesis requires even L; use sort_network_sequence")
-    head = head_ladders(k, num_qubits)
-    tail = tail_ladders(k, num_qubits)
-    return head.reversed_() + tail.reversed_()
-
-
 def sort_network_sequence(target: Sequence[int]) -> SwapSequence:
     """Odd-even transposition network synthesising an arbitrary permutation.
 
@@ -150,3 +89,8 @@ def sort_network_sequence(target: Sequence[int]) -> SwapSequence:
         if layer:
             layers.append(tuple(layer))
     return SwapSequence(L, tuple(reversed(layers)))
+
+
+def walecki_sequence(k: int, num_qubits: int) -> SwapSequence:
+    """Swap sequence mapping the identity to zig-zag path k, for any L."""
+    return sort_network_sequence(zigzag_path(k, num_qubits))

@@ -14,8 +14,6 @@ from daqcompile import (
     NNChain,
     apply_sequence,
     ata_circuit_general,
-    ata_circuit_per_path,
-    bridge_layers,
     circuit_unitary,
     coupling_ratios,
     exact_target,
@@ -28,7 +26,6 @@ from daqcompile import (
     sign_matrix,
     sign_matrix_inverse,
     walecki_cover,
-    walecki_paths,
     walecki_sequence,
     zigzag_path,
 )
@@ -36,7 +33,7 @@ from daqcompile.cli import main
 from daqcompile.compiler import compile_ata
 from daqcompile.graphs import complete_edge_set
 
-from oracles import I2, Z
+from oracles import I2, Z, ata_circuit_per_path, bridged_circuit, bridges, ladder_sequence
 
 
 def random_graph(L, rng):
@@ -139,18 +136,20 @@ def test_criterion_05_block_count_reductions():
 def test_criterion_06_permutation_synthesis():
     for L in (2, 4, 6, 8, 10, 12):
         for k in range(1, L // 2 + 1):
-            seq = walecki_sequence(k, L)
-            assert apply_sequence(identity_permutation(L), seq) == zigzag_path(k, L)
-    assert walecki_paths(6) == [
+            for seq in (walecki_sequence(k, L), ladder_sequence(k, L)):
+                assert apply_sequence(identity_permutation(L), seq) == zigzag_path(k, L)
+    assert walecki_cover(6).paths == (
         (0, 1, 5, 2, 4, 3), (1, 2, 0, 3, 5, 4), (2, 3, 1, 4, 0, 5),
-    ]
-    print("\nACCEPTANCE 06 PASS: closed-form synthesis reproduces every zig-zag path, "
-          "L=6 family verbatim")
+    )
+    print("\nACCEPTANCE 06 PASS: sorting-network and closed-form synthesis reproduce "
+          "every zig-zag path, L=6 family verbatim")
 
 
 def test_criterion_07_partition_and_odd_covers():
     for L in (2, 4, 6, 8, 10, 12):
-        paths = walecki_paths(L)
+        cover = walecki_cover(L)
+        assert all(not d for d in cover.disabled_slots)
+        paths = cover.paths
         seen = set()
         count = 0
         for p in paths:
@@ -168,10 +167,16 @@ def test_criterion_07_partition_and_odd_covers():
 
 
 def test_criterion_08_bridge_soundness_l6():
+    # the generic cancellation pass rebuilds the closed-form bridged circuit
+    for L in range(2, 65, 2):
+        target = random_graph(L, np.random.default_rng(860 + L))
+        assert ata_circuit_general(target, 0.57) == bridged_circuit(target, 0.57), L
+
     L = 6
     rng = np.random.default_rng(86)
     target = random_graph(L, rng)
-    u_bridged = circuit_unitary(ata_circuit_general(target, 0.57))
+    compiled = ata_circuit_general(target, 0.57)
+    u_bridged = circuit_unitary(compiled)
     u_frames = circuit_unitary(ata_circuit_per_path(target, 0.57))
     d = phase_distance(u_bridged, u_frames).distance
     assert d < 1e-10
@@ -182,14 +187,15 @@ def test_criterion_08_bridge_soundness_l6():
         return np.asarray(circuit_unitary(Circuit(L, tuple(layers)), extended=False))
 
     def gtilde(k):
-        seq = walecki_sequence(k, L)
+        seq = ladder_sequence(k, L)
         return layers_unitary(
             [DigitalLayer(tuple(Gate.iswap_dg(i) for i in layer))
              for layer in reversed(seq.layers)]
         )
 
+    compiled_bridges = bridges(compiled)
     for k in range(0, L // 2 + 1):
-        f = layers_unitary(bridge_layers(k, L))
+        f = layers_unitary(compiled_bridges[k])
         if k == 0:
             expected = gtilde(1).conj().T
         elif k == L // 2:
@@ -197,7 +203,8 @@ def test_criterion_08_bridge_soundness_l6():
         else:
             expected = gtilde(k + 1).conj().T @ gtilde(k)
         assert phase_distance(f, expected).distance < 1e-10, k
-    print(f"\nACCEPTANCE 08 PASS: bridge circuit == frame circuit (distance {d:.2e}), "
+    print(f"\nACCEPTANCE 08 PASS: compiled circuit == closed-form bridged circuit for "
+          f"even L <= 64; bridged == frame circuit (distance {d:.2e}); "
           "bridge/frame composition identity holds for every k")
 
 

@@ -13,8 +13,6 @@ from daqcompile import (
     ResourceBlock,
     ata_circuit,
     ata_circuit_general,
-    ata_circuit_per_path,
-    bridge_layers,
     circuit_stats,
     circuit_unitary,
     exact_target,
@@ -23,10 +21,20 @@ from daqcompile import (
     lower_iswap_layer,
     lower_swap_layers,
     phase_distance,
-    walecki_sequence,
 )
 
-from oracles import I2, X, Y, Z, evolution, zz_hamiltonian
+from oracles import (
+    I2,
+    X,
+    Y,
+    Z,
+    ata_circuit_per_path,
+    bridge_layers,
+    bridges,
+    evolution,
+    ladder_sequence,
+    zz_hamiltonian,
+)
 
 
 def random_graph(L, rng, lo=-1.0, hi=1.0):
@@ -103,25 +111,18 @@ def test_general_swap_relays_z_operators():
 # --- bridges ------------------------------------------------------------------
 
 def test_bridge_layers_l4_k1():
-    layers = bridge_layers(1, 4)
+    layers = bridges(ata_circuit(4, 0.2))[1]
     assert len(layers) == 2
     assert layers[0].gates == (Gate.iswap(0), Gate.iswap_dg(2))
     assert layers[1].gates == (Gate.iswap(1),)
-
-
-def test_bridge_layers_bounds():
-    with pytest.raises(ValueError):
-        bridge_layers(4, 6)
-    with pytest.raises(ValueError):
-        bridge_layers(-1, 6)
-    with pytest.raises(ValueError):
-        bridge_layers(1, 5)
+    assert layers == bridge_layers(1, 4)
 
 
 def test_bridge_layers_edges_are_two_mixed_ladders():
     for L in (6, 8, 10):
+        compiled = bridges(ata_circuit(L, 0.2))
         for k in range(1, L // 2):
-            layers = bridge_layers(k, L)
+            layers = compiled[k]
             assert len(layers) == 2
             plain = {g.qubits[0] for la in layers for g in la.gates if g.type is GateType.ISWAP}
             dagger = {g.qubits[0] for la in layers for g in la.gates if g.type is GateType.ISWAP_DG}
@@ -137,15 +138,16 @@ def _layers_unitary(layers, L):
 
 def _gtilde(k, L):
     """Product of iSWAP-dagger layers for path k, widest-first in time."""
-    seq = walecki_sequence(k, L)
+    seq = ladder_sequence(k, L)
     layers = [DigitalLayer(tuple(Gate.iswap_dg(i) for i in layer)) for layer in reversed(seq.layers)]
     return _layers_unitary(layers, L)
 
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_bridges_match_frame_compositions(L):
+    compiled = bridges(ata_circuit(L, 0.2))
     for k in range(0, L // 2 + 1):
-        f = _layers_unitary(bridge_layers(k, L), L)
+        f = _layers_unitary(compiled[k], L)
         if k == 0:
             expected = _gtilde(1, L).conj().T
         elif k == L // 2:
@@ -174,9 +176,19 @@ def test_ata_circuit_l6_structure():
     assert all(a.slot_angles == (0.3,) * 5 for a in analogs)
 
 
-def test_ata_circuit_rejects_odd():
-    with pytest.raises(ValueError):
-        ata_circuit(5, 0.1)
+def test_ata_circuit_accepts_odd():
+    assert ata_circuit(5, 0.1) == ata_circuit_general(CouplingGraph.complete(5, 1.0), 0.1)
+    d = phase_distance(
+        circuit_unitary(ata_circuit(5, 0.1)), exact_target(CouplingGraph.complete(5, 1.0), 0.1)
+    ).distance
+    assert d < 1e-9
+
+
+@pytest.mark.parametrize("L", range(3, 41))
+def test_iswap_layer_count_is_linear(L):
+    # even L: 3L-7 (the paper's bridged circuit); odd L: 3L-5
+    expected = 3 * L - 7 if L % 2 == 0 else 3 * L - 5
+    assert circuit_stats(ata_circuit(L, 0.3)).iswap_layer_count == expected
 
 
 def test_ata_circuit_l4_unitary():
@@ -211,6 +223,18 @@ def test_ata_general_l5_random_unitary():
     target = random_graph(5, rng)
     d = phase_distance(
         circuit_unitary(ata_circuit_general(target, 0.8)), exact_target(target, 0.8)
+    ).distance
+    assert d < 1e-9
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+def test_ata_general_odd_sparse_exact(L):
+    rng = np.random.default_rng(900 + L)
+    target = CouplingGraph(L, {
+        (i, j): rng.normal() for i in range(L) for j in range(i + 1, L) if rng.random() < 0.4
+    })
+    d = phase_distance(
+        circuit_unitary(ata_circuit_general(target, 0.7)), exact_target(target, 0.7)
     ).distance
     assert d < 1e-9
 

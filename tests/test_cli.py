@@ -161,6 +161,28 @@ def test_parse_errors_exit_1(tmp_path, capsys):
     assert main(["compile", "--input", negative_time, "--output", str(tmp_path / "s.json")]) == 1
 
 
+def test_duplicate_json_keys_exit_1(tmp_path, capsys):
+    problem = tmp_path / "dup.json"
+    problem.write_text(
+        '{"num_qubits": 4, "num_qubits": 3, "resource_couplings": [1.0, 1.0],'
+        ' "target": {"type": "nn", "angles": [0.1, 0.2]}, "time": 0.5}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", str(problem), "--output", str(out)]) == 1
+    assert "duplicate keys ['num_qubits']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_compile_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+    problem = ata_problem(tmp_path, L=4)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out), "--epsilon", epsilon]) == 1
+    assert "--epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_problem_rejects_bad_targets(tmp_path):
     duplicate = write_json(tmp_path / "d.json", {
         "num_qubits": 3,

@@ -8,8 +8,6 @@ from daqcompile import (
     compose_weighted_paths,
     path_edges,
     walecki_cover,
-    walecki_paths,
-    walecki_paths_odd,
     zigzag_path,
 )
 from daqcompile.graphs import complete_edge_set
@@ -19,21 +17,23 @@ from oracles import zigzag_walk
 
 def test_zigzag_paths_match_known_l6():
     # 1-based [1,2,6,3,5,4], [2,3,1,4,6,5], [3,4,2,5,1,6]
-    assert walecki_paths(6) == [
+    assert walecki_cover(6).paths == (
         (0, 1, 5, 2, 4, 3),
         (1, 2, 0, 3, 5, 4),
         (2, 3, 1, 4, 0, 5),
-    ]
+    )
 
 
 def test_l2_single_path():
-    assert walecki_paths(2) == [(0, 1)]
+    assert walecki_cover(2).paths == ((0, 1),)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
 def test_even_paths_tile_complete_graph(L):
-    paths = walecki_paths(L)
+    cover = walecki_cover(L)
+    paths = cover.paths
     assert len(paths) == L // 2
+    assert all(not d for d in cover.disabled_slots)
     union = set()
     total = 0
     for p in paths:
@@ -59,9 +59,7 @@ def test_zigzag_label_validation():
     with pytest.raises(ValueError):
         zigzag_path(1, 1)
     with pytest.raises(ValueError):
-        walecki_paths(5)
-    with pytest.raises(ValueError):
-        walecki_paths_odd(4)
+        walecki_cover(1)
 
 
 def test_path_edges_examples():
@@ -79,14 +77,14 @@ def test_path_edges_rejects_non_permutation():
 
 
 def test_odd_cover_l3():
-    cover = walecki_paths_odd(3)
+    cover = walecki_cover(3)
     assert len(cover.paths) == 2
     assert len(cover.enabled_edges()) == 3
     assert sum(len(d) for d in cover.disabled_slots) == 1
 
 
 def test_odd_cover_l5():
-    cover = walecki_paths_odd(5)
+    cover = walecki_cover(5)
     assert len(cover.paths) == 3
     assert cover.num_slots() == 12
     assert len(cover.enabled_edges()) == 10
@@ -95,14 +93,14 @@ def test_odd_cover_l5():
 
 @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
 def test_odd_cover_enables_each_edge_once(L):
-    cover = walecki_paths_odd(L)
+    cover = walecki_cover(L)
     assert set(cover.enabled_edges()) == complete_edge_set(L)
     assert sum(len(d) for d in cover.disabled_slots) == (L - 1) // 2
 
 
 @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
 def test_odd_cover_first_occurrence_wins(L):
-    cover = walecki_paths_odd(L)
+    cover = walecki_cover(L)
     # duplicates are disabled in the later path, never the earlier one
     assert cover.disabled_slots[0] == frozenset()
     seen = set()
@@ -153,7 +151,7 @@ def test_compose_is_linear_in_times_and_weights():
 
 
 def test_compose_validation():
-    cover = walecki_paths_odd(3)
+    cover = walecki_cover(3)
     bad_path, bad_slot = next(
         (i, s) for i, d in enumerate(cover.disabled_slots) for s in d
     )

@@ -4,14 +4,13 @@ import pytest
 from daqcompile import (
     SwapSequence,
     apply_sequence,
-    head_ladders,
     identity_permutation,
     sort_network_sequence,
-    swap_ladder,
-    tail_ladders,
     walecki_sequence,
     zigzag_path,
 )
+
+from oracles import head_ladders, ladder_sequence, swap_ladder, tail_ladders
 
 
 def test_swap_ladder_cases():
@@ -71,8 +70,8 @@ def test_sequence_concat_requires_same_size():
 @pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
 def test_walecki_sequence_synthesises_paths(L):
     for k in range(1, L // 2 + 1):
-        seq = walecki_sequence(k, L)
-        assert apply_sequence(identity_permutation(L), seq) == zigzag_path(k, L)
+        for seq in (walecki_sequence(k, L), ladder_sequence(k, L)):
+            assert apply_sequence(identity_permutation(L), seq) == zigzag_path(k, L)
 
 
 def test_walecki_sequence_k3_l6_is_four_columns():
@@ -86,9 +85,12 @@ def test_walecki_sequence_k1_is_tail_only():
         assert walecki_sequence(1, L).layers == tail_ladders(1, L).reversed_().layers
 
 
-def test_walecki_sequence_rejects_odd():
-    with pytest.raises(ValueError):
-        walecki_sequence(1, 5)
+@pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
+def test_walecki_sequence_odd_l(L):
+    for k in range(1, (L + 1) // 2 + 1):
+        seq = walecki_sequence(k, L)
+        assert apply_sequence(identity_permutation(L), seq) == zigzag_path(k, L)
+        assert len(seq) <= L
 
 
 def test_sort_network_identity_is_empty():

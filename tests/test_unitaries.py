@@ -18,7 +18,7 @@ from daqcompile import (
     is_unitary,
     phase_distance,
     sort_network_sequence,
-    walecki_paths,
+    walecki_cover,
     walecki_sequence,
     zigzag_path,
     zz_evolution,
@@ -122,7 +122,7 @@ def test_zz_matches_expm_oracle():
 
 def test_product_of_path_evolutions_is_summed_graph():
     L, t1, t2 = 6, 0.4, 0.9
-    p1, p2 = walecki_paths(L)[:2]
+    p1, p2 = walecki_cover(L).paths[:2]
     e1 = {tuple(sorted((p1[j], p1[j + 1]))): t1 for j in range(L - 1)}
     e2 = {tuple(sorted((p2[j], p2[j + 1]))): t2 for j in range(L - 1)}
     product = np.asarray(zz_evolution(e1, L)) @ np.asarray(zz_evolution(e2, L))
@@ -145,7 +145,7 @@ def test_exact_target_cases():
     k2 = exact_target(CouplingGraph.complete(2, 0.5), 0.8)
     assert np.allclose(k2, zz_evolution({(0, 1): 0.4}, 2), atol=1e-16)
     # homogeneous K_6 equals the product of its three path evolutions
-    paths = walecki_paths(6)
+    paths = walecki_cover(6).paths
     product = np.eye(64, dtype=complex)
     for p in paths:
         edges = {tuple(sorted((p[j], p[j + 1]))): 0.7 for j in range(5)}
