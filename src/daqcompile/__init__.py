@@ -37,7 +37,6 @@ from .scheduler import (
     BlockSchedule,
     NormalizationRecord,
     coupling_ratios,
-    mask_from_row,
     minimum_time,
     normalize_ratios,
     schedule,

@@ -136,7 +136,7 @@ class ResourceBlock:
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"block duration must be finite and >= 0, got {self.duration}")
-        object.__setattr__(self, "x_mask", tuple(bool(b) for b in self.x_mask))
+        object.__setattr__(self, "x_mask", tuple(map(bool, self.x_mask)))
 
     def slot_signs(self) -> tuple[int, ...]:
         """Effective coupling sign per chain slot under the X conjugation."""

@@ -19,10 +19,12 @@ from .errors import FileFormatError, QubitLimitError, UnschedulableError
 from .fileio import (
     ProblemSpec,
     dumps_canonical,
+    iter_canonical,
     load_problem,
     load_schedule,
     schedule_document,
     sha256_of_file,
+    write_replacing,
 )
 from .unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
 
@@ -60,8 +62,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         result.circuit, problem.resource, problem.t_f, stats,
         tool_version=__version__, input_sha256=sha256_of_file(args.input),
     )
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(doc))
+    write_replacing(args.output, iter_canonical(doc))
     print(f"compiled {problem.target_type} target on {problem.num_qubits} qubits")
     print(f"analog_requests: {result.analog_requests}")
     print(f"resource_blocks: {st.analog_block_count}")

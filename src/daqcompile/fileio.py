@@ -8,11 +8,15 @@ fields are rejected on parse.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .circuits import (
     Circuit,
@@ -179,7 +183,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
             _require_keys(block, {"duration", "x_mask"}, f"{where}.resource_block")
             duration = _as_number(block["duration"], f"{where}.duration")
             mask = block["x_mask"]
-            if not isinstance(mask, list) or len(mask) != L or not all(isinstance(b, bool) for b in mask):
+            if not isinstance(mask, list) or len(mask) != L or not set(map(type, mask)) <= {bool}:
                 raise FileFormatError(f"{where}.x_mask: expected {L} booleans")
             instrs.append(ResourceBlock(duration, tuple(mask)))
         else:
@@ -197,47 +201,98 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
 
 # --- deterministic writer ---------------------------------------------------
 
-def _emit(value: Any, out: list[str], indent: int) -> None:
-    pad = "  " * indent
+_BOOL_TEXT = ("false", "true")
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _quoted(key: Any) -> str:
+    """JSON text of a key or string; field names and gate names repeat often."""
+    return json.dumps(key)
+
+
+def _bracket(opener: str, items: Iterable[str], closer: str, indent: int) -> str:
+    """A non-empty container: one item per line, one level deeper than its brackets."""
+    pad = "\n" + "  " * indent
+    return opener + pad + "  " + ("," + pad + "  ").join(items) + pad + closer
+
+
+def _text(value: Any, indent: int) -> str:
+    """Canonical text of `value` at nesting depth `indent`."""
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(k)}: ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, list):
+            return "{}"
+        items = (f"{_quoted(k)}: {_text(v, indent + 1)}" for k, v in value.items())
+        return _bracket("{", items, "}", indent)
+    if isinstance(value, list):
         if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(value):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        out.append(format(value, ".17g"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialise {value!r}")
+            return "[]"
+        # exact types: True == 1, so a list of 0/1 ints must not print as booleans
+        if set(map(type, value)) == {bool}:
+            return _bracket("[", map(_BOOL_TEXT.__getitem__, value), "]", indent)
+        return _bracket("[", (_text(v, indent + 1) for v in value), "]", indent)
+    if isinstance(value, bool):
+        return _BOOL_TEXT[value]
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialise {value!r}")
+
+
+def iter_canonical(obj: Any) -> Iterator[str]:
+    """The canonical text of `obj` in pieces.
+
+    A top-level object comes one field at a time, and a list directly under
+    it one item at a time, so a schedule's instructions are never held as one
+    string.
+    """
+    if not (isinstance(obj, dict) and obj):
+        yield _text(obj, 0) + "\n"
+        return
+    sep = "{\n  "
+    for key, value in obj.items():
+        yield f"{sep}{_quoted(key)}: "
+        if isinstance(value, list) and value:
+            item_sep = "[\n    "
+            for item in value:
+                yield item_sep + _text(item, 2)
+                item_sep = ",\n    "
+            yield "\n  ]"
+        else:
+            yield _text(value, 1)
+        sep = ",\n  "
+    yield "\n}\n"
 
 
 def dumps_canonical(obj: Any) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return "".join(iter_canonical(obj))
+
+
+def write_replacing(path: str, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a temporary file beside `path`, then rename it onto `path`.
+
+    If anything fails part way, the temporary file is removed and whatever
+    was at `path` before is left as it was.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        # mkstemp creates the file 0600; give it what a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _instruction_entry(instr: Instruction) -> dict:

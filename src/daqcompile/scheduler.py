@@ -12,7 +12,10 @@ positive during blocks n >= j" solves in closed form:
 giving non-negative durations, at most L-1 blocks (equal or zero ratios drop
 blocks), and total analog time sum|t_n| = max_j |b_j| * t_f, which is the
 minimum possible.  Masks color qubits by prefix parity so that exactly the
-intended slots flip sign in each block.
+intended slots flip sign in each block.  All masks of one request come from
+one NumPy pass: a (blocks x slots) matrix of effective negative signs, whose
+running XOR along each row is the coloring of qubits 1..L-1 (qubit 0 is never
+colored).
 
 The closed form is the production path; `sign_matrix_inverse` exists as an
 independent oracle for tests.
@@ -138,31 +141,6 @@ def solve_block_times(b_sorted: Sequence[float], t_f: float) -> np.ndarray:
     return t
 
 
-def mask_from_row(
-    row: Sequence[int], record: NormalizationRecord, num_qubits: int
-) -> tuple[bool, ...]:
-    """X-gate mask realising one block's slot signs.
-
-    `row` holds the +-1 sign per sorted slot; it is mapped back to original
-    slots, combined with the record's permanent flips, and converted to a
-    qubit coloring by prefix parity: a slot flips sign exactly when its two
-    endpoints are colored differently.
-    """
-    m = num_qubits - 1
-    if len(row) != m or len(record.slot_order) != m:
-        raise ValueError(f"expected {m} slot signs")
-    if any(s not in (1, -1) for s in row):
-        raise ValueError("slot signs must be +1 or -1")
-    original = [0] * m
-    for pos, sign in enumerate(row):
-        original[record.slot_order[pos]] = sign
-    mask = [False] * num_qubits
-    for j in range(m):
-        effective = -original[j] if record.sign_flips[j] else original[j]
-        mask[j + 1] = mask[j] ^ (effective == -1)
-    return tuple(mask)
-
-
 def minimum_time(b: Sequence[float], t_f: float) -> float:
     """Least possible total analog time: max_j |b_j| * t_f."""
     b = np.asarray(b, dtype=float)
@@ -186,12 +164,15 @@ def schedule(
     b = coupling_ratios(target_angles, resource, t_f)
     b_sorted, record = normalize_ratios(b)
     times = solve_block_times(b_sorted, t_f)
-    m = len(b_sorted)
-    blocks = []
-    for n in range(m):
-        if times[n] <= epsilon * t_f:
-            continue
-        row = [1 if n >= pos else -1 for pos in range(m)]
-        mask = mask_from_row(row, record, resource.num_qubits)
-        blocks.append(ResourceBlock(float(times[n]), mask))
-    return BlockSchedule(t_f=t_f, blocks=tuple(blocks))
+    keep = np.flatnonzero(times > epsilon * t_f)
+    # Block n runs sorted slot p negative iff n < p; map positions back to
+    # original slots, apply the permanent flips, then color by prefix parity.
+    position = np.argsort(record.slot_order)
+    negative = (keep[:, None] < position[None, :]) ^ np.array(record.sign_flips, dtype=bool)
+    masks = np.zeros((len(keep), resource.num_qubits), dtype=bool)
+    np.logical_xor.accumulate(negative, axis=1, out=masks[:, 1:])
+    blocks = tuple(
+        ResourceBlock(duration, mask)
+        for duration, mask in zip(times[keep].tolist(), masks.tolist())
+    )
+    return BlockSchedule(t_f=t_f, blocks=blocks)

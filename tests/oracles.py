@@ -10,7 +10,14 @@ ladders that synthesise each zig-zag path, the two mixed bridge layers
 left between consecutive paths after inverse gates cancel, the bridged
 circuit built from them, and the uncancelled per-path circuit.  The
 compiler derives all of these generically; tests compare against them.
+
+Two element-at-a-time references for the vectorised product code close the
+file: the scheduler's X-mask for one block, built bit by bit, and the
+canonical JSON emitter that appends one chunk per scalar.
 """
+
+import json
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -219,3 +226,72 @@ def ata_circuit_per_path(target, t_f: float) -> Circuit:
         instrs.append(request)
         instrs.extend(_iswap_layers(seq, dagger=True))
     return Circuit(L, tuple(instrs))
+
+
+# --- element-at-a-time references for the scheduler and the emitter -----------
+
+def mask_from_row(row: Sequence[int], record, num_qubits: int) -> tuple:
+    """X-gate mask realising one block's slot signs.
+
+    `row` holds the +-1 sign per sorted slot; it is mapped back to original
+    slots, combined with the record's permanent flips, and converted to a
+    qubit coloring by prefix parity: a slot flips sign exactly when its two
+    endpoints are colored differently.
+    """
+    m = num_qubits - 1
+    if len(row) != m or len(record.slot_order) != m:
+        raise ValueError(f"expected {m} slot signs")
+    if any(s not in (1, -1) for s in row):
+        raise ValueError("slot signs must be +1 or -1")
+    original = [0] * m
+    for pos, sign in enumerate(row):
+        original[record.slot_order[pos]] = sign
+    mask = [False] * num_qubits
+    for j in range(m):
+        effective = -original[j] if record.sign_flips[j] else original[j]
+        mask[j + 1] = mask[j] ^ (effective == -1)
+    return tuple(mask)
+
+
+def _emit(value: Any, out: list, indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(value.items()):
+            out.append(f"{pad}  {json.dumps(k)}: ")
+            _emit(v, out, indent + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(value):
+            out.append(pad + "  ")
+            _emit(v, out, indent + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, float):
+        out.append(format(value, ".17g"))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialise {value!r}")
+
+
+def emit_reference(obj: Any) -> str:
+    """Canonical schedule-file text of `obj`, one appended chunk per scalar."""
+    out: list = []
+    _emit(obj, out, 0)
+    out.append("\n")
+    return "".join(out)

@@ -1,11 +1,16 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from daqcompile import __version__, compile_ata
 from daqcompile.cli import main
-from daqcompile.fileio import dumps_canonical, load_problem, load_schedule
+from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
+
+from oracles import emit_reference
 
 
 def write_json(path, obj):
@@ -83,13 +88,55 @@ def test_schedule_round_trip(tmp_path):
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
     circuit, resource, t_f, metadata = load_schedule(out)
-    from daqcompile import __version__
-    from daqcompile.fileio import schedule_document
-
     document = schedule_document(
         circuit, resource, t_f, metadata["stats"], __version__, metadata["input_sha256"]
     )
     assert dumps_canonical(document) == (tmp_path / "s.json").read_text(encoding="utf-8")
+
+
+def test_compiled_file_matches_reference_emitter(tmp_path):
+    path = ata_problem(tmp_path, L=12, t_f=0.7, couplings=[
+        {"i": i, "j": j, "value": math.sin(3 * i + 7 * j)} for i in range(12) for j in range(i + 1, 12)
+    ])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", path, "--output", str(out)]) == 0
+    problem = load_problem(path)
+    circuit = compile_ata(problem.target_graph, problem.resource, problem.t_f).circuit
+    metadata = load_schedule(str(out))[3]
+    document = schedule_document(
+        circuit, problem.resource, problem.t_f, metadata["stats"], __version__, metadata["input_sha256"]
+    )
+    assert out.read_bytes() == emit_reference(document).encode("utf-8")
+
+
+def test_failed_write_keeps_old_schedule(tmp_path, monkeypatch):
+    problem = ata_problem(tmp_path, L=6, t_f=0.4)
+    out = tmp_path / "s.json"
+    out.write_text("previous schedule\n", encoding="utf-8")
+    before = sorted(os.listdir(tmp_path))
+
+    def failing_writer(doc):
+        yield "{\n"
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr("daqcompile.cli.iter_canonical", failing_writer)
+    with pytest.raises(RuntimeError, match="disk full"):
+        main(["compile", "--input", problem, "--output", str(out)])
+    assert out.read_text(encoding="utf-8") == "previous schedule\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_schedule_mask_must_be_booleans(tmp_path, capsys):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    block = next(i["resource_block"] for i in doc["instructions"] if "resource_block" in i)
+    for bad in ([0, 1, 1, 0], [False, True, 1.0, False], [False, None, True, True]):
+        block["x_mask"] = bad
+        out.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["stats", "--input", problem, "--schedule", str(out)]) == 1
+        assert "x_mask" in capsys.readouterr().err
 
 
 def test_compile_unschedulable_exits_2(tmp_path, capsys):
@@ -230,8 +277,6 @@ def test_stats_report(tmp_path, capsys):
 
 def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     # each analog request contributes exactly max|b| * t_f to the total
-    import math
-
     from daqcompile import (
         AnalogRequest,
         CouplingGraph,

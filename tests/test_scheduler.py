@@ -10,7 +10,6 @@ from daqcompile import (
     UnschedulableError,
     circuit_unitary,
     coupling_ratios,
-    mask_from_row,
     minimum_time,
     normalize_ratios,
     phase_distance,
@@ -20,6 +19,8 @@ from daqcompile import (
     solve_block_times,
     zz_evolution,
 )
+
+from oracles import mask_from_row
 
 
 def reconstruct(sched, couplings):
@@ -200,6 +201,37 @@ def test_mask_validation():
         mask_from_row((1, 0), rec, 3)
     with pytest.raises(ValueError):
         mask_from_row((1,), rec, 3)
+
+
+
+def _tie_prone_problem(rng, m):
+    """Signed ratios from a few shared magnitudes, with zeros and near-ties."""
+    g = rng.choice([0.5, 1.0, 2.0], m) * rng.choice([-1.0, 1.0], m)
+    levels = rng.choice([0.0, 0.3, 0.1 * 3, 0.7, 1.1, 1.1 * (1 + 1e-15)], m)
+    draws = np.where(rng.random(m) < 0.3, rng.normal(size=m), levels)
+    phi = draws * rng.choice([-1.0, 1.0], m) * g
+    t_f = float(rng.choice([1.0, 0.7]))
+    return tuple(float(v) for v in phi), NNChain(m + 1, tuple(float(v) for v in g)), t_f
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 0.0])
+def test_schedule_masks_match_row_oracle(epsilon):
+    rng = np.random.default_rng(2024)
+    ghosts = 0
+    for m in [1, 2, 3, 7, 16, 64, 300]:
+        for _ in range(3):
+            phi, resource, t_f = _tie_prone_problem(rng, m)
+            b_sorted, rec = normalize_ratios(coupling_ratios(phi, resource, t_f))
+            times = solve_block_times(b_sorted, t_f)
+            kept = [n for n in range(m) if times[n] > epsilon * t_f]
+            ghosts += sum(1 for n in kept if times[n] <= 1e-12 * t_f)
+            sched = schedule(phi, resource, t_f, epsilon)
+            assert [blk.duration for blk in sched.blocks] == [float(times[n]) for n in kept]
+            for n, blk in zip(kept, sched.blocks):
+                row = [1 if n >= pos else -1 for pos in range(m)]
+                assert blk.x_mask == mask_from_row(row, rec, m + 1)
+    # epsilon = 0 keeps the sub-threshold blocks that near-ties produce
+    assert (ghosts > 0) == (epsilon == 0.0)
 
 
 # --- full scheduling --------------------------------------------------------------
