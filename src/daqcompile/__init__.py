@@ -12,52 +12,29 @@ from .circuits import (
     DigitalLayer,
     Gate,
     GateType,
-    GeneralSwap,
     ResourceBlock,
     ScheduleStats,
-    ata_circuit,
     ata_circuit_general,
     circuit_stats,
-    general_swap,
     lower_iswap_layer,
     lower_swap_layers,
 )
 from .compiler import CompileResult, compile_ata, compile_chain, schedule_requests
 from .errors import FileFormatError, QubitLimitError, UnschedulableError
-from .graphs import (
-    CouplingGraph,
-    NNChain,
-    PathCover,
-    compose_weighted_paths,
-    path_edges,
-    walecki_cover,
-    zigzag_path,
-)
+from .graphs import CouplingGraph, NNChain, PathCover, walecki_cover, zigzag_path
 from .scheduler import (
     BlockSchedule,
     NormalizationRecord,
     coupling_ratios,
-    minimum_time,
     normalize_ratios,
     schedule,
-    sign_matrix,
-    sign_matrix_inverse,
     solve_block_times,
 )
-from .swaps import (
-    SwapSequence,
-    apply_sequence,
-    identity_permutation,
-    sort_network_sequence,
-    walecki_sequence,
-)
+from .swaps import SwapSequence, sort_network_sequence, walecki_sequence
 from .unitaries import (
     DistanceReport,
     circuit_unitary,
     exact_target,
-    gate_unitary,
-    general_swap_unitary,
-    is_unitary,
     phase_distance,
     zz_evolution,
 )

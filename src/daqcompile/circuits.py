@@ -15,7 +15,9 @@ zig-zag Hamiltonian paths, realise each path by conjugating a chain
 evolution with the iSWAP layers of its sorting-network swap frame, then
 cancel the inverse gates that meet between consecutive frames and re-layer
 what survives.  For even L the survivors are the paper's two mixed bridge
-layers per path boundary.
+layers per path boundary.  Every swap is the bare iSWAP, the member of the
+paper's Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no
+flanking rotations.
 
 Requested analog angles are kept unreduced (no mod 2*pi) so durations stay
 minimal and well defined; global phase is not tracked.
@@ -58,6 +60,8 @@ class Gate:
         else:
             if len(self.qubits) != 1:
                 raise ValueError(f"{self.type.value} is single-qubit, got {self.qubits}")
+        if self.qubits[0] < 0:
+            raise ValueError(f"negative qubit index in {self.qubits}")
         if not math.isfinite(self.angle):
             raise ValueError("non-finite gate angle")
         if self.angle != 0.0 and self.type is not GateType.RZ:
@@ -199,39 +203,6 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
     return ScheduleStats(analog, total_time, sqr, iswap_layers)
 
 
-# --- general Z-relaying swap gate -----------------------------------------
-
-@dataclass(frozen=True)
-class GeneralSwap:
-    """Two-qubit gate relocating Z operators across an adjacent pair.
-
-    Decomposition: Rz(rz_first) on the pair's lower qubit, then the entangler
-    exp(i pi/4 (XX + YY + zz_coefficient * ZZ)), then Rz(rz_last) on the lower
-    qubit again.  Any parameter choice conjugates Z x I into I x Z and back.
-    """
-
-    rz_first: float
-    zz_coefficient: float
-    rz_last: float
-
-
-def general_swap(alpha: float, beta: float, gamma: float) -> GeneralSwap:
-    """Three-parameter family of Z-relaying gates.
-
-    alpha = gamma = 0, beta = -1/2 collapses to the bare iSWAP (no flanking
-    rotations, no ZZ term), the cheapest member for chain resources.
-    """
-    for v in (alpha, beta, gamma):
-        if not math.isfinite(v):
-            raise ValueError("non-finite swap parameter")
-    half = (gamma - alpha) / 2.0
-    return GeneralSwap(
-        rz_first=math.pi * (half - 0.5 - beta),
-        zz_coefficient=gamma + alpha,
-        rz_last=math.pi * (half + 0.5 + beta),
-    )
-
-
 # --- path-frame circuits ----------------------------------------------------
 
 def _cancel_inverses(gates: list[tuple[int, bool]], num_qubits: int) -> list[tuple[int, bool]]:
@@ -304,11 +275,6 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
         between = [(i, True) for layer in reversed(layers) for i in layer]
     instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
     return Circuit(L, tuple(instrs))
-
-
-def ata_circuit(num_qubits: int, t_f: float, coupling: float = 1.0) -> Circuit:
-    """Homogeneous all-to-all evolution exp(i t_f g sum_{i<j} Z_i Z_j)."""
-    return ata_circuit_general(CouplingGraph.complete(num_qubits, coupling), t_f)
 
 
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------

@@ -1,20 +1,20 @@
 """Command-line front end: compile problems, verify schedules, report stats.
 
-Exit codes: 0 success / verification passed, 1 malformed input, 2 target
-unschedulable on the given resource, 3 verification failed, 4 qubit count
-over the dense-verification cap.  Reports go to stdout, diagnostics to
-stderr; outputs are byte-identical for identical inputs.
+Exit codes: 0 success / verification passed, 1 malformed input (including
+command-line usage errors and an unwritable --output), 2 target unschedulable
+on the given resource, 3 verification failed, 4 qubit count over the
+dense-verification cap.  Reports go to stdout, diagnostics to stderr; outputs
+are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
 from .circuits import circuit_stats
-from .compiler import DEFAULT_EPSILON, compile_ata, compile_chain
+from .compiler import compile_ata, compile_chain
 from .errors import FileFormatError, QubitLimitError, UnschedulableError
 from .fileio import (
     ProblemSpec,
@@ -26,7 +26,7 @@ from .fileio import (
     sha256_of_file,
     write_replacing,
 )
-from .unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
+from .unitaries import DEFAULT_MAX_QUBITS, circuit_unitary, exact_target, phase_distance, zz_evolution
 
 
 def _target_unitary(problem: ProblemSpec, max_qubits: int):
@@ -37,19 +37,11 @@ def _target_unitary(problem: ProblemSpec, max_qubits: int):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    # checked here, not as an argparse type: argparse exits 2, which means unschedulable
-    if not (math.isfinite(args.epsilon) and args.epsilon >= 0.0):
-        print(f"error: --epsilon must be finite and >= 0, got {args.epsilon!r}", file=sys.stderr)
-        return 1
     problem = load_problem(args.input)
-    try:
-        if problem.target_type == "ata":
-            result = compile_ata(problem.target_graph, problem.resource, problem.t_f, args.epsilon)
-        else:
-            result = compile_chain(problem.target_angles, problem.resource, problem.t_f, args.epsilon)
-    except UnschedulableError as exc:
-        print(f"unschedulable: {exc}", file=sys.stderr)
-        return 2
+    if problem.target_type == "ata":
+        result = compile_ata(problem.target_graph, problem.resource, problem.t_f)
+    else:
+        result = compile_chain(problem.target_angles, problem.resource, problem.t_f)
     st = circuit_stats(result.circuit)
     stats = {
         "analog_requests": result.analog_requests,
@@ -87,18 +79,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise FileFormatError("schedule and problem disagree on resource couplings")
     if t_f != problem.t_f:
         raise FileFormatError("schedule and problem disagree on time")
-    if problem.num_qubits > args.max_qubits:
-        print(
-            f"{problem.num_qubits} qubits exceeds the verification cap of {args.max_qubits}",
-            file=sys.stderr,
-        )
-        return 4
-    try:
-        target = _target_unitary(problem, args.max_qubits)
-        actual = circuit_unitary(circuit, problem.resource, args.max_qubits)
-    except QubitLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
+    target = _target_unitary(problem, args.max_qubits)
+    actual = circuit_unitary(circuit, problem.resource, args.max_qubits)
     report = phase_distance(target, actual)
     passed = report.distance < args.tol
     print(f"distance: {report.distance:.3e}")
@@ -139,8 +121,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as malformed input; argparse's own 2 means unschedulable here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daqcompile",
         description="Compile all-to-all ZZ Ising evolutions onto a fixed chain resource.",
     )
@@ -150,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="compile a problem file to a schedule")
     p_compile.add_argument("--input", required=True, help="problem JSON file")
     p_compile.add_argument("--output", required=True, help="schedule JSON file to write")
-    p_compile.add_argument(
-        "--epsilon", type=float, default=DEFAULT_EPSILON,
-        help="drop blocks with duration <= epsilon * time (default 1e-12)",
-    )
     p_compile.set_defaults(func=cmd_compile)
 
     p_verify = sub.add_parser("verify", help="check a schedule against the exact target")
@@ -161,8 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--schedule", required=True, help="schedule JSON file")
     p_verify.add_argument("--tol", type=float, default=1e-9, help="distance tolerance")
     p_verify.add_argument(
-        "--max-qubits", type=int, default=10,
-        help="dense-verification qubit cap (default 10)",
+        "--max-qubits", type=int, default=DEFAULT_MAX_QUBITS,
+        help=f"dense-verification qubit cap (default {DEFAULT_MAX_QUBITS})",
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -180,6 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnschedulableError as exc:
+        print(f"unschedulable: {exc}", file=sys.stderr)
+        return 2
+    except QubitLimitError as exc:
+        print(str(exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

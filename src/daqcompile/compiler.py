@@ -3,7 +3,9 @@
 The pipeline is build -> lower -> schedule: an all-to-all target becomes the
 high-level path circuit, its iSWAP layers are lowered to analog requests plus
 rotations, and every analog request is solved into resource blocks with sign
-masks.  The result contains only single-qubit layers and resource blocks.
+masks.  The result contains only single-qubit layers and resource blocks,
+and it is exact: the only blocks dropped are float ties
+(scheduler.TIE_THRESHOLD).
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .circuits import (
 from .graphs import CouplingGraph, NNChain
 from .scheduler import schedule
 
-DEFAULT_EPSILON = 1e-12
-
 
 @dataclass(frozen=True)
 class CompileResult:
@@ -39,27 +39,20 @@ class CompileResult:
     reference_request_count: int | None
 
 
-def schedule_requests(
-    circuit: Circuit, resource: NNChain, t_f: float, epsilon: float = DEFAULT_EPSILON
-) -> Circuit:
+def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:
     """Replace every analog request by its solved resource blocks."""
     if resource.num_qubits != circuit.num_qubits:
         raise ValueError("resource chain size does not match the circuit")
     instrs: list[Instruction] = []
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
-            instrs.extend(schedule(instr.slot_angles, resource, t_f, epsilon).blocks)
+            instrs.extend(schedule(instr.slot_angles, resource, t_f).blocks)
         else:
             instrs.append(instr)
     return Circuit(circuit.num_qubits, tuple(instrs))
 
 
-def compile_ata(
-    target: CouplingGraph,
-    resource: NNChain,
-    t_f: float,
-    epsilon: float = DEFAULT_EPSILON,
-) -> CompileResult:
+def compile_ata(target: CouplingGraph, resource: NNChain, t_f: float) -> CompileResult:
     """Compile an arbitrary coupling-graph evolution onto the resource chain."""
     if resource.num_qubits != target.num_qubits:
         raise ValueError("resource chain size does not match the target")
@@ -68,20 +61,15 @@ def compile_ata(
     requests = sum(
         1 for i in lowered.instructions if isinstance(i, AnalogRequest)
     )
-    executable = schedule_requests(lowered, resource, t_f, epsilon)
+    executable = schedule_requests(lowered, resource, t_f)
     L = target.num_qubits
     reference = 5 * L - 12 if (L % 2 == 0 and L >= 4) else None
     return CompileResult(executable, requests, reference)
 
 
-def compile_chain(
-    target_angles: Sequence[float],
-    resource: NNChain,
-    t_f: float,
-    epsilon: float = DEFAULT_EPSILON,
-) -> CompileResult:
+def compile_chain(target_angles: Sequence[float], resource: NNChain, t_f: float) -> CompileResult:
     """Compile a requested chain ZZ evolution (one analog request) directly."""
     request = AnalogRequest(tuple(float(a) for a in target_angles))
     high_level = Circuit(resource.num_qubits, (request,))
-    executable = schedule_requests(high_level, resource, t_f, epsilon)
+    executable = schedule_requests(high_level, resource, t_f)
     return CompileResult(executable, 1, None)

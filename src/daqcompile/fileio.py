@@ -71,7 +71,10 @@ def _as_int(value: Any, where: str) -> int:
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(f"{where}: expected a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise FileFormatError(f"{where}: integer beyond the float range") from None
     if not math.isfinite(value):
         raise FileFormatError(f"{where}: non-finite number")
     return value
@@ -139,6 +142,38 @@ def load_problem(path: str) -> ProblemSpec:
     raise FileFormatError(f"target.type must be 'ata' or 'nn', got {target['type']!r}")
 
 
+def _instruction(entry: Any, L: int, where: str) -> Instruction:
+    """One schedule instruction; the gate, layer and block classes check the rest."""
+    if not isinstance(entry, dict) or len(entry) != 1:
+        raise FileFormatError(f"{where}: expected exactly one of 'sqr'/'resource_block'")
+    if "sqr" in entry:
+        gates = []
+        if not isinstance(entry["sqr"], list) or not entry["sqr"]:
+            raise FileFormatError(f"{where}.sqr: expected a non-empty list")
+        for g_idx, g in enumerate(entry["sqr"]):
+            g_where = f"{where}.sqr[{g_idx}]"
+            if not isinstance(g, dict):
+                raise FileFormatError(f"{g_where}: expected an object")
+            keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
+            _require_keys(g, keys, g_where)
+            q = _as_int(g["q"], f"{g_where}.q")
+            gate_type = _SQR_NAMES.get(g["gate"]) if isinstance(g["gate"], str) else None
+            if gate_type is None:
+                raise FileFormatError(f"{g_where}: unknown gate {g['gate']!r}")
+            angle = _as_number(g["angle"], f"{g_where}.angle") if gate_type is GateType.RZ else 0.0
+            gates.append(Gate(gate_type, (q,), angle))
+        return DigitalLayer(tuple(gates))
+    if "resource_block" in entry:
+        block = entry["resource_block"]
+        _require_keys(block, {"duration", "x_mask"}, f"{where}.resource_block")
+        duration = _as_number(block["duration"], f"{where}.duration")
+        mask = block["x_mask"]
+        if not isinstance(mask, list) or len(mask) != L or not set(map(type, mask)) <= {bool}:
+            raise FileFormatError(f"{where}.x_mask: expected {L} booleans")
+        return ResourceBlock(duration, tuple(mask))
+    raise FileFormatError(f"{where}: expected 'sqr' or 'resource_block'")
+
+
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata)."""
     data = _load_json(path)
@@ -158,36 +193,10 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
         raise FileFormatError("instructions: expected a list")
     instrs: list[Instruction] = []
     for idx, entry in enumerate(data["instructions"]):
-        where = f"instructions[{idx}]"
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise FileFormatError(f"{where}: expected exactly one of 'sqr'/'resource_block'")
-        if "sqr" in entry:
-            gates = []
-            if not isinstance(entry["sqr"], list) or not entry["sqr"]:
-                raise FileFormatError(f"{where}.sqr: expected a non-empty list")
-            for g_idx, g in enumerate(entry["sqr"]):
-                g_where = f"{where}.sqr[{g_idx}]"
-                if not isinstance(g, dict):
-                    raise FileFormatError(f"{g_where}: expected an object")
-                keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
-                _require_keys(g, keys, g_where)
-                q = _as_int(g["q"], f"{g_where}.q")
-                if g["gate"] not in _SQR_NAMES:
-                    raise FileFormatError(f"{g_where}: unknown gate {g['gate']!r}")
-                gate_type = _SQR_NAMES[g["gate"]]
-                angle = _as_number(g["angle"], f"{g_where}.angle") if gate_type is GateType.RZ else 0.0
-                gates.append(Gate(gate_type, (q,), angle))
-            instrs.append(DigitalLayer(tuple(gates)))
-        elif "resource_block" in entry:
-            block = entry["resource_block"]
-            _require_keys(block, {"duration", "x_mask"}, f"{where}.resource_block")
-            duration = _as_number(block["duration"], f"{where}.duration")
-            mask = block["x_mask"]
-            if not isinstance(mask, list) or len(mask) != L or not set(map(type, mask)) <= {bool}:
-                raise FileFormatError(f"{where}.x_mask: expected {L} booleans")
-            instrs.append(ResourceBlock(duration, tuple(mask)))
-        else:
-            raise FileFormatError(f"{where}: expected 'sqr' or 'resource_block'")
+        try:
+            instrs.append(_instruction(entry, L, f"instructions[{idx}]"))
+        except ValueError as exc:
+            raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
     metadata = data["metadata"]
     _require_keys(metadata, {"tool_version", "input_sha256", "stats"}, "metadata")
     if not isinstance(metadata["stats"], dict):
@@ -276,23 +285,27 @@ def write_replacing(path: str, chunks: Iterable[str]) -> None:
     """Write `chunks` to a temporary file beside `path`, then rename it onto `path`.
 
     If anything fails part way, the temporary file is removed and whatever
-    was at `path` before is left as it was.
+    was at `path` before is left as it was.  An OS error (a missing or
+    unwritable directory, a full disk) becomes a FileFormatError naming `path`.
     """
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".", suffix=".tmp"
-    )
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        # mkstemp creates the file 0600; give it what a plain open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+            # mkstemp creates the file 0600; give it what a plain open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _instruction_entry(instr: Instruction) -> dict:

@@ -97,10 +97,6 @@ class NNChain:
         object.__setattr__(self, "couplings", couplings)
 
 
-def complete_edge_set(num_qubits: int) -> set[Edge]:
-    return {(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)}
-
-
 def zigzag_path(k: int, num_qubits: int) -> tuple[int, ...]:
     """Vertex permutation of the k-th zig-zag Hamiltonian path (1-based label k).
 
@@ -122,20 +118,14 @@ def zigzag_path(k: int, num_qubits: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def path_edges(perm: Sequence[int]) -> set[Edge]:
-    """Edges between consecutive entries of a vertex permutation."""
-    p = validate_permutation(perm, len(perm))
-    return {canonical_edge(p[j], p[j + 1], len(p)) for j in range(len(p) - 1)}
-
-
 @dataclass(frozen=True)
 class PathCover:
     """A set of Hamiltonian paths with per-path disabled slots.
 
     Slot j of a path couples its entries j and j+1.  walecki_cover
     guarantees every complete-graph edge is enabled exactly once (odd-L
-    overlaps get disabled); arbitrary covers, including repeated paths, are
-    allowed for composition.
+    overlaps get disabled); other covers, including repeated paths, are
+    valid too.
     """
 
     num_qubits: int
@@ -150,23 +140,6 @@ class PathCover:
         for disabled in self.disabled_slots:
             if any(not 0 <= s < self.num_qubits - 1 for s in disabled):
                 raise ValueError("disabled slot index out of range")
-
-    @classmethod
-    def from_paths(cls, paths: Sequence[Sequence[int]]) -> "PathCover":
-        paths = tuple(tuple(p) for p in paths)
-        return cls(len(paths[0]), paths, tuple(frozenset() for _ in paths))
-
-    def num_slots(self) -> int:
-        return len(self.paths) * (self.num_qubits - 1)
-
-    def enabled_edges(self) -> dict[Edge, tuple[int, int]]:
-        """Map of enabled edge -> (path index, slot index)."""
-        out: dict[Edge, tuple[int, int]] = {}
-        for p_idx, (p, disabled) in enumerate(zip(self.paths, self.disabled_slots)):
-            for slot in range(self.num_qubits - 1):
-                if slot not in disabled:
-                    out[canonical_edge(p[slot], p[slot + 1], self.num_qubits)] = (p_idx, slot)
-        return out
 
 
 def walecki_cover(num_qubits: int) -> PathCover:
@@ -193,30 +166,3 @@ def walecki_cover(num_qubits: int) -> PathCover:
         disabled.append(frozenset(dead))
     return PathCover(L, paths, tuple(disabled))
 
-
-def compose_weighted_paths(
-    cover: PathCover,
-    slot_weights: Sequence[Sequence[float]],
-    times: Sequence[float],
-) -> CouplingGraph:
-    """Sum of path Hamiltonians weighted by their evolution times.
-
-    Because all ZZ terms commute, evolving each path for its own time is the
-    same as evolving the summed graph once; this is the semantic oracle for
-    every composition in the pipeline.  Disabled slots must carry weight 0.
-    """
-    if len(slot_weights) != len(cover.paths) or len(times) != len(cover.paths):
-        raise ValueError("need one weight array and one time per path")
-    L = cover.num_qubits
-    acc: dict[Edge, float] = {}
-    for p, disabled, weights, t in zip(cover.paths, cover.disabled_slots, slot_weights, times):
-        if len(weights) != L - 1:
-            raise ValueError(f"expected {L - 1} slot weights, got {len(weights)}")
-        for slot, w in enumerate(weights):
-            if slot in disabled:
-                if w != 0.0:
-                    raise ValueError(f"disabled slot {slot} must have weight 0")
-                continue
-            edge = canonical_edge(p[slot], p[slot + 1], L)
-            acc[edge] = acc.get(edge, 0.0) + float(t) * float(w)
-    return CouplingGraph(L, acc)

@@ -11,14 +11,14 @@ positive during blocks n >= j" solves in closed form:
 
 giving non-negative durations, at most L-1 blocks (equal or zero ratios drop
 blocks), and total analog time sum|t_n| = max_j |b_j| * t_f, which is the
-minimum possible.  Masks color qubits by prefix parity so that exactly the
-intended slots flip sign in each block.  All masks of one request come from
-one NumPy pass: a (blocks x slots) matrix of effective negative signs, whose
-running XOR along each row is the coloring of qubits 1..L-1 (qubit 0 is never
-colored).
+minimum possible.  Blocks no longer than TIE_THRESHOLD * t_f are dropped.
+Masks color qubits by prefix parity so that exactly the intended slots flip
+sign in each block.  All masks of one request come from one NumPy pass: a
+(blocks x slots) matrix of effective negative signs, whose running XOR along
+each row is the coloring of qubits 1..L-1 (qubit 0 is never colored).
 
-The closed form is the production path; `sign_matrix_inverse` exists as an
-independent oracle for tests.
+The sign matrix itself, its row-elimination inverse and the minimum-time
+formula are test oracles in tests/oracles.py; only the closed form runs here.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ import numpy as np
 from .circuits import ResourceBlock
 from .errors import UnschedulableError
 from .graphs import NNChain
+
+# The line between a float tie and real work, relative to t_f.  Equal ratios
+# give blocks of duration exactly 0; ratios that are equal up to rounding give
+# blocks a few ulps long that would add a block without adding evolution.
+# Anything longer is a real part of the requested evolution and is kept.
+TIE_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,36 +101,6 @@ def normalize_ratios(b: Sequence[float]) -> tuple[np.ndarray, NormalizationRecor
     return magnitudes[order], NormalizationRecord(tuple(order), flips)
 
 
-def sign_matrix(n: int) -> np.ndarray:
-    """Block sign pattern: entry (j, n) is +1 iff block n >= slot j (0-based)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    cols = np.arange(n)
-    return np.where(cols[None, :] >= cols[:, None], 1, -1).astype(float)
-
-
-def sign_matrix_inverse(n: int) -> np.ndarray:
-    """Inverse of sign_matrix via row elimination (test oracle).
-
-    Row operations r_i = (r_i + r_1)/2 for i > 1, then r_i = r_i - r_{i+1}
-    for ascending i < n-1, turn the sign matrix into the identity; applied to
-    the identity they produce the inverse exactly (all entries are halves).
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    a = sign_matrix(n)
-    inv = np.eye(n)
-    for i in range(1, n):
-        a[i] = (a[i] + a[0]) / 2.0
-        inv[i] = (inv[i] + inv[0]) / 2.0
-    for i in range(n - 1):
-        a[i] = a[i] - a[i + 1]
-        inv[i] = inv[i] - inv[i + 1]
-    if not np.array_equal(a, np.eye(n)):
-        raise AssertionError("row elimination failed to reach the identity")
-    return inv
-
-
 def solve_block_times(b_sorted: Sequence[float], t_f: float) -> np.ndarray:
     """Closed-form block durations for descending non-negative ratios."""
     if not (math.isfinite(t_f) and t_f > 0):
@@ -141,30 +117,16 @@ def solve_block_times(b_sorted: Sequence[float], t_f: float) -> np.ndarray:
     return t
 
 
-def minimum_time(b: Sequence[float], t_f: float) -> float:
-    """Least possible total analog time: max_j |b_j| * t_f."""
-    b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        return 0.0
-    return float(np.max(np.abs(b)) * t_f)
-
-
-def schedule(
-    target_angles: Sequence[float],
-    resource: NNChain,
-    t_f: float,
-    epsilon: float = 1e-12,
-) -> BlockSchedule:
+def schedule(target_angles: Sequence[float], resource: NNChain, t_f: float) -> BlockSchedule:
     """Full pipeline: ratios -> normalize -> closed-form times -> sign masks.
 
-    Blocks with duration <= epsilon * t_f are dropped (equal ratios produce
-    exact zeros, and float ties must not spawn ghost blocks).  The result
+    Blocks with duration <= TIE_THRESHOLD * t_f are dropped.  The result
     reconstructs every slot angle exactly and achieves the minimum total time.
     """
     b = coupling_ratios(target_angles, resource, t_f)
     b_sorted, record = normalize_ratios(b)
     times = solve_block_times(b_sorted, t_f)
-    keep = np.flatnonzero(times > epsilon * t_f)
+    keep = np.flatnonzero(times > TIE_THRESHOLD * t_f)
     # Block n runs sorted slot p negative iff n < p; map positions back to
     # original slots, apply the permanent flips, then color by prefix parity.
     position = np.argsort(record.slot_order)

@@ -46,28 +46,6 @@ class SwapSequence:
     def __len__(self) -> int:
         return len(self.layers)
 
-    def reversed_(self) -> "SwapSequence":
-        """Layer-reversed sequence; undoes self because each swap is an involution."""
-        return SwapSequence(self.num_qubits, tuple(reversed(self.layers)))
-
-    def __add__(self, other: "SwapSequence") -> "SwapSequence":
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("qubit counts differ")
-        return SwapSequence(self.num_qubits, self.layers + other.layers)
-
-
-def identity_permutation(num_qubits: int) -> tuple[int, ...]:
-    return tuple(range(num_qubits))
-
-
-def apply_sequence(perm: Sequence[int], seq: SwapSequence) -> tuple[int, ...]:
-    """Apply each layer's swaps to the array positions of `perm`, in order."""
-    arr = list(validate_permutation(perm, seq.num_qubits))
-    for layer in seq.layers:
-        for i in layer:
-            arr[i], arr[i + 1] = arr[i + 1], arr[i]
-    return tuple(arr)
-
 
 def sort_network_sequence(target: Sequence[int]) -> SwapSequence:
     """Odd-even transposition network synthesising an arbitrary permutation.

@@ -8,19 +8,19 @@ Conventions (every test depends on them):
 * Analog evolutions are exp(+i t H); ZZ phases add as exp(i sum phi s_u s_v).
 
 Pure-ZZ circuits (analog requests and resource blocks only) evaluate on the
-diagonal.  Dense evaluation applies gates by tensor contraction and, by
-default, carries 80-bit extended precision: the phase-invariant distance
-sqrt(1 - |tr|/2^L) turns one ulp of double rounding into ~1e-8, so double
-precision cannot certify the 1e-9-level equivalences this package promises.
-The default cap of 10 qubits keeps dense checks tractable (sub-second at 8
-qubits, tens of seconds at the cap; extended precision has no BLAS path).
+diagonal.  Dense evaluation applies gates by tensor contraction.  Everything
+is computed in 80-bit extended precision (numpy.longdouble): the
+phase-invariant distance sqrt(1 - |tr|/2^L) turns one ulp of double rounding
+into ~1e-8, so double precision cannot certify the 1e-9-level equivalences
+this package promises.  The default cap of 10 qubits keeps dense checks
+tractable (sub-second at 8 qubits, tens of seconds at the cap; extended
+precision has no BLAS path).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .circuits import (
     DigitalLayer,
     Gate,
     GateType,
-    GeneralSwap,
     ResourceBlock,
 )
 from .errors import QubitLimitError
@@ -39,14 +38,14 @@ from .graphs import CouplingGraph, Edge, NNChain
 
 DEFAULT_MAX_QUBITS = 10
 
-_REAL = {False: np.float64, True: np.longdouble}
-_COMPLEX = {False: np.complex128, True: np.clongdouble}
-
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=np.clongdouble)
 _ISWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex
+    [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=np.clongdouble
 )
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
+_R = _HADAMARD @ np.diag(np.array([1, 1j], dtype=np.clongdouble)) @ _HADAMARD
+for _shared in (_X, _ISWAP, _HADAMARD, _R):  # gate_matrix hands these out as they are
+    _shared.setflags(write=False)
 
 
 def _check_cap(num_qubits: int, max_qubits: int) -> None:
@@ -56,69 +55,27 @@ def _check_cap(num_qubits: int, max_qubits: int) -> None:
         )
 
 
-def _hadamard(extended: bool) -> np.ndarray:
-    h = np.ones((2, 2), dtype=_COMPLEX[extended])
-    h[1, 1] = -1
-    return h / np.sqrt(_REAL[extended](2))
-
-
-def _phase_s(extended: bool) -> np.ndarray:
-    return np.diag(np.array([1, 1j], dtype=_COMPLEX[extended]))
-
-
-def _rz(theta: float, extended: bool = False) -> np.ndarray:
-    half = _REAL[extended](0.5) * _REAL[extended](theta)
-    return np.diag(np.exp(1j * np.array([half, -half], dtype=_COMPLEX[extended])))
-
-
-def gate_matrix(gate: Gate, extended: bool = False) -> np.ndarray:
+def gate_matrix(gate: Gate) -> np.ndarray:
     """2x2 or 4x4 matrix of a gate; two-qubit blocks are in (high, low) bit order."""
-    cdtype = _COMPLEX[extended]
     if gate.type is GateType.X:
-        return _X.astype(cdtype)
+        return _X
     if gate.type is GateType.H:
-        return _hadamard(extended)
+        return _HADAMARD
     if gate.type is GateType.R:
-        h = _hadamard(extended)
-        return h @ _phase_s(extended) @ h
+        return _R
     if gate.type is GateType.RZ:
-        return _rz(gate.angle, extended)
+        half = np.longdouble(0.5) * np.longdouble(gate.angle)
+        return np.diag(np.exp(1j * np.array([half, -half], dtype=np.clongdouble)))
     if gate.type is GateType.ISWAP:
-        return _ISWAP.astype(cdtype)
+        return _ISWAP
     if gate.type is GateType.ISWAP_DG:
-        return _ISWAP.conj().T.astype(cdtype)
+        return _ISWAP.conj().T
     raise TypeError(f"unknown gate {gate!r}")
 
 
-def _embed(mat: np.ndarray, qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
-    """Embed a 1- or 2-qubit (adjacent) matrix into the full 2^L space."""
-    factors = []
-    q = num_qubits - 1
-    while q >= 0:
-        if len(qubits) == 2 and q == qubits[1]:
-            factors.append(mat)
-            q -= 2
-        elif len(qubits) == 1 and q == qubits[0]:
-            factors.append(mat)
-            q -= 1
-        else:
-            factors.append(_I2.astype(mat.dtype))
-            q -= 1
-    return reduce(np.kron, factors)
-
-
-def gate_unitary(
-    gate: Gate, num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
-    _check_cap(num_qubits, max_qubits)
-    if max(gate.qubits) >= num_qubits:
-        raise ValueError(f"gate qubits {gate.qubits} out of range for L={num_qubits}")
-    return _embed(gate_matrix(gate), gate.qubits, num_qubits)
-
-
-def _apply_gate(u: np.ndarray, gate: Gate, num_qubits: int, extended: bool) -> np.ndarray:
+def _apply_gate(u: np.ndarray, gate: Gate) -> np.ndarray:
     """Left-multiply the running unitary by a gate via tensor contraction."""
-    mat = gate_matrix(gate, extended)
+    mat = gate_matrix(gate)
     low = min(gate.qubits)
     width = 2 ** len(gate.qubits)
     rows = u.shape[0]
@@ -133,70 +90,50 @@ def spin_table(num_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def _zz_phases(
-    angles: Mapping[Edge, float], num_qubits: int, extended: bool
-) -> np.ndarray:
+def _zz_phases(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
     s = spin_table(num_qubits)
-    phases = np.zeros(1 << num_qubits, dtype=_REAL[extended])
+    phases = np.zeros(1 << num_qubits, dtype=np.longdouble)
     for (u, v), phi in angles.items():
         if u == v or not (0 <= u < num_qubits and 0 <= v < num_qubits):
             raise ValueError(f"bad edge ({u}, {v})")
-        phases += _REAL[extended](phi) * (s[:, u] * s[:, v])
+        phases += np.longdouble(phi) * (s[:, u] * s[:, v])
     return phases
 
 
-def _chain_phases(
-    slot_angles: Sequence[float], num_qubits: int, extended: bool
-) -> np.ndarray:
-    return _zz_phases(
-        {(j, j + 1): phi for j, phi in enumerate(slot_angles)}, num_qubits, extended
-    )
+def _chain_phases(slot_angles: Sequence[float], num_qubits: int) -> np.ndarray:
+    return _zz_phases({(j, j + 1): phi for j, phi in enumerate(slot_angles)}, num_qubits)
 
 
 def zz_evolution(
-    angles: Mapping[Edge, float],
-    num_qubits: int,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    extended: bool = True,
+    angles: Mapping[Edge, float], num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
     """Diagonal unitary exp(i sum_{(u,v)} phi_uv Z_u Z_v) over any edge set."""
     _check_cap(num_qubits, max_qubits)
-    return np.diag(np.exp(1j * _zz_phases(angles, num_qubits, extended)))
+    return np.diag(np.exp(1j * _zz_phases(angles, num_qubits)))
 
 
 def exact_target(
-    target: CouplingGraph,
-    t_f: float,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    extended: bool = True,
+    target: CouplingGraph, t_f: float, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
     """Ideal evolution exp(i t_f sum g'_ij Z_i Z_j) of a coupling graph."""
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
     return zz_evolution(
-        {edge: w * t_f for edge, w in target.weights.items()},
-        target.num_qubits,
-        max_qubits,
-        extended,
+        {edge: w * t_f for edge, w in target.weights.items()}, target.num_qubits, max_qubits
     )
 
 
-def _block_phases(
-    block: ResourceBlock, resource: NNChain, num_qubits: int, extended: bool
-) -> np.ndarray:
+def _block_phases(block: ResourceBlock, resource: NNChain, num_qubits: int) -> np.ndarray:
     signs = block.slot_signs()
     angles = {
         (j, j + 1): block.duration * g * signs[j]
         for j, g in enumerate(resource.couplings)
     }
-    return _zz_phases(angles, num_qubits, extended)
+    return _zz_phases(angles, num_qubits)
 
 
 def circuit_unitary(
-    circuit: Circuit,
-    resource: NNChain | None = None,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-    extended: bool = True,
+    circuit: Circuit, resource: NNChain | None = None, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> np.ndarray:
     """Ordered product of instruction unitaries (instruction 0 acts first).
 
@@ -216,38 +153,24 @@ def circuit_unitary(
         isinstance(i, (AnalogRequest, ResourceBlock)) for i in circuit.instructions
     )
     if diagonal_only:
-        phases = np.zeros(1 << L, dtype=_REAL[extended])
+        phases = np.zeros(1 << L, dtype=np.longdouble)
         for instr in circuit.instructions:
             if isinstance(instr, AnalogRequest):
-                phases += _chain_phases(instr.slot_angles, L, extended)
+                phases += _chain_phases(instr.slot_angles, L)
             else:
-                phases += _block_phases(instr, resource, L, extended)
+                phases += _block_phases(instr, resource, L)
         return np.diag(np.exp(1j * phases))
 
-    u = np.eye(1 << L, dtype=_COMPLEX[extended])
+    u = np.eye(1 << L, dtype=np.clongdouble)
     for instr in circuit.instructions:
         if isinstance(instr, DigitalLayer):
             for g in instr.gates:
-                u = _apply_gate(u, g, L, extended)
+                u = _apply_gate(u, g)
         elif isinstance(instr, AnalogRequest):
-            u = np.exp(1j * _chain_phases(instr.slot_angles, L, extended))[:, None] * u
+            u = np.exp(1j * _chain_phases(instr.slot_angles, L))[:, None] * u
         else:
-            u = np.exp(1j * _block_phases(instr, resource, L, extended))[:, None] * u
+            u = np.exp(1j * _block_phases(instr, resource, L))[:, None] * u
     return u
-
-
-def general_swap_unitary(gs: GeneralSwap) -> np.ndarray:
-    """4x4 matrix of a general Z-relaying gate on an adjacent pair.
-
-    The flanking Rz rotations act on the pair's lower qubit; the entangler is
-    exp(i pi/4 (XX + YY + c ZZ)) with c = gs.zz_coefficient.
-    """
-    quarter = math.pi / 4.0
-    zz = np.diag(np.exp(1j * quarter * gs.zz_coefficient * np.array([1.0, -1.0, -1.0, 1.0])))
-    entangler = zz @ _ISWAP
-    rz_first = np.kron(_I2, _rz(gs.rz_first))
-    rz_last = np.kron(_I2, _rz(gs.rz_last))
-    return rz_last @ entangler @ rz_first
 
 
 @dataclass(frozen=True)
@@ -269,7 +192,3 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:
         distance=float(np.sqrt(np.maximum(deficit, type(deficit)(0)))),
         phase=float(np.angle(complex(overlap))),
     )
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)

@@ -11,12 +11,20 @@ left between consecutive paths after inverse gates cancel, the bridged
 circuit built from them, and the uncancelled per-path circuit.  The
 compiler derives all of these generically; tests compare against them.
 
+Next come the helpers that only tests need: edge sets, path covers and
+their weighted composition, permutations applied by swap sequences, the
+sign matrix with its row-elimination inverse and the minimum analog time,
+the Kronecker-chain gate embedding, and the paper's general Z-relaying swap
+family, of which the compiler uses only the bare iSWAP.
+
 Two element-at-a-time references for the vectorised product code close the
 file: the scheduler's X-mask for one block, built bit by bit, and the
 canonical JSON emitter that appends one chunk per scalar.
 """
 
 import json
+import math
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,12 +33,17 @@ from scipy.linalg import expm
 from daqcompile import (
     AnalogRequest,
     Circuit,
+    CouplingGraph,
     DigitalLayer,
     Gate,
+    PathCover,
     SwapSequence,
+    ata_circuit_general,
     sort_network_sequence,
     walecki_cover,
 )
+from daqcompile.graphs import canonical_edge, validate_permutation
+from daqcompile.unitaries import gate_matrix
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -111,7 +124,7 @@ def head_ladders(k: int, num_qubits: int) -> SwapSequence:
     seq = SwapSequence(L, ())
     for s in range(1, 2 * k - 1):
         lo = 1 if s % 2 == 1 else 0
-        seq = seq + swap_ladder(lo, 2 * k - s - 1, L)
+        seq = concat(seq, swap_ladder(lo, 2 * k - s - 1, L))
     return seq
 
 
@@ -128,7 +141,7 @@ def tail_ladders(k: int, num_qubits: int) -> SwapSequence:
     seq = SwapSequence(L, ())
     for s in range(1, L - 2 * k):
         hi = L - 1 if s % 2 == 1 else L - 2
-        seq = seq + swap_ladder(2 * k + s - 1, hi, L)
+        seq = concat(seq, swap_ladder(2 * k + s - 1, hi, L))
     return seq
 
 
@@ -140,7 +153,8 @@ def ladder_sequence(k: int, num_qubits: int) -> SwapSequence:
     """
     if num_qubits % 2 != 0:
         raise ValueError("closed-form synthesis requires even L")
-    return head_ladders(k, num_qubits).reversed_() + tail_ladders(k, num_qubits).reversed_()
+    return concat(reversed_sequence(head_ladders(k, num_qubits)),
+                  reversed_sequence(tail_ladders(k, num_qubits)))
 
 
 def _iswap_layers(seq: SwapSequence, dagger: bool) -> list:
@@ -226,6 +240,198 @@ def ata_circuit_per_path(target, t_f: float) -> Circuit:
         instrs.append(request)
         instrs.extend(_iswap_layers(seq, dagger=True))
     return Circuit(L, tuple(instrs))
+
+
+# --- edge sets, path covers and weighted composition ---------------------------
+
+def complete_edge_set(num_qubits: int) -> set:
+    return {(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)}
+
+
+def path_edges(perm: Sequence[int]) -> set:
+    """Edges between consecutive entries of a vertex permutation."""
+    p = validate_permutation(perm, len(perm))
+    return {canonical_edge(p[j], p[j + 1], len(p)) for j in range(len(p) - 1)}
+
+
+def path_cover(paths: Sequence[Sequence[int]]) -> PathCover:
+    """Cover of the given paths with every slot enabled."""
+    paths = tuple(tuple(p) for p in paths)
+    return PathCover(len(paths[0]), paths, tuple(frozenset() for _ in paths))
+
+
+def num_slots(cover: PathCover) -> int:
+    return len(cover.paths) * (cover.num_qubits - 1)
+
+
+def enabled_edges(cover: PathCover) -> dict:
+    """Map of enabled edge -> (path index, slot index)."""
+    out = {}
+    for p_idx, (p, disabled) in enumerate(zip(cover.paths, cover.disabled_slots)):
+        for slot in range(cover.num_qubits - 1):
+            if slot not in disabled:
+                out[canonical_edge(p[slot], p[slot + 1], cover.num_qubits)] = (p_idx, slot)
+    return out
+
+
+def compose_weighted_paths(cover: PathCover, slot_weights, times) -> CouplingGraph:
+    """Sum of path Hamiltonians weighted by their evolution times.
+
+    Because all ZZ terms commute, evolving each path for its own time is the
+    same as evolving the summed graph once; this is the semantic oracle for
+    every composition in the pipeline.  Disabled slots must carry weight 0.
+    """
+    if len(slot_weights) != len(cover.paths) or len(times) != len(cover.paths):
+        raise ValueError("need one weight array and one time per path")
+    L = cover.num_qubits
+    acc = {}
+    for p, disabled, weights, t in zip(cover.paths, cover.disabled_slots, slot_weights, times):
+        if len(weights) != L - 1:
+            raise ValueError(f"expected {L - 1} slot weights, got {len(weights)}")
+        for slot, w in enumerate(weights):
+            if slot in disabled:
+                if w != 0.0:
+                    raise ValueError(f"disabled slot {slot} must have weight 0")
+                continue
+            edge = canonical_edge(p[slot], p[slot + 1], L)
+            acc[edge] = acc.get(edge, 0.0) + float(t) * float(w)
+    return CouplingGraph(L, acc)
+
+
+def ata_circuit(num_qubits: int, t_f: float, coupling: float = 1.0) -> Circuit:
+    """Homogeneous all-to-all evolution exp(i t_f g sum_{i<j} Z_i Z_j)."""
+    return ata_circuit_general(CouplingGraph.complete(num_qubits, coupling), t_f)
+
+
+# --- permutations under swap sequences ---------------------------------------
+
+def identity_permutation(num_qubits: int) -> tuple:
+    return tuple(range(num_qubits))
+
+
+def apply_sequence(perm: Sequence[int], seq: SwapSequence) -> tuple:
+    """Apply each layer's swaps to the array positions of `perm`, in order."""
+    arr = list(validate_permutation(perm, seq.num_qubits))
+    for layer in seq.layers:
+        for i in layer:
+            arr[i], arr[i + 1] = arr[i + 1], arr[i]
+    return tuple(arr)
+
+
+def reversed_sequence(seq: SwapSequence) -> SwapSequence:
+    """Layer-reversed sequence; undoes `seq` because each swap is an involution."""
+    return SwapSequence(seq.num_qubits, tuple(reversed(seq.layers)))
+
+
+def concat(first: SwapSequence, second: SwapSequence) -> SwapSequence:
+    if first.num_qubits != second.num_qubits:
+        raise ValueError("qubit counts differ")
+    return SwapSequence(first.num_qubits, first.layers + second.layers)
+
+
+# --- the sign matrix of the block scheduler -----------------------------------
+
+def sign_matrix(n: int) -> np.ndarray:
+    """Block sign pattern: entry (j, n) is +1 iff block n >= slot j (0-based)."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    cols = np.arange(n)
+    return np.where(cols[None, :] >= cols[:, None], 1, -1).astype(float)
+
+
+def sign_matrix_inverse(n: int) -> np.ndarray:
+    """Inverse of sign_matrix via row elimination.
+
+    Row operations r_i = (r_i + r_1)/2 for i > 1, then r_i = r_i - r_{i+1}
+    for ascending i < n-1, turn the sign matrix into the identity; applied to
+    the identity they produce the inverse exactly (all entries are halves).
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    a = sign_matrix(n)
+    inv = np.eye(n)
+    for i in range(1, n):
+        a[i] = (a[i] + a[0]) / 2.0
+        inv[i] = (inv[i] + inv[0]) / 2.0
+    for i in range(n - 1):
+        a[i] = a[i] - a[i + 1]
+        inv[i] = inv[i] - inv[i + 1]
+    if not np.array_equal(a, np.eye(n)):
+        raise AssertionError("row elimination failed to reach the identity")
+    return inv
+
+
+def minimum_time(b: Sequence[float], t_f: float) -> float:
+    """Least possible total analog time: max_j |b_j| * t_f."""
+    b = np.asarray(b, dtype=float)
+    if b.size == 0:
+        return 0.0
+    return float(np.max(np.abs(b)) * t_f)
+
+
+# --- gates as dense matrices -----------------------------------------------------
+
+def gate_unitary(gate: Gate, num_qubits: int) -> np.ndarray:
+    """One gate on 2^L dimensions by a Kronecker chain (identity above and below).
+
+    The reference for the tensor contraction inside circuit_unitary.
+    """
+    low = min(gate.qubits)
+    high = num_qubits - low - len(gate.qubits)
+    if high < 0:
+        raise ValueError(f"gate qubits {gate.qubits} out of range for L={num_qubits}")
+    return np.kron(np.kron(np.eye(1 << high), gate_matrix(gate)), np.eye(1 << low))
+
+
+def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)
+
+
+@dataclass(frozen=True)
+class GeneralSwap:
+    """Two-qubit gate relocating Z operators across an adjacent pair.
+
+    Decomposition: Rz(rz_first) on the pair's lower qubit, then the entangler
+    exp(i pi/4 (XX + YY + zz_coefficient * ZZ)), then Rz(rz_last) on the lower
+    qubit again.  Any parameter choice conjugates Z x I into I x Z and back.
+    """
+
+    rz_first: float
+    zz_coefficient: float
+    rz_last: float
+
+
+def general_swap(alpha: float, beta: float, gamma: float) -> GeneralSwap:
+    """The paper's three-parameter family of Z-relaying gates.
+
+    alpha = gamma = 0, beta = -1/2 collapses to the bare iSWAP (no flanking
+    rotations, no ZZ term), the member the compiler uses.
+    """
+    for v in (alpha, beta, gamma):
+        if not math.isfinite(v):
+            raise ValueError("non-finite swap parameter")
+    half = (gamma - alpha) / 2.0
+    return GeneralSwap(
+        rz_first=math.pi * (half - 0.5 - beta),
+        zz_coefficient=gamma + alpha,
+        rz_last=math.pi * (half + 0.5 + beta),
+    )
+
+
+def general_swap_unitary(gs: GeneralSwap) -> np.ndarray:
+    """4x4 matrix of a general Z-relaying gate on an adjacent pair.
+
+    The flanking Rz rotations act on the pair's lower qubit; the entangler is
+    exp(i pi/4 (XX + YY + c ZZ)) with c = gs.zz_coefficient.
+    """
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    zz = np.diag(np.exp(1j * math.pi / 4.0 * gs.zz_coefficient * np.array([1.0, -1.0, -1.0, 1.0])))
+
+    def rz_low(theta):
+        half = 0.5 * theta
+        return np.kron(I2, np.diag(np.exp(1j * np.array([half, -half], dtype=complex))))
+
+    return rz_low(gs.rz_last) @ (zz @ iswap) @ rz_low(gs.rz_first)
 
 
 # --- element-at-a-time references for the scheduler and the emitter -----------

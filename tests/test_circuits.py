@@ -11,13 +11,10 @@ from daqcompile import (
     Gate,
     GateType,
     ResourceBlock,
-    ata_circuit,
     ata_circuit_general,
     circuit_stats,
     circuit_unitary,
     exact_target,
-    general_swap,
-    general_swap_unitary,
     lower_iswap_layer,
     lower_swap_layers,
     phase_distance,
@@ -28,10 +25,13 @@ from oracles import (
     X,
     Y,
     Z,
+    ata_circuit,
     ata_circuit_per_path,
     bridge_layers,
     bridges,
     evolution,
+    general_swap,
+    general_swap_unitary,
     ladder_sequence,
     zz_hamiltonian,
 )
@@ -133,7 +133,7 @@ def test_bridge_layers_edges_are_two_mixed_ladders():
 def _layers_unitary(layers, L):
     if not layers:
         return np.eye(1 << L, dtype=complex)
-    return np.asarray(circuit_unitary(Circuit(L, tuple(layers)), extended=False))
+    return circuit_unitary(Circuit(L, tuple(layers))).astype(complex)
 
 
 def _gtilde(k, L):
@@ -297,7 +297,7 @@ def test_lowered_layer_conjugation_relabels_zz(L):
     # swap-conjugation law checked on the lowered gates, not the ideal layer
     layer = DigitalLayer((Gate.iswap(0),)) if L < 4 else DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2)))
     tau = {0: 1, 1: 0} | ({2: 3, 3: 2} if L == 4 else {})
-    u = np.asarray(circuit_unitary(Circuit(L, tuple(lower_iswap_layer(layer, L))), extended=False))
+    u = circuit_unitary(Circuit(L, tuple(lower_iswap_layer(layer, L)))).astype(complex)
     for k in range(L):
         for l in range(k + 1, L):
             zz = zz_hamiltonian({(k, l): 1.0}, L)

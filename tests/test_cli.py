@@ -6,11 +6,12 @@ import sys
 
 import pytest
 
+import daqcompile
 from daqcompile import __version__, compile_ata
 from daqcompile.cli import main
 from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
 
-from oracles import emit_reference
+from oracles import emit_reference, minimum_time
 
 
 def write_json(path, obj):
@@ -221,13 +222,76 @@ def test_duplicate_json_keys_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
-def test_compile_rejects_bad_epsilon(tmp_path, capsys, epsilon):
+@pytest.mark.parametrize("case", ["no-arguments", "unknown-subcommand", "epsilon"])
+def test_usage_errors_exit_1(tmp_path, capsys, case):
+    # argparse's own exit code 2 would read as "unschedulable"
     problem = ata_problem(tmp_path, L=4)
     out = tmp_path / "s.json"
-    assert main(["compile", "--input", problem, "--output", str(out), "--epsilon", epsilon]) == 1
-    assert "--epsilon" in capsys.readouterr().err
+    argv = {
+        "no-arguments": ["compile"],
+        "unknown-subcommand": ["optimise", "--input", problem],
+        "epsilon": ["compile", "--input", problem, "--output", str(out), "--epsilon", "1e-12"],
+    }[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--version"], ["compile", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--epsilon" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "file-as-directory"])
+def test_unwritable_output_exits_1(tmp_path, capsys, where):
+    problem = ata_problem(tmp_path, L=4)
+    (tmp_path / "plain.txt").write_text("not a directory\n", encoding="utf-8")
+    parent = tmp_path / ("missing" if where == "missing-directory" else "plain.txt")
+    out = parent / "x.json"
+    before = sorted(os.listdir(tmp_path))
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("flaw", ["negative-qubit", "repeated-qubit", "negative-duration", "gate-list"])
+def test_invalid_schedule_entries_exit_1(tmp_path, capsys, flaw):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    layer = next(i["sqr"] for i in doc["instructions"] if "sqr" in i)
+    block = next(i["resource_block"] for i in doc["instructions"] if "resource_block" in i)
+    if flaw == "negative-qubit":
+        layer[0]["q"] = -1
+    elif flaw == "repeated-qubit":
+        layer.append(dict(layer[0]))
+    elif flaw == "gate-list":
+        layer[0]["gate"] = [layer[0]["gate"]]
+    else:
+        block["duration"] = -block["duration"]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", problem, "--schedule", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: instructions["), err
+
+
+def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
+    problem = nn_problem(tmp_path, L=3, t_f=0.5)
+    doc = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
+    doc["time"] = 10 ** 400
+    write_json(tmp_path / "p.json", doc)
+    assert main(["compile", "--input", problem, "--output", str(tmp_path / "s.json")]) == 1
+    assert "time: integer beyond the float range" in capsys.readouterr().err
 
 
 def test_problem_rejects_bad_targets(tmp_path):
@@ -284,7 +348,6 @@ def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
         ata_circuit_general,
         coupling_ratios,
         lower_swap_layers,
-        minimum_time,
     )
 
     L, t_f = 6, 0.5
@@ -307,14 +370,18 @@ def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
 def test_console_entry_point(tmp_path):
     problem = ata_problem(tmp_path, L=4, t_f=0.3)
     out = str(tmp_path / "s.json")
+    # the child imports the package this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(daqcompile.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     compile_run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "compile", "--input", problem, "--output", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert compile_run.returncode == 0, compile_run.stderr
     verify_run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "verify", "--input", problem, "--schedule", out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert verify_run.returncode == 0, verify_run.stderr
     assert "PASS" in verify_run.stdout

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from daqcompile import (
-    SwapSequence,
-    apply_sequence,
-    identity_permutation,
-    sort_network_sequence,
-    walecki_sequence,
-    zigzag_path,
-)
+from daqcompile import SwapSequence, sort_network_sequence, walecki_sequence, zigzag_path
 
-from oracles import head_ladders, ladder_sequence, swap_ladder, tail_ladders
+from oracles import (
+    apply_sequence,
+    concat,
+    head_ladders,
+    identity_permutation,
+    ladder_sequence,
+    reversed_sequence,
+    swap_ladder,
+    tail_ladders,
+)
 
 
 def test_swap_ladder_cases():
@@ -64,7 +66,7 @@ def test_layer_overlap_rejected():
 
 def test_sequence_concat_requires_same_size():
     with pytest.raises(ValueError):
-        SwapSequence(4, ()) + SwapSequence(5, ())
+        concat(SwapSequence(4, ()), SwapSequence(5, ()))
 
 
 @pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 12])
@@ -82,7 +84,7 @@ def test_walecki_sequence_k3_l6_is_four_columns():
 
 def test_walecki_sequence_k1_is_tail_only():
     for L in (4, 6, 8):
-        assert walecki_sequence(1, L).layers == tail_ladders(1, L).reversed_().layers
+        assert walecki_sequence(1, L).layers == reversed_sequence(tail_ladders(1, L)).layers
 
 
 @pytest.mark.parametrize("L", [3, 5, 7, 9, 11])
@@ -126,20 +128,20 @@ def test_sequence_then_reverse_is_identity():
         L = int(rng.integers(2, 11))
         p = tuple(rng.permutation(L))
         seq = sort_network_sequence(p)
-        assert apply_sequence(apply_sequence(identity_permutation(L), seq), seq.reversed_()) \
+        assert apply_sequence(apply_sequence(identity_permutation(L), seq), reversed_sequence(seq)) \
             == identity_permutation(L)
     seq = walecki_sequence(3, 8)
-    assert apply_sequence(apply_sequence(identity_permutation(8), seq), seq.reversed_()) \
+    assert apply_sequence(apply_sequence(identity_permutation(8), seq), reversed_sequence(seq)) \
         == identity_permutation(8)
 
 
 @pytest.mark.parametrize("L", [6, 8, 10])
 def test_head_and_tail_groups_commute(L):
     for k in range(1, L // 2 + 1):
-        head = head_ladders(k, L).reversed_()
-        tail = tail_ladders(k, L).reversed_()
-        a = apply_sequence(identity_permutation(L), head + tail)
-        b = apply_sequence(identity_permutation(L), tail + head)
+        head = reversed_sequence(head_ladders(k, L))
+        tail = reversed_sequence(tail_ladders(k, L))
+        a = apply_sequence(identity_permutation(L), concat(head, tail))
+        b = apply_sequence(identity_permutation(L), concat(tail, head))
         assert a == b == zigzag_path(k, L)
 
 
@@ -149,7 +151,7 @@ def test_ladder_induction_step(k):
     # of 2k-2 qubits with the last two entries fixed
     L = 2 * k
     p = zigzag_path(k, L)
-    step = swap_ladder(1, L - 2, L) + swap_ladder(0, L - 3, L)
+    step = concat(swap_ladder(1, L - 2, L), swap_ladder(0, L - 3, L))
     reduced = apply_sequence(p, step)
     expected = zigzag_path(k - 1, L - 2) + (L - 2, L - 1)
     assert reduced == expected

@@ -14,8 +14,6 @@ from daqcompile import (
     ResourceBlock,
     circuit_unitary,
     exact_target,
-    gate_unitary,
-    is_unitary,
     phase_distance,
     sort_network_sequence,
     walecki_cover,
@@ -23,9 +21,20 @@ from daqcompile import (
     zigzag_path,
     zz_evolution,
 )
-from daqcompile.swaps import SwapSequence, apply_sequence, identity_permutation
+from daqcompile.swaps import SwapSequence
 
-from oracles import X, evolution, kron_embed, pauli_z, random_unitary, zz_hamiltonian
+from oracles import (
+    X,
+    apply_sequence,
+    evolution,
+    gate_unitary,
+    identity_permutation,
+    is_unitary,
+    kron_embed,
+    pauli_z,
+    random_unitary,
+    zz_hamiltonian,
+)
 
 
 def frame_circuit(seq: SwapSequence, slot_angles) -> Circuit:
