@@ -80,10 +80,6 @@ class Gate:
         return cls(GateType.R, (q,))
 
     @classmethod
-    def rz(cls, q: int, angle: float) -> "Gate":
-        return cls(GateType.RZ, (q,), float(angle))
-
-    @classmethod
     def iswap(cls, left: int) -> "Gate":
         return cls(GateType.ISWAP, (left, left + 1))
 

@@ -59,7 +59,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print(f"analog_requests: {result.analog_requests}")
     print(f"resource_blocks: {st.analog_block_count}")
     print(f"sqr_gates: {st.sqr_count}")
-    print(f"total_analog_time: {st.total_analog_time:.17g}")
+    print(f"total_analog_time: {st.total_analog_time!r}")
     if result.reference_request_count is not None:
         print(
             f"reference_request_count: {result.reference_request_count} "
@@ -95,14 +95,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     st = circuit_stats(circuit)
     meta_stats = metadata["stats"]
     reference = meta_stats.get("reference_request_count")
-    requests = meta_stats.get("analog_requests")
     lines = {
         "num_qubits": problem.num_qubits,
         "target_type": problem.target_type,
         "resource_blocks": st.analog_block_count,
         "sqr_gates": st.sqr_count,
-        "total_analog_time": format(st.total_analog_time, ".17g"),
-        "analog_requests": requests,
+        "total_analog_time": st.total_analog_time,
+        "analog_requests": meta_stats["analog_requests"],
         "reference_request_count": reference,
     }
     for key, value in lines.items():
@@ -115,9 +114,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "requests per swap layer, so analog_requests is larger but O(L)."
         )
     print("---")
-    machine = dict(lines)
-    machine["total_analog_time"] = st.total_analog_time
-    print(dumps_canonical(machine), end="")
+    print(dumps_canonical(lines), end="")
     return 0
 
 

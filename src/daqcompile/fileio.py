@@ -1,15 +1,16 @@
 """Problem and schedule files: strict JSON parsing and deterministic emission.
 
-Both formats are UTF-8 JSON with fixed field order on emission and floats
-written with 17 significant digits (enough to round-trip binary64 exactly),
-so identical inputs produce byte-identical outputs.  Unknown and repeated
-fields are rejected on parse.
+Both formats are UTF-8 JSON.  The writer keeps field order, puts each
+top-level field on its own line and each item of a top-level list (a
+schedule instruction) on its own compact line, and spells floats as
+Python's shortest repr, which round-trips binary64 exactly; identical
+inputs produce byte-identical outputs.  Unknown and repeated fields are
+rejected on parse.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -174,6 +175,23 @@ def _instruction(entry: Any, L: int, where: str) -> Instruction:
     raise FileFormatError(f"{where}: expected 'sqr' or 'resource_block'")
 
 
+def _check_stats(stats: Any) -> None:
+    """metadata.stats as `compile` writes it; `stats` prints these values as they are."""
+    if not isinstance(stats, dict):
+        raise FileFormatError("metadata.stats: expected an object")
+    # reference_request_count may be absent (read as null): the staged
+    # pipeline in perfbench/tracing.py writes only the four counts
+    optional = stats.keys() & {"reference_request_count"}
+    _require_keys(stats, {"analog_requests", "resource_blocks", "sqr_gates", "total_analog_time"} | optional,
+                  "metadata.stats")
+    for key in ("analog_requests", "resource_blocks", "sqr_gates"):
+        if _as_int(stats[key], f"metadata.stats.{key}") < 0:
+            raise FileFormatError(f"metadata.stats.{key}: negative count")
+    _as_number(stats["total_analog_time"], "metadata.stats.total_analog_time")
+    if stats.get("reference_request_count") is not None:
+        _as_int(stats["reference_request_count"], "metadata.stats.reference_request_count")
+
+
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata)."""
     data = _load_json(path)
@@ -199,8 +217,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
             raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
     metadata = data["metadata"]
     _require_keys(metadata, {"tool_version", "input_sha256", "stats"}, "metadata")
-    if not isinstance(metadata["stats"], dict):
-        raise FileFormatError("metadata.stats: expected an object")
+    _check_stats(metadata["stats"])
     try:
         circuit = Circuit(L, tuple(instrs))
     except (ValueError, TypeError) as exc:
@@ -210,69 +227,32 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
 
 # --- deterministic writer ---------------------------------------------------
 
-_BOOL_TEXT = ("false", "true")
-
-
-@functools.lru_cache(maxsize=1024, typed=True)
-def _quoted(key: Any) -> str:
-    """JSON text of a key or string; field names and gate names repeat often."""
-    return json.dumps(key)
-
-
-def _bracket(opener: str, items: Iterable[str], closer: str, indent: int) -> str:
-    """A non-empty container: one item per line, one level deeper than its brackets."""
-    pad = "\n" + "  " * indent
-    return opener + pad + "  " + ("," + pad + "  ").join(items) + pad + closer
-
-
-def _text(value: Any, indent: int) -> str:
-    """Canonical text of `value` at nesting depth `indent`."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{_quoted(k)}: {_text(v, indent + 1)}" for k, v in value.items())
-        return _bracket("{", items, "}", indent)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        # exact types: True == 1, so a list of 0/1 ints must not print as booleans
-        if set(map(type, value)) == {bool}:
-            return _bracket("[", map(_BOOL_TEXT.__getitem__, value), "]", indent)
-        return _bracket("[", (_text(v, indent + 1) for v in value), "]", indent)
-    if isinstance(value, bool):
-        return _BOOL_TEXT[value]
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return _quoted(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialise {value!r}")
+# The C encoder: compact separators, Python's shortest round-trip float repr,
+# and a ValueError on nan/inf, which strict JSON cannot carry.
+_encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 
 
 def iter_canonical(obj: Any) -> Iterator[str]:
     """The canonical text of `obj` in pieces.
 
-    A top-level object comes one field at a time, and a list directly under
-    it one item at a time, so a schedule's instructions are never held as one
-    string.
+    A top-level object comes one field per line, and a non-empty list
+    directly under it one compact item per line, so a schedule's
+    instructions are never held as one string.
     """
     if not (isinstance(obj, dict) and obj):
-        yield _text(obj, 0) + "\n"
+        yield _encode(obj) + "\n"
         return
     sep = "{\n  "
     for key, value in obj.items():
-        yield f"{sep}{_quoted(key)}: "
+        yield f"{sep}{_encode(key)}: "
         if isinstance(value, list) and value:
             item_sep = "[\n    "
             for item in value:
-                yield item_sep + _text(item, 2)
+                yield item_sep + _encode(item)
                 item_sep = ",\n    "
             yield "\n  ]"
         else:
-            yield _text(value, 1)
+            yield _encode(value)
         sep = ",\n  "
     yield "\n}\n"
 

@@ -62,19 +62,8 @@ class CouplingGraph:
             canon[edge] = w
         object.__setattr__(self, "weights", canon)
 
-    @classmethod
-    def complete(cls, num_qubits: int, weight: float = 1.0) -> "CouplingGraph":
-        """Homogeneous all-to-all graph K_L."""
-        return cls(
-            num_qubits,
-            {(i, j): weight for i in range(num_qubits) for j in range(i + 1, num_qubits)},
-        )
-
     def weight(self, i: int, j: int) -> float:
         return self.weights.get(canonical_edge(i, j, self.num_qubits), 0.0)
-
-    def edge_set(self) -> set[Edge]:
-        return set(self.weights)
 
 
 @dataclass(frozen=True)

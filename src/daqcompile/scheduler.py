@@ -63,9 +63,6 @@ class BlockSchedule:
     t_f: float
     blocks: tuple[ResourceBlock, ...]
 
-    def total_time(self) -> float:
-        return math.fsum(b.duration for b in self.blocks)
-
 
 def coupling_ratios(
     target_angles: Sequence[float], resource: NNChain, t_f: float

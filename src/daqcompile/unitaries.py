@@ -175,10 +175,9 @@ def circuit_unitary(
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Global-phase-invariant distance between unitaries, plus the aligning phase."""
+    """Global-phase-invariant distance between unitaries."""
 
     distance: float
-    phase: float
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:
@@ -188,7 +187,4 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:
     overlap = np.vdot(u, v)          # stays in extended precision if inputs carry it
     dim = u.shape[0]
     deficit = 1 - np.abs(overlap) / dim
-    return DistanceReport(
-        distance=float(np.sqrt(np.maximum(deficit, type(deficit)(0)))),
-        phase=float(np.angle(complex(overlap))),
-    )
+    return DistanceReport(float(np.sqrt(np.maximum(deficit, type(deficit)(0)))))

@@ -11,21 +11,19 @@ left between consecutive paths after inverse gates cancel, the bridged
 circuit built from them, and the uncancelled per-path circuit.  The
 compiler derives all of these generically; tests compare against them.
 
-Next come the helpers that only tests need: edge sets, path covers and
-their weighted composition, permutations applied by swap sequences, the
-sign matrix with its row-elimination inverse and the minimum analog time,
-the Kronecker-chain gate embedding, and the paper's general Z-relaying swap
-family, of which the compiler uses only the bare iSWAP.
+Next come the helpers that only tests need: complete graphs and edge sets,
+path covers and their weighted composition, permutations applied by swap
+sequences, the sign matrix with its row-elimination inverse and the minimum
+analog time, the Kronecker-chain gate embedding, and the paper's general
+Z-relaying swap family, of which the compiler uses only the bare iSWAP.
 
-Two element-at-a-time references for the vectorised product code close the
-file: the scheduler's X-mask for one block, built bit by bit, and the
-canonical JSON emitter that appends one chunk per scalar.
+An element-at-a-time reference for the vectorised product code closes the
+file: the scheduler's X-mask for one block, built bit by bit.
 """
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -244,6 +242,11 @@ def ata_circuit_per_path(target, t_f: float) -> Circuit:
 
 # --- edge sets, path covers and weighted composition ---------------------------
 
+def complete_graph(num_qubits: int, weight: float = 1.0) -> CouplingGraph:
+    """Homogeneous all-to-all graph K_L."""
+    return CouplingGraph(num_qubits, {e: weight for e in complete_edge_set(num_qubits)})
+
+
 def complete_edge_set(num_qubits: int) -> set:
     return {(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)}
 
@@ -300,7 +303,7 @@ def compose_weighted_paths(cover: PathCover, slot_weights, times) -> CouplingGra
 
 def ata_circuit(num_qubits: int, t_f: float, coupling: float = 1.0) -> Circuit:
     """Homogeneous all-to-all evolution exp(i t_f g sum_{i<j} Z_i Z_j)."""
-    return ata_circuit_general(CouplingGraph.complete(num_qubits, coupling), t_f)
+    return ata_circuit_general(complete_graph(num_qubits, coupling), t_f)
 
 
 # --- permutations under swap sequences ---------------------------------------
@@ -458,46 +461,3 @@ def mask_from_row(row: Sequence[int], record, num_qubits: int) -> tuple:
         mask[j + 1] = mask[j] ^ (effective == -1)
     return tuple(mask)
 
-
-def _emit(value: Any, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(k)}: ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(value):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        out.append(format(value, ".17g"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialise {value!r}")
-
-
-def emit_reference(obj: Any) -> str:
-    """Canonical schedule-file text of `obj`, one appended chunk per scalar."""
-    out: list = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)

@@ -29,6 +29,7 @@ from oracles import (
     ata_circuit_per_path,
     bridge_layers,
     bridges,
+    complete_graph,
     evolution,
     general_swap,
     general_swap_unitary,
@@ -50,7 +51,7 @@ def test_gate_validation():
         Gate(GateType.X, (0, 1))
     with pytest.raises(ValueError):
         Gate(GateType.H, (0,), angle=0.1)
-    assert Gate.rz(1, 0.5).angle == 0.5
+    assert Gate(GateType.RZ, (1,), 0.5).angle == 0.5
     assert Gate.iswap(2).qubits == (2, 3)
 
 
@@ -177,9 +178,9 @@ def test_ata_circuit_l6_structure():
 
 
 def test_ata_circuit_accepts_odd():
-    assert ata_circuit(5, 0.1) == ata_circuit_general(CouplingGraph.complete(5, 1.0), 0.1)
+    assert ata_circuit(5, 0.1) == ata_circuit_general(complete_graph(5, 1.0), 0.1)
     d = phase_distance(
-        circuit_unitary(ata_circuit(5, 0.1)), exact_target(CouplingGraph.complete(5, 1.0), 0.1)
+        circuit_unitary(ata_circuit(5, 0.1)), exact_target(complete_graph(5, 1.0), 0.1)
     ).distance
     assert d < 1e-9
 
@@ -192,7 +193,7 @@ def test_iswap_layer_count_is_linear(L):
 
 
 def test_ata_circuit_l4_unitary():
-    target = CouplingGraph.complete(4, 1.0)
+    target = complete_graph(4, 1.0)
     d = phase_distance(
         circuit_unitary(ata_circuit(4, 0.3)), exact_target(target, 0.3)
     ).distance
@@ -200,7 +201,7 @@ def test_ata_circuit_l4_unitary():
 
 
 def test_ata_general_homogeneous_reduces_to_ata_circuit():
-    assert ata_circuit_general(CouplingGraph.complete(6, 1.0), 0.7) == ata_circuit(6, 0.7)
+    assert ata_circuit_general(complete_graph(6, 1.0), 0.7) == ata_circuit(6, 0.7)
 
 
 def test_ata_general_single_coupling_hits_one_slot():

@@ -11,7 +11,7 @@ from daqcompile import __version__, compile_ata
 from daqcompile.cli import main
 from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
 
-from oracles import emit_reference, minimum_time
+from oracles import complete_graph, minimum_time
 
 
 def write_json(path, obj):
@@ -95,7 +95,7 @@ def test_schedule_round_trip(tmp_path):
     assert dumps_canonical(document) == (tmp_path / "s.json").read_text(encoding="utf-8")
 
 
-def test_compiled_file_matches_reference_emitter(tmp_path):
+def test_compiled_file_parses_to_schedule_document(tmp_path):
     path = ata_problem(tmp_path, L=12, t_f=0.7, couplings=[
         {"i": i, "j": j, "value": math.sin(3 * i + 7 * j)} for i in range(12) for j in range(i + 1, 12)
     ])
@@ -107,7 +107,8 @@ def test_compiled_file_matches_reference_emitter(tmp_path):
     document = schedule_document(
         circuit, problem.resource, problem.t_f, metadata["stats"], __version__, metadata["input_sha256"]
     )
-    assert out.read_bytes() == emit_reference(document).encode("utf-8")
+    parsed = json.loads(out.read_text(encoding="utf-8"))
+    assert parsed == document and list(parsed) == list(document)
 
 
 def test_failed_write_keeps_old_schedule(tmp_path, monkeypatch):
@@ -285,6 +286,43 @@ def test_invalid_schedule_entries_exit_1(tmp_path, capsys, flaw):
         assert err.startswith("error: instructions["), err
 
 
+@pytest.mark.parametrize("flaw", [
+    ("analog_requests", {"not": "a count"}), ("resource_blocks", -1), ("sqr_gates", True),
+    ("total_analog_time", None), ("total_analog_time", "1.5"), ("reference_request_count", "18"),
+    ("unknown", 0),
+], ids=["object", "negative", "bool", "missing", "string-time", "string-reference", "unknown-key"])
+def test_invalid_metadata_stats_exit_1(tmp_path, capsys, flaw):
+    key, value = flaw
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    if value is None:
+        del doc["metadata"]["stats"][key]
+    else:
+        doc["metadata"]["stats"][key] = value
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", problem, "--schedule", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: metadata.stats"), captured.err
+        assert captured.out == ""
+
+
+def test_absent_reference_request_count_reads_as_null(tmp_path, capsys):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    del doc["metadata"]["stats"]["reference_request_count"]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", "--input", problem, "--schedule", str(out)]) == 0
+    machine = json.loads(capsys.readouterr().out.split("---\n")[1])
+    assert machine["reference_request_count"] is None
+
+
 def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
     problem = nn_problem(tmp_path, L=3, t_f=0.5)
     doc = json.loads((tmp_path / "p.json").read_text(encoding="utf-8"))
@@ -337,13 +375,14 @@ def test_stats_report(tmp_path, capsys):
     assert parsed["analog_requests"] == 25
     assert parsed["reference_request_count"] == 18
     assert parsed["resource_blocks"] > 0
+    # one float spelling: the text line and the JSON section agree digit for digit
+    assert f"total_analog_time: {parsed['total_analog_time']!r}\n" in captured
 
 
 def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     # each analog request contributes exactly max|b| * t_f to the total
     from daqcompile import (
         AnalogRequest,
-        CouplingGraph,
         NNChain,
         ata_circuit_general,
         coupling_ratios,
@@ -359,7 +398,7 @@ def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     assert main(["compile", "--input", problem, "--output", out]) == 0
     _, _, _, metadata = load_schedule(out)
     resource = NNChain(L, (1.0,) * (L - 1))
-    lowered = lower_swap_layers(ata_circuit_general(CouplingGraph.complete(L, 1.0), t_f))
+    lowered = lower_swap_layers(ata_circuit_general(complete_graph(L, 1.0), t_f))
     expected = math.fsum(
         minimum_time(coupling_ratios(i.slot_angles, resource, t_f), t_f)
         for i in lowered.instructions if isinstance(i, AnalogRequest)
