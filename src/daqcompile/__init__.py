@@ -22,14 +22,7 @@ from .circuits import (
 from .compiler import CompileResult, compile_ata, compile_chain, schedule_requests
 from .errors import FileFormatError, QubitLimitError, UnschedulableError
 from .graphs import CouplingGraph, NNChain, PathCover, walecki_cover, zigzag_path
-from .scheduler import (
-    BlockSchedule,
-    NormalizationRecord,
-    coupling_ratios,
-    normalize_ratios,
-    schedule,
-    solve_block_times,
-)
+from .scheduler import schedule
 from .swaps import SwapSequence, sort_network_sequence, walecki_sequence
 from .unitaries import (
     DistanceReport,

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__
-from .circuits import circuit_stats
+from .circuits import Circuit, circuit_stats
 from .compiler import compile_ata, compile_chain
 from .errors import FileFormatError, QubitLimitError, UnschedulableError
 from .fileio import (
@@ -27,6 +27,33 @@ from .fileio import (
     write_replacing,
 )
 from .unitaries import DEFAULT_MAX_QUBITS, circuit_unitary, exact_target, phase_distance, zz_evolution
+
+
+# Printed under every reference_request_count line.
+_REFERENCE_NOTE = (
+    "note: reference_request_count is 5L-12, reachable by merging "
+    "consecutive swap-layer evolutions; this compiler emits two "
+    "requests per swap layer, so analog_requests is larger but O(L)."
+)
+
+
+def _reference_request_count(problem: ProblemSpec) -> int | None:
+    """The paper's 5L-12 analog requests, defined for even-L all-to-all targets with L >= 4."""
+    L = problem.num_qubits
+    return 5 * L - 12 if problem.target_type == "ata" and L % 2 == 0 and L >= 4 else None
+
+
+def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
+    """The problem and its schedule, which must agree on qubits, couplings and time."""
+    problem = load_problem(args.input)
+    circuit, resource_echo, t_f, metadata = load_schedule(args.schedule)
+    if circuit.num_qubits != problem.num_qubits:
+        raise FileFormatError("schedule and problem disagree on num_qubits")
+    if resource_echo != problem.resource:
+        raise FileFormatError("schedule and problem disagree on resource couplings")
+    if t_f != problem.t_f:
+        raise FileFormatError("schedule and problem disagree on time")
+    return problem, circuit, metadata
 
 
 def _target_unitary(problem: ProblemSpec, max_qubits: int):
@@ -48,7 +75,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         "resource_blocks": st.analog_block_count,
         "sqr_gates": st.sqr_count,
         "total_analog_time": st.total_analog_time,
-        "reference_request_count": result.reference_request_count,
     }
     doc = schedule_document(
         result.circuit, problem.resource, problem.t_f, stats,
@@ -56,29 +82,18 @@ def cmd_compile(args: argparse.Namespace) -> int:
     )
     write_replacing(args.output, iter_canonical(doc))
     print(f"compiled {problem.target_type} target on {problem.num_qubits} qubits")
-    print(f"analog_requests: {result.analog_requests}")
-    print(f"resource_blocks: {st.analog_block_count}")
-    print(f"sqr_gates: {st.sqr_count}")
-    print(f"total_analog_time: {st.total_analog_time!r}")
-    if result.reference_request_count is not None:
-        print(
-            f"reference_request_count: {result.reference_request_count} "
-            "(5L-12; assumes merging consecutive swap-layer evolutions, "
-            "which this compiler does not apply)"
-        )
+    for key, value in stats.items():
+        print(f"{key}: {value!r}")
+    reference = _reference_request_count(problem)
+    if reference is not None:
+        print(f"reference_request_count: {reference}")
+        print(_REFERENCE_NOTE)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem = load_problem(args.input)
-    circuit, resource_echo, t_f, _metadata = load_schedule(args.schedule)
-    if circuit.num_qubits != problem.num_qubits:
-        raise FileFormatError("schedule and problem disagree on num_qubits")
-    if resource_echo != problem.resource:
-        raise FileFormatError("schedule and problem disagree on resource couplings")
-    if t_f != problem.t_f:
-        raise FileFormatError("schedule and problem disagree on time")
+    problem, circuit, _metadata = _load_pair(args)
     target = _target_unitary(problem, args.max_qubits)
     actual = circuit_unitary(circuit, problem.resource, args.max_qubits)
     report = phase_distance(target, actual)
@@ -90,29 +105,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    problem = load_problem(args.input)
-    circuit, _resource, _t_f, metadata = load_schedule(args.schedule)
+    problem, circuit, metadata = _load_pair(args)
     st = circuit_stats(circuit)
-    meta_stats = metadata["stats"]
-    reference = meta_stats.get("reference_request_count")
+    reference = _reference_request_count(problem)
     lines = {
         "num_qubits": problem.num_qubits,
         "target_type": problem.target_type,
         "resource_blocks": st.analog_block_count,
         "sqr_gates": st.sqr_count,
         "total_analog_time": st.total_analog_time,
-        "analog_requests": meta_stats["analog_requests"],
+        "analog_requests": metadata["stats"]["analog_requests"],
         "reference_request_count": reference,
     }
     for key, value in lines.items():
         if value is not None:
             print(f"{key}: {value}")
     if reference is not None:
-        print(
-            "note: reference_request_count is 5L-12, reachable by merging "
-            "consecutive swap-layer evolutions; this compiler emits two "
-            "requests per swap layer, so analog_requests is larger but O(L)."
-        )
+        print(_REFERENCE_NOTE)
     print("---")
     print(dumps_canonical(lines), end="")
     return 0

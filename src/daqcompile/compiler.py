@@ -5,7 +5,9 @@ high-level path circuit, its iSWAP layers are lowered to analog requests plus
 rotations, and every analog request is solved into resource blocks with sign
 masks.  The result contains only single-qubit layers and resource blocks,
 and it is exact: the only blocks dropped are float ties
-(scheduler.TIE_THRESHOLD).
+(scheduler.TIE_THRESHOLD).  The result carries only what compilation
+measures; the paper's 5L-12 reference count is worked out from the problem
+by the command line where it is reported.
 """
 
 from __future__ import annotations
@@ -26,17 +28,10 @@ from .scheduler import schedule
 
 @dataclass(frozen=True)
 class CompileResult:
-    """Executable schedule plus request accounting.
-
-    reference_request_count is 5L-12 for even-L all-to-all targets: the
-    request count a merge of consecutive swap-layer evolutions would reach.
-    This compiler emits two requests per iSWAP layer instead, so the
-    measured count is larger but still O(L).
-    """
+    """Executable schedule plus the number of analog requests it was solved from."""
 
     circuit: Circuit
     analog_requests: int
-    reference_request_count: int | None
 
 
 def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:
@@ -46,7 +41,7 @@ def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circui
     instrs: list[Instruction] = []
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
-            instrs.extend(schedule(instr.slot_angles, resource, t_f).blocks)
+            instrs.extend(schedule(instr.slot_angles, resource, t_f))
         else:
             instrs.append(instr)
     return Circuit(circuit.num_qubits, tuple(instrs))
@@ -61,10 +56,7 @@ def compile_ata(target: CouplingGraph, resource: NNChain, t_f: float) -> Compile
     requests = sum(
         1 for i in lowered.instructions if isinstance(i, AnalogRequest)
     )
-    executable = schedule_requests(lowered, resource, t_f)
-    L = target.num_qubits
-    reference = 5 * L - 12 if (L % 2 == 0 and L >= 4) else None
-    return CompileResult(executable, requests, reference)
+    return CompileResult(schedule_requests(lowered, resource, t_f), requests)
 
 
 def compile_chain(target_angles: Sequence[float], resource: NNChain, t_f: float) -> CompileResult:
@@ -72,4 +64,4 @@ def compile_chain(target_angles: Sequence[float], resource: NNChain, t_f: float)
     request = AnalogRequest(tuple(float(a) for a in target_angles))
     high_level = Circuit(resource.num_qubits, (request,))
     executable = schedule_requests(high_level, resource, t_f)
-    return CompileResult(executable, 1, None)
+    return CompileResult(executable, 1)

@@ -437,27 +437,27 @@ def general_swap_unitary(gs: GeneralSwap) -> np.ndarray:
     return rz_low(gs.rz_last) @ (zz @ iswap) @ rz_low(gs.rz_first)
 
 
-# --- element-at-a-time references for the scheduler and the emitter -----------
+# --- an element-at-a-time reference for the scheduler ---------------------------
 
-def mask_from_row(row: Sequence[int], record, num_qubits: int) -> tuple:
+def mask_from_row(row: Sequence[int], order: Sequence[int], flips: Sequence[bool], num_qubits: int) -> tuple:
     """X-gate mask realising one block's slot signs.
 
-    `row` holds the +-1 sign per sorted slot; it is mapped back to original
-    slots, combined with the record's permanent flips, and converted to a
-    qubit coloring by prefix parity: a slot flips sign exactly when its two
-    endpoints are colored differently.
+    `row` holds the +-1 sign per sorted slot; `order` maps sorted position to
+    original slot and `flips` marks original slots whose sign is inverted in
+    every block.  The row is mapped back to original slots, combined with the
+    flips, and converted to a qubit coloring by prefix parity: a slot flips
+    sign exactly when its two endpoints are colored differently.
     """
     m = num_qubits - 1
-    if len(row) != m or len(record.slot_order) != m:
+    if len(row) != m or len(order) != m or len(flips) != m:
         raise ValueError(f"expected {m} slot signs")
     if any(s not in (1, -1) for s in row):
         raise ValueError("slot signs must be +1 or -1")
     original = [0] * m
     for pos, sign in enumerate(row):
-        original[record.slot_order[pos]] = sign
+        original[order[pos]] = sign
     mask = [False] * num_qubits
     for j in range(m):
-        effective = -original[j] if record.sign_flips[j] else original[j]
+        effective = -original[j] if flips[j] else original[j]
         mask[j + 1] = mask[j] ^ (effective == -1)
     return tuple(mask)
-

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import daqcompile
@@ -54,7 +55,7 @@ def test_compile_nn_target_equal_to_resource(tmp_path, capsys):
     assert block.duration == pytest.approx(0.8)
     assert block.x_mask == (False,) * 5
     assert metadata["stats"]["analog_requests"] == 1
-    assert metadata["stats"]["reference_request_count"] is None
+    assert list(metadata["stats"]) == ["analog_requests", "resource_blocks", "sqr_gates", "total_analog_time"]
     assert main(["verify", "--input", problem, "--schedule", out]) == 0
 
 
@@ -288,9 +289,9 @@ def test_invalid_schedule_entries_exit_1(tmp_path, capsys, flaw):
 
 @pytest.mark.parametrize("flaw", [
     ("analog_requests", {"not": "a count"}), ("resource_blocks", -1), ("sqr_gates", True),
-    ("total_analog_time", None), ("total_analog_time", "1.5"), ("reference_request_count", "18"),
+    ("total_analog_time", None), ("total_analog_time", "1.5"), ("reference_request_count", 18),
     ("unknown", 0),
-], ids=["object", "negative", "bool", "missing", "string-time", "string-reference", "unknown-key"])
+], ids=["object", "negative", "bool", "missing", "string-time", "reference-key", "unknown-key"])
 def test_invalid_metadata_stats_exit_1(tmp_path, capsys, flaw):
     key, value = flaw
     problem = ata_problem(tmp_path, L=4, t_f=0.7)
@@ -310,17 +311,62 @@ def test_invalid_metadata_stats_exit_1(tmp_path, capsys, flaw):
         assert captured.out == ""
 
 
-def test_absent_reference_request_count_reads_as_null(tmp_path, capsys):
-    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+def test_schedule_carrying_reference_request_count_exits_1(tmp_path, capsys):
+    # files written before metadata.stats held only measured counts carried
+    # the key, null for chain targets; they must be recompiled
+    problem = nn_problem(tmp_path, L=4, angles=[0.3, -0.2, 0.1])
     out = tmp_path / "s.json"
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    del doc["metadata"]["stats"]["reference_request_count"]
+    doc["metadata"]["stats"]["reference_request_count"] = None
     out.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
-    assert main(["stats", "--input", problem, "--schedule", str(out)]) == 0
-    machine = json.loads(capsys.readouterr().out.split("---\n")[1])
-    assert machine["reference_request_count"] is None
+    for command in ("stats", "verify"):
+        assert main([command, "--input", problem, "--schedule", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: metadata.stats: unknown fields ['reference_request_count']\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("flaw", ["non-utf8", "deep-nesting"])
+@pytest.mark.parametrize("file, command", [
+    ("problem", "compile"), ("problem", "stats"), ("problem", "verify"),
+    ("schedule", "stats"), ("schedule", "verify"),
+])
+def test_malformed_bytes_exit_1(tmp_path, capsys, file, command, flaw):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    bad = tmp_path / "bad.json"
+    if flaw == "non-utf8":
+        bad.write_bytes(b'{"num_qubits": 4, "comment": "\xff\xfe"}')
+    else:
+        bad.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    inputs = {"problem": problem, "schedule": str(out), file: str(bad)}
+    flag, target = ("--output", str(tmp_path / "o.json")) if command == "compile" else ("--schedule", inputs["schedule"])
+    capsys.readouterr()
+    assert main([command, "--input", inputs["problem"], flag, target]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: invalid JSON: "), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["num_qubits", "resource couplings", "time"], ids=["num-qubits", "resource", "time"])
+def test_mismatched_problem_and_schedule_exit_1(tmp_path, capsys, field):
+    compiled = ata_problem(tmp_path, L=6, t_f=0.7, name="compiled.json")
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", compiled, "--output", out]) == 0
+    other = {
+        "num_qubits": lambda: nn_problem(tmp_path, L=2, t_f=0.7),
+        "resource couplings": lambda: ata_problem(tmp_path, L=6, t_f=0.7, resource=[1.0, 1.0, 1.0, 1.0, 0.5]),
+        "time": lambda: ata_problem(tmp_path, L=6, t_f=0.9),
+    }[field]()
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", other, "--schedule", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: schedule and problem disagree on {field}\n"
+        assert captured.out == ""
 
 
 def test_integer_beyond_float_range_exits_1(tmp_path, capsys):
@@ -365,11 +411,13 @@ def test_stats_report(tmp_path, capsys):
     problem = ata_problem(tmp_path, L=6, t_f=0.5)
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
-    capsys.readouterr()
+    # both reports work the 5L-12 reference out from the problem and explain it
+    reference = "reference_request_count: 18\nnote: reference_request_count is 5L-12,"
+    assert reference in capsys.readouterr().out
     assert main(["stats", "--input", problem, "--schedule", out]) == 0
     captured = capsys.readouterr().out
     assert "analog_requests: 25" in captured
-    assert "reference_request_count: 18" in captured
+    assert reference in captured
     machine = captured.split("---\n", 1)[1]
     parsed = json.loads(machine)
     assert parsed["analog_requests"] == 25
@@ -381,13 +429,7 @@ def test_stats_report(tmp_path, capsys):
 
 def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     # each analog request contributes exactly max|b| * t_f to the total
-    from daqcompile import (
-        AnalogRequest,
-        NNChain,
-        ata_circuit_general,
-        coupling_ratios,
-        lower_swap_layers,
-    )
+    from daqcompile import AnalogRequest, ata_circuit_general, lower_swap_layers
 
     L, t_f = 6, 0.5
     problem = ata_problem(
@@ -397,10 +439,10 @@ def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
     _, _, _, metadata = load_schedule(out)
-    resource = NNChain(L, (1.0,) * (L - 1))
+    g = np.ones(L - 1)
     lowered = lower_swap_layers(ata_circuit_general(complete_graph(L, 1.0), t_f))
     expected = math.fsum(
-        minimum_time(coupling_ratios(i.slot_angles, resource, t_f), t_f)
+        minimum_time(np.asarray(i.slot_angles) / (g * t_f), t_f)
         for i in lowered.instructions if isinstance(i, AnalogRequest)
     )
     assert metadata["stats"]["total_analog_time"] == pytest.approx(expected, rel=1e-12)

@@ -36,6 +36,9 @@ def test_traced_pipeline_matches_the_cli(tmp_path, monkeypatch, kind, L):
     tr = tracing.Tracer(memory=False)
 
     counters = pipe.compile(tr, problem, sched, check=True)     # raises PipelineMismatch on drift
+    # the traced pipeline writes the very file `daqcompile compile` writes
+    _, code = pipe.main_seconds(["compile", "--input", str(problem), "--output", str(tmp_path / "cli.json")])
+    assert code == 0 and (tmp_path / "cli.json").read_bytes() == sched.read_bytes()
     assert counters["circuits.analog_requests"] > 0 and counters["fileio.bytes"] > 0
     assert pipe.stats(tr, problem, sched) == {}
     assert pipe.verify(tr, problem, sched)["distance"] < 1e-9

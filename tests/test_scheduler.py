@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daqcompile import (
     Circuit,
     NNChain,
-    NormalizationRecord,
     UnschedulableError,
     circuit_unitary,
-    coupling_ratios,
-    normalize_ratios,
     phase_distance,
     schedule,
-    solve_block_times,
     zz_evolution,
 )
 from daqcompile.scheduler import TIE_THRESHOLD
@@ -21,14 +19,32 @@ from daqcompile.scheduler import TIE_THRESHOLD
 from oracles import mask_from_row, minimum_time, sign_matrix, sign_matrix_inverse
 
 
-def reconstruct(sched, couplings):
+def reconstruct(blocks, couplings):
     """Direct-summation oracle: accumulated signed angle per slot."""
     m = len(couplings)
     out = np.zeros(m)
-    for blk in sched.blocks:
+    for blk in blocks:
         signs = np.array(blk.slot_signs(), dtype=float)
         out += blk.duration * signs * np.asarray(couplings)
     return out
+
+
+def closed_form_rows(phi, g, t_f):
+    """(oracle durations, stable descending order, sign flips) of a request.
+
+    Durations come from the sign-matrix inverse applied to the sorted |b|,
+    one per sorted slot, including the ties the scheduler drops.
+    """
+    b = np.asarray(phi, dtype=float) / (np.asarray(g, dtype=float) * t_f)
+    order = np.argsort(-np.abs(b), kind="stable")
+    times = sign_matrix_inverse(len(b)) @ np.abs(b)[order] * t_f
+    return times, order, b < 0.0
+
+
+def expected_masks(kept, order, flips):
+    """Masks of blocks `kept` from the bit-by-bit row oracle: sorted slot p is negative in block n < p."""
+    m = len(order)
+    return [mask_from_row([1 if n >= p else -1 for p in range(m)], order, flips, m + 1) for n in kept]
 
 
 # --- ratios -------------------------------------------------------------------
@@ -36,60 +52,82 @@ def reconstruct(sched, couplings):
 def test_ratios_resource_itself_is_all_ones():
     resource = NNChain(4, (0.7, -1.2, 0.4))
     phi = tuple(g * 0.9 for g in resource.couplings)
-    assert np.allclose(coupling_ratios(phi, resource, 0.9), np.ones(3))
+    blocks = schedule(phi, resource, 0.9)
+    # every b_j is 1: one full block, nothing flipped
+    assert [(blk.duration, blk.x_mask) for blk in blocks] == [(pytest.approx(0.9), (False,) * 4)]
 
 
 def test_ratios_direct_division():
-    assert np.allclose(
-        coupling_ratios((1.0, 1.0), NNChain(3, (2.0, 1.0)), 1.0), [0.5, 1.0]
-    )
+    # b = (1/2, 1/1): slot 1 leads, so block 0 runs slot 0 negative
+    blocks = schedule((1.0, 1.0), NNChain(3, (2.0, 1.0)), 1.0)
+    assert [blk.duration for blk in blocks] == pytest.approx([0.25, 0.75])
+    assert [blk.slot_signs() for blk in blocks] == [(-1, 1), (1, 1)]
+    assert np.allclose(reconstruct(blocks, (2.0, 1.0)), [1.0, 1.0], atol=1e-15)
 
 
 def test_ratios_zero_resource_slot():
     with pytest.raises(UnschedulableError):
-        coupling_ratios((1.0, 1.0), NNChain(3, (1.0, 0.0)), 1.0)
-    # zero-over-zero is fine
-    b = coupling_ratios((1.0, 0.0), NNChain(3, (1.0, 0.0)), 1.0)
-    assert b[1] == 0.0
+        schedule((1.0, 1.0), NNChain(3, (1.0, 0.0)), 1.0)
+    # the first offending slot is the one reported
+    with pytest.raises(UnschedulableError) as exc:
+        schedule((0.0, 0.5, 0.0, 0.2), NNChain(5, (0.0, 0.0, 1.0, 0.0)), 1.0)
+    assert (exc.value.slot, exc.value.angle) == (1, 0.5)
+    # zero-over-zero is fine: that slot gets b = 0
+    blocks = schedule((1.0, 0.0), NNChain(3, (1.0, 0.0)), 1.0)
+    assert [blk.duration for blk in blocks] == [0.5, 0.5]
+    assert [blk.slot_signs()[0] for blk in blocks] == [1, 1]
 
 
 def test_ratios_validation():
     resource = NNChain(3, (1.0, 1.0))
     with pytest.raises(ValueError):
-        coupling_ratios((1.0, 1.0), resource, 0.0)
+        schedule((1.0, 1.0), resource, 0.0)
     with pytest.raises(ValueError):
-        coupling_ratios((1.0, 1.0), resource, -2.0)
+        schedule((1.0, 1.0), resource, -2.0)
     with pytest.raises(ValueError):
-        coupling_ratios((1.0,), resource, 1.0)
+        schedule((1.0, 1.0), resource, math.inf)
+    with pytest.raises(ValueError):
+        schedule((1.0,), resource, 1.0)
+    with pytest.raises(ValueError, match="slot 1"):
+        schedule((1.0, math.nan), resource, 1.0)
 
 
 # --- normalization ------------------------------------------------------------
 
 def test_normalize_example():
-    b_sorted, rec = normalize_ratios([0.5, -1.0])
-    assert np.allclose(b_sorted, [1.0, 0.5])
-    assert rec.sign_flips == (False, True)
-    assert rec.slot_order == (1, 0)
+    # b = (0.5, -1.0): slot 1 sorts first and is flipped in every block
+    blocks = schedule((0.5, -1.0), NNChain(3, (1.0, 1.0)), 1.0)
+    assert [blk.duration for blk in blocks] == [0.25, 0.75]
+    assert [blk.x_mask for blk in blocks] == expected_masks([0, 1], [1, 0], [False, True])
+    assert [blk.slot_signs() for blk in blocks] == [(-1, -1), (1, -1)]
 
 
 def test_normalize_all_equal_is_identity():
-    b_sorted, rec = normalize_ratios([0.3, 0.3, 0.3])
-    assert rec.slot_order == (0, 1, 2)
-    assert rec.sign_flips == (False, False, False)
-    assert np.allclose(b_sorted, 0.3)
+    blocks = schedule((0.3, 0.3, 0.3), NNChain(4, (1.0, 1.0, 1.0)), 1.0)
+    assert [(blk.duration, blk.x_mask) for blk in blocks] == [(pytest.approx(0.3), (False,) * 4)]
 
 
 def test_normalize_zeros_go_last():
-    b_sorted, rec = normalize_ratios([0.0, 0.5, 0.0, 1.5])
-    assert rec.slot_order == (3, 1, 0, 2)
-    assert np.allclose(b_sorted, [1.5, 0.5, 0.0, 0.0])
+    phi = (0.0, 0.5, 0.0, 1.5)
+    blocks = schedule(phi, NNChain(5, (1.0,) * 4), 1.0)
+    # sorted |b| = (1.5, 0.5, 0, 0): the tie of zeros leaves a zero block
+    assert [blk.duration for blk in blocks] == [0.5, 0.25, 0.75]
+    assert [blk.x_mask for blk in blocks] == expected_masks([0, 1, 3], [3, 1, 0, 2], [False] * 4)
+    assert np.allclose(reconstruct(blocks, (1.0,) * 4), phi, atol=1e-15)
 
 
-def test_normalization_record_validation():
-    with pytest.raises(ValueError):
-        NormalizationRecord((0, 0), (False, False))
-    with pytest.raises(ValueError):
-        NormalizationRecord((0, 1), (False,))
+def test_stable_ties_and_sign_flips():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        m = int(rng.integers(1, 12))
+        g = rng.choice([0.5, 1.0, 2.0], m) * rng.choice([-1.0, 1.0], m)
+        b = rng.choice([0.0, 0.25, 0.5, 1.0], m) * rng.choice([-1.0, 1.0], m)
+        phi = b * g * 0.8
+        blocks = schedule(tuple(phi), NNChain(m + 1, tuple(g)), 0.8)
+        times, order, flips = closed_form_rows(phi, g, 0.8)
+        kept = np.flatnonzero(times > TIE_THRESHOLD * 0.8)
+        assert [blk.x_mask for blk in blocks] == expected_masks(kept, order, flips)
+        assert [blk.duration for blk in blocks] == pytest.approx(times[kept].tolist(), abs=1e-15)
 
 
 # --- sign matrix ---------------------------------------------------------------
@@ -122,68 +160,62 @@ def test_sign_matrix_inverse_exact(n):
 # --- closed-form times ----------------------------------------------------------
 
 def test_solve_times_example():
-    t = solve_block_times([1.0, 0.5, 0.25], 1.0)
+    blocks = schedule((1.0, 0.5, 0.25), NNChain(4, (1.0,) * 3), 1.0)
+    t = np.array([blk.duration for blk in blocks])
     assert np.allclose(t, [0.25, 0.125, 0.625])
     assert np.allclose(sign_matrix(3) @ t, [1.0, 0.5, 0.25])
 
 
 def test_solve_times_homogeneous_single_block():
-    t = solve_block_times([1.0, 1.0, 1.0, 1.0], 0.6)
-    assert np.allclose(t, [0.0, 0.0, 0.0, 0.6])
+    blocks = schedule((0.6,) * 4, NNChain(5, (1.0,) * 4), 0.6)
+    assert [blk.duration for blk in blocks] == [pytest.approx(0.6)]
 
 
 def test_solve_times_duplicate_gives_zero():
-    t = solve_block_times([0.8, 0.8, 0.1], 1.0)
-    assert t[0] == 0.0
+    # the zero-length block between the two equal ratios is not emitted
+    blocks = schedule((0.8, 0.8, 0.1), NNChain(4, (1.0,) * 3), 1.0)
+    assert [blk.duration for blk in blocks] == pytest.approx([0.35, 0.45])
 
 
 def test_solve_times_matches_inverse_oracle():
     rng = np.random.default_rng(13)
     for _ in range(50):
         m = int(rng.integers(1, 65))
-        b = np.sort(rng.uniform(0.0, 2.0, m))[::-1]
+        g = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
+        phi = rng.uniform(-2.0, 2.0, m)
         t_f = float(rng.uniform(0.2, 3.0))
-        t = solve_block_times(b, t_f)
-        oracle = sign_matrix_inverse(m) @ b * t_f
+        t = np.array([blk.duration for blk in schedule(tuple(phi), NNChain(m + 1, tuple(g)), t_f)])
+        oracle, order, _ = closed_form_rows(phi, g, t_f)
+        assert len(t) == m
         assert np.allclose(t, oracle, atol=1e-12)
         assert np.all(t >= 0.0)
-        assert np.max(np.abs(sign_matrix(m) @ (t / t_f) - b)) < 1e-14
-
-
-def test_solve_times_rejects_unsorted():
-    with pytest.raises(ValueError):
-        solve_block_times([0.5, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        solve_block_times([0.5, -0.1], 1.0)
+        b_sorted = np.abs(phi / (g * t_f))[order]
+        assert np.max(np.abs(sign_matrix(m) @ (t / t_f) - b_sorted)) < 1e-14
 
 
 # --- masks -----------------------------------------------------------------------
 
 def test_mask_from_row_example():
-    rec = NormalizationRecord((0, 1, 2), (False, False, False))
-    assert mask_from_row((-1, 1, 1), rec, 4) == (False, True, True, True)
+    assert mask_from_row((-1, 1, 1), (0, 1, 2), (False,) * 3, 4) == (False, True, True, True)
 
 
 def test_mask_all_positive_is_empty():
-    rec = NormalizationRecord((0, 1, 2), (False, False, False))
-    assert mask_from_row((1, 1, 1), rec, 4) == (False, False, False, False)
+    assert mask_from_row((1, 1, 1), (0, 1, 2), (False,) * 3, 4) == (False,) * 4
 
 
 def test_mask_single_flip_colors_suffix():
     # flipping only the second coupling of a 5-qubit chain colors qubits 2..4
-    rec = NormalizationRecord((0, 1, 2, 3), (False, False, False, False))
-    assert mask_from_row((1, -1, 1, 1), rec, 5) == (False, False, True, True, True)
+    assert mask_from_row((1, -1, 1, 1), (0, 1, 2, 3), (False,) * 4, 5) == (False, False, True, True, True)
 
 
 def test_mask_realises_requested_signs():
     rng = np.random.default_rng(77)
     for _ in range(100):
         m = int(rng.integers(1, 12))
-        order = tuple(rng.permutation(m))
+        order = tuple(int(j) for j in rng.permutation(m))
         flips = tuple(bool(v) for v in rng.integers(0, 2, m))
-        rec = NormalizationRecord(order, flips)
         row = [int(s) for s in rng.choice([-1, 1], m)]
-        mask = mask_from_row(row, rec, m + 1)
+        mask = mask_from_row(row, order, flips, m + 1)
         original = [0] * m
         for pos, sign in enumerate(row):
             original[order[pos]] = sign
@@ -194,12 +226,12 @@ def test_mask_realises_requested_signs():
 
 
 def test_mask_validation():
-    rec = NormalizationRecord((0, 1), (False, False))
     with pytest.raises(ValueError):
-        mask_from_row((1, 0), rec, 3)
+        mask_from_row((1, 0), (0, 1), (False, False), 3)
     with pytest.raises(ValueError):
-        mask_from_row((1,), rec, 3)
-
+        mask_from_row((1,), (0, 1), (False, False), 3)
+    with pytest.raises(ValueError):
+        mask_from_row((1, 1), (0, 1), (False,), 3)
 
 
 def _tie_prone_problem(rng, m):
@@ -218,15 +250,12 @@ def test_schedule_masks_match_row_oracle():
     for m in [1, 2, 3, 7, 16, 64, 300]:
         for _ in range(3):
             phi, resource, t_f = _tie_prone_problem(rng, m)
-            b_sorted, rec = normalize_ratios(coupling_ratios(phi, resource, t_f))
-            times = solve_block_times(b_sorted, t_f)
-            kept = [n for n in range(m) if times[n] > TIE_THRESHOLD * t_f]
-            ties += sum(1 for t in times if 0.0 < t <= TIE_THRESHOLD * t_f)
-            sched = schedule(phi, resource, t_f)
-            assert [blk.duration for blk in sched.blocks] == [float(times[n]) for n in kept]
-            for n, blk in zip(kept, sched.blocks):
-                row = [1 if n >= pos else -1 for pos in range(m)]
-                assert blk.x_mask == mask_from_row(row, rec, m + 1)
+            times, order, flips = closed_form_rows(phi, resource.couplings, t_f)
+            kept = np.flatnonzero(times > TIE_THRESHOLD * t_f)
+            ties += int(np.count_nonzero((times > 0.0) & (times <= TIE_THRESHOLD * t_f)))
+            blocks = schedule(phi, resource, t_f)
+            assert [blk.duration for blk in blocks] == pytest.approx(times[kept].tolist(), rel=1e-15, abs=1e-15)
+            assert [blk.x_mask for blk in blocks] == expected_masks(kept, order, flips)
     # the problems do produce nonzero blocks below the threshold, and they are dropped
     assert ties > 0
 
@@ -236,10 +265,10 @@ def test_schedule_masks_match_row_oracle():
 def test_schedule_resource_itself_single_full_block():
     resource = NNChain(5, (0.9, 1.1, 0.7, 1.3))
     phi = tuple(g * 0.8 for g in resource.couplings)
-    sched = schedule(phi, resource, 0.8)
-    assert len(sched.blocks) == 1
-    assert sched.blocks[0].duration == pytest.approx(0.8)
-    assert sched.blocks[0].x_mask == (False,) * 5
+    blocks = schedule(phi, resource, 0.8)
+    assert len(blocks) == 1
+    assert blocks[0].duration == pytest.approx(0.8)
+    assert blocks[0].x_mask == (False,) * 5
 
 
 def test_schedule_worked_parallel_swap_block():
@@ -248,14 +277,13 @@ def test_schedule_worked_parallel_swap_block():
     g = (0.9, 0.7, 1.1, 1.3, 0.8)
     resource = NNChain(6, g)
     phi = (0.0, math.pi / 4, 0.0, -math.pi / 4, 0.0)
-    b = coupling_ratios(phi, resource, 1.0)
-    b_sorted, rec = normalize_ratios(b)
-    assert rec.slot_order == (1, 3, 0, 2, 4)
-    assert rec.sign_flips == (False, False, False, True, False)
-    sched = schedule(phi, resource, 1.0)
-    assert len(sched.blocks) == 3
-    assert np.allclose(reconstruct(sched, g), phi, atol=1e-15)
-    assert math.fsum(blk.duration for blk in sched.blocks) == pytest.approx(minimum_time(b, 1.0), abs=1e-15)
+    blocks = schedule(phi, resource, 1.0)
+    assert len(blocks) == 3
+    order, flips = [1, 3, 0, 2, 4], [False, False, False, True, False]
+    assert [blk.x_mask for blk in blocks] == expected_masks([0, 1, 4], order, flips)
+    assert np.allclose(reconstruct(blocks, g), phi, atol=1e-15)
+    b = np.asarray(phi) / np.asarray(g)
+    assert math.fsum(blk.duration for blk in blocks) == pytest.approx(minimum_time(b, 1.0), abs=1e-15)
 
 
 def test_schedule_reconstruction_random():
@@ -265,36 +293,33 @@ def test_schedule_reconstruction_random():
         g = rng.uniform(0.5, 1.5, L - 1) * rng.choice([-1.0, 1.0], L - 1)
         phi = rng.uniform(-1.0, 1.0, L - 1)
         t_f = float(rng.uniform(0.3, 2.0))
-        sched = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
-        assert len(sched.blocks) <= L - 1
-        assert all(blk.duration >= 0.0 for blk in sched.blocks)
-        assert np.max(np.abs(reconstruct(sched, g) - phi)) < 1e-12
+        blocks = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
+        assert len(blocks) <= L - 1
+        assert all(blk.duration >= 0.0 for blk in blocks)
+        assert np.max(np.abs(reconstruct(blocks, g) - phi)) < 1e-12
 
 
 def test_schedule_block_count_reductions():
     resource = NNChain(8, (1.0,) * 7)
     # d = 2 duplicate pairs among 7 values
     values = [1.4, 1.4, 0.9, 0.9, 0.5, 0.3, 0.2]
-    sched = schedule(tuple(values), resource, 1.0)
-    assert len(sched.blocks) == 7 - 2
+    assert len(schedule(tuple(values), resource, 1.0)) == 7 - 2
     # k = 3 zeros reduce the count by k-1
     values = [1.4, 0.9, 0.5, 0.2, 0.0, 0.0, 0.0]
-    sched = schedule(tuple(values), resource, 1.0)
-    assert len(sched.blocks) == 7 - (3 - 1)
+    assert len(schedule(tuple(values), resource, 1.0)) == 7 - (3 - 1)
 
 
 def test_schedule_epsilon_drops_ghost_blocks():
     resource = NNChain(3, (1.0, 1.0))
     phi = (1.0, 1.0 - 5e-14)
-    assert len(schedule(phi, resource, 1.0).blocks) == 1
+    assert len(schedule(phi, resource, 1.0)) == 1
     # the closed form does give the near-tie its own tiny block, below the threshold
-    times = solve_block_times(normalize_ratios(coupling_ratios(phi, resource, 1.0))[0], 1.0)
+    times = closed_form_rows(phi, resource.couplings, 1.0)[0]
     assert 0.0 < times[0] <= TIE_THRESHOLD and times[1] > TIE_THRESHOLD
 
 
 def test_schedule_zero_target_is_empty():
-    sched = schedule((0.0, 0.0, 0.0), NNChain(4, (1.0, 1.0, 1.0)), 1.0)
-    assert sched.blocks == ()
+    assert schedule((0.0, 0.0, 0.0), NNChain(4, (1.0, 1.0, 1.0)), 1.0) == ()
 
 
 def test_minimum_time_examples():
@@ -310,10 +335,37 @@ def test_schedule_total_time_is_minimal():
         g = rng.uniform(0.5, 1.5, L - 1) * rng.choice([-1.0, 1.0], L - 1)
         phi = rng.uniform(-1.0, 1.0, L - 1)
         t_f = float(rng.uniform(0.3, 2.0))
-        resource = NNChain(L, tuple(g))
-        sched = schedule(tuple(phi), resource, t_f)
-        b = coupling_ratios(tuple(phi), resource, t_f)
-        assert abs(math.fsum(blk.duration for blk in sched.blocks) - minimum_time(b, t_f)) < 1e-14 * t_f
+        blocks = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
+        b = phi / (g * t_f)
+        assert abs(math.fsum(blk.duration for blk in blocks) - minimum_time(b, t_f)) < 1e-14 * t_f
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    L=st.integers(2, 256),
+    exponents=st.tuples(st.floats(-12.0, 6.0), st.floats(-12.0, 6.0)).map(sorted),
+    t_f=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_exact_over_ratio_spreads(L, exponents, t_f, seed):
+    """Signed couplings and ratios |b_j| log-uniform between 10**lo and 10**hi."""
+    rng = np.random.default_rng(seed)
+    m = L - 1
+    g = rng.uniform(0.5, 1.5, m) * rng.choice([-1.0, 1.0], m)
+    b = 10.0 ** rng.uniform(*exponents, m) * rng.choice([-1.0, 1.0], m)
+    phi = b * g * t_f
+    blocks = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
+    durations = np.array([blk.duration for blk in blocks])
+    assert len(blocks) <= m and np.all(durations >= 0.0)
+    # blocks at or below TIE_THRESHOLD * t_f are dropped by design; their
+    # oracle durations bound what the schedule may leave out
+    times = closed_form_rows(phi, g, t_f)[0]
+    ghost = float(np.sum(times[times <= TIE_THRESHOLD * t_f]))
+    signs = np.array([blk.slot_signs() for blk in blocks], dtype=float).reshape(-1, m)
+    residual = np.max(np.abs(durations @ signs * g - phi))
+    assert residual <= 1e-12 * np.max(np.abs(phi)) + ghost * np.max(np.abs(g))
+    total = math.fsum(durations)
+    assert abs(total - minimum_time(b, t_f)) <= 1e-12 * minimum_time(b, t_f) + ghost
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -322,7 +374,7 @@ def test_schedule_unitary_matches_ideal_evolution(L):
     g = rng.uniform(0.5, 1.5, L - 1) * rng.choice([-1.0, 1.0], L - 1)
     phi = rng.uniform(-2.0, 2.0, L - 1)
     resource = NNChain(L, tuple(g))
-    sched = schedule(tuple(phi), resource, 0.9)
-    u = circuit_unitary(Circuit(L, sched.blocks), resource)
+    blocks = schedule(tuple(phi), resource, 0.9)
+    u = circuit_unitary(Circuit(L, blocks), resource)
     v = zz_evolution({(j, j + 1): p for j, p in enumerate(phi)}, L)
     assert phase_distance(u, v).distance < 1e-10
