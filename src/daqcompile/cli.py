@@ -5,6 +5,9 @@ command-line usage errors and an unwritable --output), 2 target unschedulable
 on the given resource, 3 verification failed, 4 qubit count over the
 dense-verification cap.  Reports go to stdout, diagnostics to stderr; outputs
 are byte-identical for identical inputs.
+
+Only `compile` imports `compiler` and only `verify` imports `unitaries`,
+each inside its command, so `stats` (and `--help`) never load NumPy.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import sys
 
 from . import __version__
 from .circuits import Circuit, circuit_stats
-from .compiler import compile_ata, compile_chain
-from .errors import FileFormatError, QubitLimitError, UnschedulableError
+from .errors import DEFAULT_MAX_QUBITS, FileFormatError, QubitLimitError, UnschedulableError
 from .fileio import (
     ProblemSpec,
     dumps_canonical,
@@ -26,7 +28,6 @@ from .fileio import (
     sha256_of_file,
     write_replacing,
 )
-from .unitaries import DEFAULT_MAX_QUBITS, circuit_unitary, exact_target, phase_distance, zz_evolution
 
 
 # Printed under every reference_request_count line.
@@ -56,14 +57,9 @@ def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
     return problem, circuit, metadata
 
 
-def _target_unitary(problem: ProblemSpec, max_qubits: int):
-    if problem.target_type == "ata":
-        return exact_target(problem.target_graph, problem.t_f, max_qubits)
-    angles = {(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}
-    return zz_evolution(angles, problem.num_qubits, max_qubits)
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
+    from .compiler import compile_ata, compile_chain
+
     problem = load_problem(args.input)
     if problem.target_type == "ata":
         result = compile_ata(problem.target_graph, problem.resource, problem.t_f)
@@ -93,8 +89,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
+
     problem, circuit, _metadata = _load_pair(args)
-    target = _target_unitary(problem, args.max_qubits)
+    if problem.target_type == "ata":
+        target = exact_target(problem.target_graph, problem.t_f, args.max_qubits)
+    else:
+        angles = {(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}
+        target = zz_evolution(angles, problem.num_qubits, args.max_qubits)
     actual = circuit_unitary(circuit, problem.resource, args.max_qubits)
     report = phase_distance(target, actual)
     passed = report.distance < args.tol

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the dense-verification cap."""
+
+# The dense verifier's default qubit cap (see unitaries), kept here so the
+# command line can show it without importing NumPy.
+DEFAULT_MAX_QUBITS = 10
 
 
 class UnschedulableError(Exception):

@@ -26,18 +26,15 @@ from .circuits import (
     GateType,
     Instruction,
     ResourceBlock,
+    single_qubit_gate,
 )
 from .errors import FileFormatError
 from .graphs import CouplingGraph, NNChain
 
 SCHEDULE_FORMAT = "daqc-schedule/1"
 
-_SQR_NAMES = {
-    GateType.X.value: GateType.X,
-    GateType.H.value: GateType.H,
-    GateType.R.value: GateType.R,
-    GateType.RZ.value: GateType.RZ,
-}
+_SHARED_NAMES = {t.value: t for t in (GateType.X, GateType.H, GateType.R)}
+_SQR_NAMES = {**_SHARED_NAMES, GateType.RZ.value: GateType.RZ}
 
 
 @dataclass(frozen=True)
@@ -145,26 +142,41 @@ def load_problem(path: str) -> ProblemSpec:
     raise FileFormatError(f"target.type must be 'ata' or 'nn', got {target['type']!r}")
 
 
+def _checked_gate(g: Any, where: str) -> Gate:
+    """A gate entry off the fast path, checked field by field for the error message."""
+    if not isinstance(g, dict):
+        raise FileFormatError(f"{where}: expected an object")
+    keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
+    _require_keys(g, keys, where)
+    q = _as_int(g["q"], f"{where}.q")
+    gate_type = _SQR_NAMES.get(g["gate"]) if isinstance(g["gate"], str) else None
+    if gate_type is None:
+        raise FileFormatError(f"{where}: unknown gate {g['gate']!r}")
+    if gate_type is GateType.RZ:
+        return Gate(gate_type, (q,), _as_number(g["angle"], f"{where}.angle"))
+    return single_qubit_gate(gate_type, q)
+
+
 def _instruction(entry: Any, L: int, where: str) -> Instruction:
-    """One schedule instruction; the gate, layer and block classes check the rest."""
+    """One schedule instruction; the gate, layer and block classes check the rest.
+
+    A well-formed x/h/r entry, exactly {"q": int, "gate": name}, takes the
+    shared gate straight away; anything else goes through _checked_gate.
+    """
     if not isinstance(entry, dict) or len(entry) != 1:
         raise FileFormatError(f"{where}: expected exactly one of 'sqr'/'resource_block'")
     if "sqr" in entry:
-        gates = []
-        if not isinstance(entry["sqr"], list) or not entry["sqr"]:
+        entries = entry["sqr"]
+        if not isinstance(entries, list) or not entries:
             raise FileFormatError(f"{where}.sqr: expected a non-empty list")
-        for g_idx, g in enumerate(entry["sqr"]):
-            g_where = f"{where}.sqr[{g_idx}]"
-            if not isinstance(g, dict):
-                raise FileFormatError(f"{g_where}: expected an object")
-            keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
-            _require_keys(g, keys, g_where)
-            q = _as_int(g["q"], f"{g_where}.q")
-            gate_type = _SQR_NAMES.get(g["gate"]) if isinstance(g["gate"], str) else None
-            if gate_type is None:
-                raise FileFormatError(f"{g_where}: unknown gate {g['gate']!r}")
-            angle = _as_number(g["angle"], f"{g_where}.angle") if gate_type is GateType.RZ else 0.0
-            gates.append(Gate(gate_type, (q,), angle))
+        gates = []
+        for g_idx, g in enumerate(entries):
+            if type(g) is dict and len(g) == 2 and type(g.get("q")) is int and type(g.get("gate")) is str:
+                gate_type = _SHARED_NAMES.get(g["gate"])
+                if gate_type is not None:
+                    gates.append(single_qubit_gate(gate_type, g["q"]))
+                    continue
+            gates.append(_checked_gate(g, f"{where}.sqr[{g_idx}]"))
         return DigitalLayer(tuple(gates))
     if "resource_block" in entry:
         block = entry["resource_block"]
@@ -173,7 +185,7 @@ def _instruction(entry: Any, L: int, where: str) -> Instruction:
         mask = block["x_mask"]
         if not isinstance(mask, list) or len(mask) != L or not set(map(type, mask)) <= {bool}:
             raise FileFormatError(f"{where}.x_mask: expected {L} booleans")
-        return ResourceBlock(duration, tuple(mask))
+        return ResourceBlock(duration, mask)
     raise FileFormatError(f"{where}: expected 'sqr' or 'resource_block'")
 
 

@@ -33,10 +33,8 @@ from .circuits import (
     GateType,
     ResourceBlock,
 )
-from .errors import QubitLimitError
+from .errors import DEFAULT_MAX_QUBITS, QubitLimitError
 from .graphs import CouplingGraph, Edge, NNChain
-
-DEFAULT_MAX_QUBITS = 10
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.clongdouble)
 _ISWAP = np.array(

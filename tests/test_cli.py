@@ -448,13 +448,17 @@ def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     assert metadata["stats"]["total_analog_time"] == pytest.approx(expected, rel=1e-12)
 
 
+def child_env():
+    """Environment for a child interpreter that imports the package this test imported, installed or not."""
+    package_root = os.path.dirname(os.path.dirname(daqcompile.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_entry_point(tmp_path):
     problem = ata_problem(tmp_path, L=4, t_f=0.3)
     out = str(tmp_path / "s.json")
-    # the child imports the package this test imported, installed or not
-    package_root = os.path.dirname(os.path.dirname(daqcompile.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     compile_run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "compile", "--input", problem, "--output", out],
         capture_output=True, text=True, env=env,
@@ -466,3 +470,46 @@ def test_console_entry_point(tmp_path):
     )
     assert verify_run.returncode == 0, verify_run.stderr
     assert "PASS" in verify_run.stdout
+
+
+def test_stats_does_not_import_numpy(tmp_path):
+    problem = ata_problem(tmp_path, L=6, t_f=0.7)
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", out]) == 0
+    script = (
+        "import sys\n"
+        "import daqcompile.cli\n"
+        "assert 'numpy' not in sys.modules, 'import daqcompile.cli loaded numpy'\n"
+        f"code = daqcompile.cli.main(['stats', '--input', {problem!r}, '--schedule', {out!r}])\n"
+        "assert 'numpy' not in sys.modules, 'stats loaded numpy'\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr
+    assert "resource_blocks: " in run.stdout
+
+
+_PUBLIC_NAMES = [
+    "AnalogRequest", "Circuit", "CompileResult", "CouplingGraph", "DigitalLayer", "DistanceReport",
+    "FileFormatError", "Gate", "GateType", "NNChain", "PathCover", "QubitLimitError", "ResourceBlock",
+    "ScheduleStats", "SwapSequence", "UnschedulableError", "ata_circuit_general", "circuit_stats",
+    "circuit_unitary", "compile_ata", "compile_chain", "exact_target", "lower_iswap_layer",
+    "lower_swap_layers", "phase_distance", "schedule", "schedule_requests", "sort_network_sequence",
+    "walecki_cover", "walecki_sequence", "zigzag_path", "zz_evolution",
+]
+
+
+def test_public_names_resolve():
+    from daqcompile import DistanceReport, compile_ata, schedule
+    from daqcompile.scheduler import schedule as scheduler_schedule
+    from daqcompile.unitaries import DistanceReport as unitaries_report
+
+    assert schedule is scheduler_schedule and DistanceReport is unitaries_report
+    assert compile_ata is daqcompile.compiler.compile_ata
+    for name in _PUBLIC_NAMES:
+        exec(f"from daqcompile import {name}", {})
+        assert getattr(daqcompile, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        daqcompile.no_such_name
+    with pytest.raises(ImportError):
+        exec("from daqcompile import no_such_name", {})

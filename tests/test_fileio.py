@@ -1,5 +1,6 @@
-"""The canonical writer: standard JSON that parses back to the same document."""
+"""The canonical writer (standard JSON that parses back to the same document) and the strict schedule reader."""
 
+import copy
 import json
 import math
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daqcompile.fileio import dumps_canonical, iter_canonical
+from daqcompile import FileFormatError, Gate, GateType
+from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
 _scalars = (
@@ -69,3 +71,64 @@ def test_iter_canonical_yields_instructions_one_at_a_time():
     instructions = [{"resource_block": {"duration": 0.5, "x_mask": [False, True]}}] * 3
     pieces = list(iter_canonical({"format": "f", "instructions": instructions}))
     assert [p.count('"resource_block"') for p in pieces if '"resource_block"' in p] == [1, 1, 1]
+
+
+# --- strict schedule reader ------------------------------------------------------
+
+_SCHEDULE = {
+    "format": "daqc-schedule/1", "num_qubits": 3, "resource_couplings": [1.0, 1.0], "time": 0.5,
+    "instructions": [
+        {"sqr": [{"q": 0, "gate": "h"}, {"q": 2, "gate": "rz", "angle": 0.25}]},
+        {"resource_block": {"duration": 0.5, "x_mask": [False, True, True]}},
+        {"sqr": [{"q": 0, "gate": "h"}, {"q": 1, "gate": "x"}, {"q": 2, "gate": "rz", "angle": 0.25}]},
+    ],
+    "metadata": {"tool_version": "0.1.0", "input_sha256": "0" * 64, "stats": {
+        "analog_requests": 1, "resource_blocks": 1, "sqr_gates": 5, "total_analog_time": 0.5}},
+}
+
+
+def _write_schedule(tmp_path, doc):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_loaded_gates_are_shared_except_rz(tmp_path):
+    circuit = load_schedule(_write_schedule(tmp_path, _SCHEDULE))[0]
+    first, block, last = circuit.instructions
+    assert first.gates[0] is last.gates[0] is Gate.h(0)
+    assert last.gates[1] is Gate.x(1)
+    assert first.gates[1] == last.gates[2] == Gate(GateType.RZ, (2,), 0.25)
+    assert first.gates[1] is not last.gates[2]
+    assert block.x_mask == (False, True, True)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"q": 1}, "instructions[2].sqr[1]: missing fields ['gate']"),
+    ({"gate": "x"}, "instructions[2].sqr[1]: missing fields ['q']"),
+    ({"q": 1, "gate": "x", "angle": 0.0}, "instructions[2].sqr[1]: unknown fields ['angle']"),
+    ({"q": 1, "gate": "rz"}, "instructions[2].sqr[1]: missing fields ['angle']"),
+    ({"q": 1, "gate": "y"}, "instructions[2].sqr[1]: unknown gate 'y'"),
+    ({"q": 1, "gate": ["x"]}, "instructions[2].sqr[1]: unknown gate ['x']"),
+    ({"q": 1.0, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
+    ({"q": True, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
+    ({"q": -1, "gate": "r"}, "instructions[2]: negative qubit index in (-1,)"),
+    ({"q": 3, "gate": "r"}, "schedule instructions invalid: gate on qubit 3 exceeds L=3"),
+    (["x", 1], "instructions[2].sqr[1]: expected an object"),
+], ids=["missing-gate", "missing-q", "extra-key", "rz-without-angle", "unknown-name", "name-list",
+        "float-q", "bool-q", "negative-q", "q-beyond-L", "not-an-object"])
+def test_reader_gate_messages(tmp_path, entry, message):
+    doc = copy.deepcopy(_SCHEDULE)
+    doc["instructions"][2]["sqr"][1] = entry
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(_write_schedule(tmp_path, doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mask", [[False, 1, True], [False, None, True], [False, True], "FTT"])
+def test_reader_mask_messages(tmp_path, mask):
+    doc = copy.deepcopy(_SCHEDULE)
+    doc["instructions"][1]["resource_block"]["x_mask"] = mask
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(_write_schedule(tmp_path, doc))
+    assert str(info.value) == "instructions[1].x_mask: expected 3 booleans"

@@ -41,6 +41,11 @@ def closed_form_rows(phi, g, t_f):
     return times, order, b < 0.0
 
 
+def tie_line(phi, g, t_f):
+    """Duration at or below which the scheduler drops a block as a float tie."""
+    return TIE_THRESHOLD * np.max(np.abs(np.asarray(phi) / (np.asarray(g) * t_f))) * t_f
+
+
 def expected_masks(kept, order, flips):
     """Masks of blocks `kept` from the bit-by-bit row oracle: sorted slot p is negative in block n < p."""
     m = len(order)
@@ -125,7 +130,7 @@ def test_stable_ties_and_sign_flips():
         phi = b * g * 0.8
         blocks = schedule(tuple(phi), NNChain(m + 1, tuple(g)), 0.8)
         times, order, flips = closed_form_rows(phi, g, 0.8)
-        kept = np.flatnonzero(times > TIE_THRESHOLD * 0.8)
+        kept = np.flatnonzero(times > tie_line(phi, g, 0.8))
         assert [blk.x_mask for blk in blocks] == expected_masks(kept, order, flips)
         assert [blk.duration for blk in blocks] == pytest.approx(times[kept].tolist(), abs=1e-15)
 
@@ -251,8 +256,8 @@ def test_schedule_masks_match_row_oracle():
         for _ in range(3):
             phi, resource, t_f = _tie_prone_problem(rng, m)
             times, order, flips = closed_form_rows(phi, resource.couplings, t_f)
-            kept = np.flatnonzero(times > TIE_THRESHOLD * t_f)
-            ties += int(np.count_nonzero((times > 0.0) & (times <= TIE_THRESHOLD * t_f)))
+            kept = np.flatnonzero(times > tie_line(phi, resource.couplings, t_f))
+            ties += int(np.count_nonzero((times > 0.0) & (times <= tie_line(phi, resource.couplings, t_f))))
             blocks = schedule(phi, resource, t_f)
             assert [blk.duration for blk in blocks] == pytest.approx(times[kept].tolist(), rel=1e-15, abs=1e-15)
             assert [blk.x_mask for blk in blocks] == expected_masks(kept, order, flips)
@@ -318,6 +323,17 @@ def test_schedule_epsilon_drops_ghost_blocks():
     assert 0.0 < times[0] <= TIE_THRESHOLD and times[1] > TIE_THRESHOLD
 
 
+def test_schedule_keeps_tiny_requests():
+    # the tie threshold scales with max|b|, so a request that is tiny
+    # throughout is still realised, not dropped as a tie
+    blocks = schedule((1e-12,), NNChain(2, (1.0,)), 1.0)
+    assert len(blocks) == 1
+    assert reconstruct(blocks, (1.0,)) == pytest.approx([1e-12], rel=1e-15)
+    phi = (3e-15, -1e-15, 2e-15)
+    blocks = schedule(phi, NNChain(4, (1.0, 0.5, 2.0)), 0.7)
+    assert np.allclose(reconstruct(blocks, (1.0, 0.5, 2.0)), phi, rtol=1e-12, atol=0.0)
+
+
 def test_schedule_zero_target_is_empty():
     assert schedule((0.0, 0.0, 0.0), NNChain(4, (1.0, 1.0, 1.0)), 1.0) == ()
 
@@ -357,10 +373,10 @@ def test_schedule_exact_over_ratio_spreads(L, exponents, t_f, seed):
     blocks = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
     durations = np.array([blk.duration for blk in blocks])
     assert len(blocks) <= m and np.all(durations >= 0.0)
-    # blocks at or below TIE_THRESHOLD * t_f are dropped by design; their
-    # oracle durations bound what the schedule may leave out
+    # blocks at or below TIE_THRESHOLD * max|b| * t_f are dropped by design;
+    # their oracle durations bound what the schedule may leave out
     times = closed_form_rows(phi, g, t_f)[0]
-    ghost = float(np.sum(times[times <= TIE_THRESHOLD * t_f]))
+    ghost = float(np.sum(times[times <= tie_line(phi, g, t_f)]))
     signs = np.array([blk.slot_signs() for blk in blocks], dtype=float).reshape(-1, m)
     residual = np.max(np.abs(durations @ signs * g - phi))
     assert residual <= 1e-12 * np.max(np.abs(phi)) + ghost * np.max(np.abs(g))
