@@ -11,9 +11,10 @@ positive during blocks n >= j" solves in closed form:
 
 giving non-negative durations, at most L-1 blocks (equal or zero ratios drop
 blocks), and total analog time sum|t_n| = max_j |b_j| * t_f, which is the
-minimum possible.  Blocks no longer than TIE_THRESHOLD * max_j |b_j| * t_f
-are dropped: the threshold scales with the request, so a request whose
-ratios are all tiny keeps its blocks.
+minimum possible.  Blocks no longer than
+TIE_THRESHOLD * min(1, max_j |b_j|) * t_f are dropped: the threshold shrinks
+with a request whose ratios are all below 1, so a tiny request keeps its
+blocks, and never grows past TIE_THRESHOLD * t_f for a large one.
 Masks color qubits by prefix parity so that exactly the intended slots flip
 sign in each block.  `schedule` does all of this in one NumPy pass per
 request: the masks come from a (blocks x slots) matrix of effective negative
@@ -36,10 +37,10 @@ from .errors import UnschedulableError
 from .graphs import NNChain
 
 # The line between a float tie and real work, relative to the request's
-# longest evolution max|b| * t_f.  Equal ratios give blocks of duration
-# exactly 0; ratios that are equal up to rounding give blocks a few ulps of
-# max|b| long that would add a block without adding evolution.  Anything
-# longer is a real part of the requested evolution and is kept.
+# longest evolution max|b| * t_f, capped at t_f.  Equal ratios give blocks of
+# duration exactly 0; ratios that are equal up to rounding give blocks a few
+# ulps long that would add a block without adding evolution.  Anything longer
+# is a real part of the requested evolution and is kept.
 TIE_THRESHOLD = 1e-12
 
 
@@ -72,7 +73,7 @@ def schedule(
     times = np.empty(m)
     times[:-1] = (b_sorted[:-1] - b_sorted[1:]) * (t_f / 2.0)
     times[-1] = (b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
-    keep = np.flatnonzero(times > TIE_THRESHOLD * b_sorted[0] * t_f)
+    keep = np.flatnonzero(times > TIE_THRESHOLD * min(1.0, b_sorted[0]) * t_f)
     # Block n runs sorted slot p negative iff n < p; map positions back to
     # original slots, apply the permanent flips, then color by prefix parity.
     position = np.argsort(order)

@@ -43,7 +43,8 @@ def closed_form_rows(phi, g, t_f):
 
 def tie_line(phi, g, t_f):
     """Duration at or below which the scheduler drops a block as a float tie."""
-    return TIE_THRESHOLD * np.max(np.abs(np.asarray(phi) / (np.asarray(g) * t_f))) * t_f
+    b_max = np.max(np.abs(np.asarray(phi) / (np.asarray(g) * t_f)))
+    return TIE_THRESHOLD * min(1.0, b_max) * t_f
 
 
 def expected_masks(kept, order, flips):
@@ -324,7 +325,7 @@ def test_schedule_epsilon_drops_ghost_blocks():
 
 
 def test_schedule_keeps_tiny_requests():
-    # the tie threshold scales with max|b|, so a request that is tiny
+    # the tie threshold shrinks with max|b| < 1, so a request that is tiny
     # throughout is still realised, not dropped as a tie
     blocks = schedule((1e-12,), NNChain(2, (1.0,)), 1.0)
     assert len(blocks) == 1
@@ -332,6 +333,15 @@ def test_schedule_keeps_tiny_requests():
     phi = (3e-15, -1e-15, 2e-15)
     blocks = schedule(phi, NNChain(4, (1.0, 0.5, 2.0)), 0.7)
     assert np.allclose(reconstruct(blocks, (1.0, 0.5, 2.0)), phi, rtol=1e-12, atol=0.0)
+
+
+def test_schedule_threshold_is_capped_for_large_requests():
+    # above max|b| = 1 the threshold stays TIE_THRESHOLD * t_f: ratios 2e-9
+    # apart at |b| = 1e3 are real evolution, not a float tie
+    phi = (1e3, 1e3 - 2e-9)
+    blocks = schedule(phi, NNChain(3, (1.0, 1.0)), 1.0)
+    assert len(blocks) == 2
+    assert reconstruct(blocks, (1.0, 1.0)) == pytest.approx(phi, rel=0.0, abs=1e-12)
 
 
 def test_schedule_zero_target_is_empty():
@@ -373,7 +383,7 @@ def test_schedule_exact_over_ratio_spreads(L, exponents, t_f, seed):
     blocks = schedule(tuple(phi), NNChain(L, tuple(g)), t_f)
     durations = np.array([blk.duration for blk in blocks])
     assert len(blocks) <= m and np.all(durations >= 0.0)
-    # blocks at or below TIE_THRESHOLD * max|b| * t_f are dropped by design;
+    # blocks at or below TIE_THRESHOLD * min(1, max|b|) * t_f are dropped by design;
     # their oracle durations bound what the schedule may leave out
     times = closed_form_rows(phi, g, t_f)[0]
     ghost = float(np.sum(times[times <= tie_line(phi, g, t_f)]))
