@@ -1,10 +1,11 @@
 """Command-line front end: compile problems, verify schedules, report stats.
 
 Exit codes: 0 success / verification passed, 1 malformed input (including
-command-line usage errors and an unwritable --output), 2 target unschedulable
-on the given resource, 3 verification failed, 4 qubit count over the
-dense-verification cap.  Reports go to stdout, diagnostics to stderr; outputs
-are byte-identical for identical inputs.
+command-line usage errors and an unwritable --output) or a standard output
+closed before the report was written (as by `| head -1`; nothing is printed
+to stderr then), 2 target unschedulable on the given resource, 3 verification
+failed, 4 qubit count over the dense-verification cap.  Reports go to stdout,
+diagnostics to stderr; outputs are byte-identical for identical inputs.
 
 Only `compile` imports `compiler` and only `verify` imports `unitaries`,
 each inside its command, so `stats` (and `--help`) never load NumPy.
@@ -13,7 +14,10 @@ each inside its command, so `stats` (and `--help`) never load NumPy.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
+from typing import Callable
 
 from . import __version__
 from .circuits import Circuit, circuit_stats
@@ -129,6 +133,23 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked(
+    convert: Callable[[str], float], valid: Callable[[float], bool], wanted: str
+) -> Callable[[str], float]:
+    """An argparse type: `convert`, then reject what `valid` refuses as a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as malformed input; argparse's own 2 means unschedulable here."""
 
@@ -153,9 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a schedule against the exact target")
     p_verify.add_argument("--input", required=True, help="problem JSON file")
     p_verify.add_argument("--schedule", required=True, help="schedule JSON file")
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="distance tolerance")
     p_verify.add_argument(
-        "--max-qubits", type=int, default=DEFAULT_MAX_QUBITS,
+        "--tol", type=_checked(float, lambda tol: math.isfinite(tol) and tol > 0, "a finite number > 0"),
+        default=1e-9, help="distance tolerance",
+    )
+    p_verify.add_argument(
+        "--max-qubits", type=_checked(int, lambda cap: cap >= 2, "an integer >= 2"),
+        default=DEFAULT_MAX_QUBITS,
         help=f"dense-verification qubit cap (default {DEFAULT_MAX_QUBITS})",
     )
     p_verify.set_defaults(func=cmd_verify)
@@ -170,7 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again (the Python docs' idiom).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,6 +11,7 @@ rejected on parse.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -199,6 +200,21 @@ def _check_stats(stats: Any) -> None:
     _as_number(stats["total_analog_time"], "metadata.stats.total_analog_time")
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's setting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# The parsed JSON and the circuit form no reference cycles, so collecting while
+# they are built only re-scans them: about a tenth of the load at L=96.
+@_collector_paused()
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata)."""
     data = _load_json(path)

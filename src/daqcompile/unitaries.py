@@ -7,14 +7,12 @@ Conventions (every test depends on them):
 * Rz(theta) = exp(i Z theta / 2) = diag(e^{i theta/2}, e^{-i theta/2}).
 * Analog evolutions are exp(+i t H); ZZ phases add as exp(i sum phi s_u s_v).
 
-Pure-ZZ circuits (analog requests and resource blocks only) evaluate on the
-diagonal.  Dense evaluation applies gates by tensor contraction.  Everything
-is computed in 80-bit extended precision (numpy.longdouble): the
-phase-invariant distance sqrt(1 - |tr|/2^L) turns one ulp of double rounding
-into ~1e-8, so double precision cannot certify the 1e-9-level equivalences
-this package promises.  The default cap of 10 qubits keeps dense checks
-tractable (sub-second at 8 qubits, tens of seconds at the cap; extended
-precision has no BLAS path).
+Everything is binary64.  Gates are applied by BLAS-backed tensor contraction
+and analog instructions as diagonal phases, in one pass over the circuit.
+The phase-invariant distance is computed from entrywise differences, so it
+stays linear in the error down to ~1e-14 (see `phase_distance`).  The
+default cap of 10 qubits keeps dense checks tractable (one `verify` takes
+about 0.3 s at 8 qubits and 3 s at the cap on Linux x86-64).
 """
 
 from __future__ import annotations
@@ -36,12 +34,10 @@ from .circuits import (
 from .errors import DEFAULT_MAX_QUBITS, QubitLimitError
 from .graphs import CouplingGraph, Edge, NNChain
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.clongdouble)
-_ISWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]], dtype=np.clongdouble
-)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.clongdouble) / np.sqrt(np.longdouble(2))
-_R = _HADAMARD @ np.diag(np.array([1, 1j], dtype=np.clongdouble)) @ _HADAMARD
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_R = _HADAMARD @ np.diag([1, 1j]) @ _HADAMARD
 for _shared in (_X, _ISWAP, _HADAMARD, _R):  # gate_matrix hands these out as they are
     _shared.setflags(write=False)
 
@@ -62,8 +58,8 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if gate.type is GateType.R:
         return _R
     if gate.type is GateType.RZ:
-        half = np.longdouble(0.5) * np.longdouble(gate.angle)
-        return np.diag(np.exp(1j * np.array([half, -half], dtype=np.clongdouble)))
+        half = 0.5j * gate.angle
+        return np.diag(np.exp([half, -half]))
     if gate.type is GateType.ISWAP:
         return _ISWAP
     if gate.type is GateType.ISWAP_DG:
@@ -72,14 +68,14 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def _apply_gate(u: np.ndarray, gate: Gate) -> np.ndarray:
-    """Left-multiply the running unitary by a gate via tensor contraction."""
+    """Left-multiply the running unitary by a gate: one batched BLAS product."""
     mat = gate_matrix(gate)
     low = min(gate.qubits)
     width = 2 ** len(gate.qubits)
     rows = u.shape[0]
     lead = rows // (width << low)
     u3 = u.reshape(lead, width, -1)
-    return np.einsum("ib,abc->aic", mat, u3).reshape(rows, -1)
+    return (mat @ u3).reshape(rows, -1)
 
 
 def spin_table(num_qubits: int) -> np.ndarray:
@@ -90,11 +86,11 @@ def spin_table(num_qubits: int) -> np.ndarray:
 
 def _zz_phases(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
     s = spin_table(num_qubits)
-    phases = np.zeros(1 << num_qubits, dtype=np.longdouble)
+    phases = np.zeros(1 << num_qubits)
     for (u, v), phi in angles.items():
         if u == v or not (0 <= u < num_qubits and 0 <= v < num_qubits):
             raise ValueError(f"bad edge ({u}, {v})")
-        phases += np.longdouble(phi) * (s[:, u] * s[:, v])
+        phases += phi * (s[:, u] * s[:, v])
     return phases
 
 
@@ -136,7 +132,7 @@ def circuit_unitary(
     """Ordered product of instruction unitaries (instruction 0 acts first).
 
     Analog requests evaluate as ideal chain ZZ evolutions; resource blocks
-    need the chain they run on.  Pure-ZZ circuits stay diagonal throughout.
+    need the chain they run on.
     """
     L = circuit.num_qubits
     _check_cap(L, max_qubits)
@@ -146,28 +142,15 @@ def circuit_unitary(
             raise ValueError("circuit contains resource blocks: pass the chain")
         if resource.num_qubits != L:
             raise ValueError("resource chain size does not match the circuit")
-
-    diagonal_only = all(
-        isinstance(i, (AnalogRequest, ResourceBlock)) for i in circuit.instructions
-    )
-    if diagonal_only:
-        phases = np.zeros(1 << L, dtype=np.longdouble)
-        for instr in circuit.instructions:
-            if isinstance(instr, AnalogRequest):
-                phases += _chain_phases(instr.slot_angles, L)
-            else:
-                phases += _block_phases(instr, resource, L)
-        return np.diag(np.exp(1j * phases))
-
-    u = np.eye(1 << L, dtype=np.clongdouble)
+    u = np.eye(1 << L, dtype=complex)
     for instr in circuit.instructions:
         if isinstance(instr, DigitalLayer):
             for g in instr.gates:
                 u = _apply_gate(u, g)
         elif isinstance(instr, AnalogRequest):
-            u = np.exp(1j * _chain_phases(instr.slot_angles, L))[:, None] * u
+            u *= np.exp(1j * _chain_phases(instr.slot_angles, L))[:, None]
         else:
-            u = np.exp(1j * _block_phases(instr, resource, L))[:, None] * u
+            u *= np.exp(1j * _block_phases(instr, resource, L))[:, None]
     return u
 
 
@@ -179,10 +162,17 @@ class DistanceReport:
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:
-    """sqrt(max(0, 1 - |tr(U^dag V)| / dim)); zero iff U = e^{i phi} V."""
+    """||U - e^{-i theta} V||_F / sqrt(2 dim) with theta = arg tr(U^dag V).
+
+    For unitaries this is sqrt(1 - |tr(U^dag V)| / dim), zero iff
+    U = e^{i phi} V and 1 for orthogonal ones (no alignment when the trace is
+    0).  Taking it from entrywise differences instead of from the trace keeps
+    it linear in the error down to ~1e-14: the trace form loses everything
+    below the square root of the rounding error, ~1e-8 in binary64.
+    """
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    overlap = np.vdot(u, v)          # stays in extended precision if inputs carry it
-    dim = u.shape[0]
-    deficit = 1 - np.abs(overlap) / dim
-    return DistanceReport(float(np.sqrt(np.maximum(deficit, type(deficit)(0)))))
+    overlap = np.vdot(u, v)
+    if overlap:
+        v = v * (overlap.conjugate() / abs(overlap))
+    return DistanceReport(float(np.linalg.norm(u - v) / math.sqrt(2 * u.shape[0])))

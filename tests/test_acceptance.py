@@ -65,7 +65,7 @@ def test_criterion_01_end_to_end_homogeneous_even():
         resource = NNChain(L, (1.0,) * (L - 1))
         for t_f in (0.1, 0.7):
             d = compiled_distance(complete_graph(L, 1.0), resource, t_f)
-            assert d < 1e-9, (L, t_f, d)
+            assert d < 1e-12, (L, t_f, d)
             worst = max(worst, d)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -84,7 +84,7 @@ def test_criterion_02_inhomogeneous_including_odd():
                          for _ in range(L - 1))
             )
             d = compiled_distance(target, resource, 0.7)
-            assert d < 1e-9, (L, trial, d)
+            assert d < 1e-12, (L, trial, d)
             worst = max(worst, d)
     print(f"\nACCEPTANCE 02 PASS: 80 random targets (L=3..6), worst distance {worst:.2e}")
 
@@ -186,7 +186,7 @@ def test_criterion_08_bridge_soundness_l6():
     u_bridged = circuit_unitary(compiled)
     u_frames = circuit_unitary(ata_circuit_per_path(target, 0.57))
     d = phase_distance(u_bridged, u_frames).distance
-    assert d < 1e-10
+    assert d < 1e-12
 
     def layers_unitary(layers):
         if not layers:
@@ -209,7 +209,7 @@ def test_criterion_08_bridge_soundness_l6():
             expected = gtilde(L // 2)
         else:
             expected = gtilde(k + 1).conj().T @ gtilde(k)
-        assert phase_distance(f, expected).distance < 1e-10, k
+        assert phase_distance(f, expected).distance < 1e-12, k
     print(f"\nACCEPTANCE 08 PASS: compiled circuit == closed-form bridged circuit for "
           f"even L <= 64; bridged == frame circuit (distance {d:.2e}); "
           "bridge/frame composition identity holds for every k")

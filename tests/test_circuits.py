@@ -200,7 +200,7 @@ def test_ata_circuit_accepts_odd():
     d = phase_distance(
         circuit_unitary(ata_circuit(5, 0.1)), exact_target(complete_graph(5, 1.0), 0.1)
     ).distance
-    assert d < 1e-9
+    assert d < 1e-12
 
 
 @pytest.mark.parametrize("L", range(3, 41))
@@ -215,7 +215,7 @@ def test_ata_circuit_l4_unitary():
     d = phase_distance(
         circuit_unitary(ata_circuit(4, 0.3)), exact_target(target, 0.3)
     ).distance
-    assert d < 1e-9
+    assert d < 1e-12
 
 
 def test_ata_general_homogeneous_reduces_to_ata_circuit():
@@ -243,7 +243,7 @@ def test_ata_general_l5_random_unitary():
     d = phase_distance(
         circuit_unitary(ata_circuit_general(target, 0.8)), exact_target(target, 0.8)
     ).distance
-    assert d < 1e-9
+    assert d < 1e-12
 
 
 @pytest.mark.parametrize("L", [3, 5, 7, 9])
@@ -255,7 +255,7 @@ def test_ata_general_odd_sparse_exact(L):
     d = phase_distance(
         circuit_unitary(ata_circuit_general(target, 0.7)), exact_target(target, 0.7)
     ).distance
-    assert d < 1e-9
+    assert d < 1e-12
 
 
 @pytest.mark.parametrize("L", [4, 6])
@@ -264,7 +264,7 @@ def test_bridged_equals_per_path_circuits(L):
     target = random_graph(L, rng)
     u_f = circuit_unitary(ata_circuit_general(target, 0.43))
     u_g = circuit_unitary(ata_circuit_per_path(target, 0.43))
-    assert phase_distance(u_f, u_g).distance < 1e-10
+    assert phase_distance(u_f, u_g).distance < 1e-12
 
 
 # --- lowering ------------------------------------------------------------------

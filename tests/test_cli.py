@@ -176,6 +176,24 @@ def test_verify_detects_perturbed_duration(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_resolves_a_tiny_duration_error(tmp_path, capsys):
+    # a relative error of 1e-10 in one block is ~1e-10 of distance, far
+    # above the ~1e-14 at which correct schedules verify
+    problem = ata_problem(tmp_path, L=8, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    argv = ["verify", "--input", problem, "--schedule", str(out), "--tol", "1e-11"]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    block = max((i["resource_block"] for i in doc["instructions"] if "resource_block" in i),
+                key=lambda b: b["duration"])
+    block["duration"] *= 1 + 1e-10
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_verify_qubit_cap_exits_4(tmp_path, capsys):
     L = 12
     problem = ata_problem(tmp_path, L=L, couplings=[{"i": 0, "j": 11, "value": 0.4}])
@@ -224,16 +242,25 @@ def test_duplicate_json_keys_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["no-arguments", "unknown-subcommand", "epsilon"])
+_BAD_VERIFY_OPTIONS = [
+    "--tol=nan", "--tol=0", "--tol=-1", "--tol=inf", "--tol=tight",
+    "--max-qubits=-3", "--max-qubits=1", "--max-qubits=8.5",
+]
+
+
+@pytest.mark.parametrize("case", ["no-arguments", "unknown-subcommand", "epsilon", *_BAD_VERIFY_OPTIONS])
 def test_usage_errors_exit_1(tmp_path, capsys, case):
     # argparse's own exit code 2 would read as "unschedulable"
     problem = ata_problem(tmp_path, L=4)
     out = tmp_path / "s.json"
-    argv = {
-        "no-arguments": ["compile"],
-        "unknown-subcommand": ["optimise", "--input", problem],
-        "epsilon": ["compile", "--input", problem, "--output", str(out), "--epsilon", "1e-12"],
-    }[case]
+    if case in _BAD_VERIFY_OPTIONS:
+        argv = ["verify", "--input", problem, "--schedule", str(out), case]
+    else:
+        argv = {
+            "no-arguments": ["compile"],
+            "unknown-subcommand": ["optimise", "--input", problem],
+            "epsilon": ["compile", "--input", problem, "--output", str(out), "--epsilon", "1e-12"],
+        }[case]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -470,6 +497,24 @@ def test_console_entry_point(tmp_path):
     )
     assert verify_run.returncode == 0, verify_run.stderr
     assert "PASS" in verify_run.stdout
+
+
+@pytest.mark.parametrize("command", ["stats", "verify"])
+def test_closed_stdout_exits_1_quietly(tmp_path, command):
+    # as in `daqcompile stats ... | head -0`: the reader has gone before any output
+    problem = ata_problem(tmp_path, L=4, t_f=0.3)
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", out]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "daqcompile.cli", command, "--input", problem, "--schedule", out],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, "")
 
 
 def test_stats_does_not_import_numpy(tmp_path):

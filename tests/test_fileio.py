@@ -1,6 +1,7 @@
 """The canonical writer (standard JSON that parses back to the same document) and the strict schedule reader."""
 
 import copy
+import gc
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daqcompile import FileFormatError, Gate, GateType
+from daqcompile import fileio
 from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
@@ -132,3 +134,32 @@ def test_reader_mask_messages(tmp_path, mask):
     with pytest.raises(FileFormatError) as info:
         load_schedule(_write_schedule(tmp_path, doc))
     assert str(info.value) == "instructions[1].x_mask: expected 3 booleans"
+
+
+@pytest.mark.parametrize("malformed", [False, True], ids=["good", "malformed"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_schedule_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, malformed):
+    doc = copy.deepcopy(_SCHEDULE)
+    if malformed:
+        doc["instructions"][1]["resource_block"]["x_mask"] = "FTT"
+    path = _write_schedule(tmp_path, doc)
+    during = []
+    real_instruction = fileio._instruction
+
+    def instruction(*args):
+        during.append(gc.isenabled())
+        return real_instruction(*args)
+
+    monkeypatch.setattr(fileio, "_instruction", instruction)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if malformed:
+            with pytest.raises(FileFormatError):
+                load_schedule(path)
+        else:
+            load_schedule(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during and not any(during)

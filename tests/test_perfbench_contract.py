@@ -41,7 +41,7 @@ def test_traced_pipeline_matches_the_cli(tmp_path, monkeypatch, kind, L):
     assert code == 0 and (tmp_path / "cli.json").read_bytes() == sched.read_bytes()
     assert counters["circuits.analog_requests"] > 0 and counters["fileio.bytes"] > 0
     assert pipe.stats(tr, problem, sched) == {}
-    assert pipe.verify(tr, problem, sched)["distance"] < 1e-9
+    assert pipe.verify(tr, problem, sched)["distance"] < 1e-12
     assert {s["name"] for s in tr.spans} >= {"cli.compile", "cli.stats", "cli.verify"}
     for command, flag in (("compile", "--output"), ("stats", "--schedule"), ("verify", "--schedule")):
         _, code = pipe.main_seconds([command, "--input", str(problem), flag, str(sched)])

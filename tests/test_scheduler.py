@@ -403,4 +403,4 @@ def test_schedule_unitary_matches_ideal_evolution(L):
     blocks = schedule(tuple(phi), resource, 0.9)
     u = circuit_unitary(Circuit(L, blocks), resource)
     v = zz_evolution({(j, j + 1): p for j, p in enumerate(phi)}, L)
-    assert phase_distance(u, v).distance < 1e-10
+    assert phase_distance(u, v).distance < 1e-12

@@ -177,7 +177,7 @@ def test_conjugated_chain_equals_path_evolution_fig3():
     p = zigzag_path(3, L)
     u = circuit_unitary(frame_circuit(seq, [t] * (L - 1)))
     v = zz_evolution({tuple(sorted((p[j], p[j + 1]))): t for j in range(L - 1)}, L)
-    assert phase_distance(u, v).distance < 1e-10
+    assert phase_distance(u, v).distance < 1e-12
 
 
 def test_conjugated_chain_two_swap_example():
@@ -187,7 +187,7 @@ def test_conjugated_chain_two_swap_example():
     assert apply_sequence(identity_permutation(L), seq) == (0, 2, 3, 1, 4)
     u = circuit_unitary(frame_circuit(seq, [t] * 4))
     edges = {(0, 2): t, (2, 3): t, (1, 3): t, (1, 4): t}
-    assert phase_distance(u, zz_evolution(edges, L)).distance < 1e-10
+    assert phase_distance(u, zz_evolution(edges, L)).distance < 1e-12
 
 
 def test_conjugation_duality_random_sequences():
@@ -202,9 +202,7 @@ def test_conjugation_duality_random_sequences():
         for j in range(L - 1):
             edge = tuple(sorted((perm[j], perm[j + 1])))
             edges[edge] = edges.get(edge, 0.0) + angles[j]
-        # the sqrt metric quantises at ~2e-10 for small dims (half an ulp of
-        # the extended-precision trace), so this property asserts the 1e-9 tier
-        assert phase_distance(u, zz_evolution(edges, L)).distance < 1e-9
+        assert phase_distance(u, zz_evolution(edges, L)).distance < 1e-12
 
 
 def test_resource_block_equals_explicit_x_conjugation():
@@ -240,8 +238,7 @@ def test_products_stay_unitary():
 def test_phase_distance_identical():
     rng = np.random.default_rng(21)
     u = random_unitary(rng, 8)
-    # float rounding in the trace keeps this near sqrt(eps), not exactly zero
-    assert phase_distance(u, u).distance < 1e-7
+    assert phase_distance(u, u).distance < 1e-12
 
 
 def test_phase_distance_global_phase_invariance():
@@ -249,10 +246,30 @@ def test_phase_distance_global_phase_invariance():
     u = random_unitary(rng, 16)
     for theta in rng.uniform(0, 2 * math.pi, 5):
         v = np.exp(1j * theta) * u
-        assert phase_distance(u, v).distance < 1e-7
+        assert phase_distance(u, v).distance < 1e-12
         # the aligning phase is the argument of tr(U^dag V)
         phase = np.angle(np.vdot(u, v))
-        assert abs((phase - theta + math.pi) % (2 * math.pi) - math.pi) < 1e-7
+        assert abs((phase - theta + math.pi) % (2 * math.pi) - math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_phase_distance_resolves_small_errors(dim):
+    # V = U diag(1, ..., e^{i eps}, ..., 1), so tr(U^dag V) = dim - 1 + e^{i eps}
+    rng = np.random.default_rng(dim)
+    u = random_unitary(rng, dim)
+    j = int(rng.integers(0, dim))
+    for eps in (1e-8, 1e-10, 1e-12, 1e-3):
+        phases = np.ones(dim, dtype=complex)
+        phases[j] = np.exp(1j * eps)
+        v = u * phases
+        # 1 - |tr|/dim = (dim^2 - |tr|^2) / (dim (dim + |tr|)), without cancellation
+        lost = 4 * (dim - 1) * math.sin(eps / 2) ** 2
+        exact = math.sqrt(lost / (dim * (dim + math.sqrt(dim * dim - lost))))
+        distance = phase_distance(u, v).distance
+        assert distance == pytest.approx(exact, rel=0.05), eps
+        if eps == 1e-3:
+            trace_form = math.sqrt(1 - abs(np.vdot(u, v)) / dim)
+            assert distance == pytest.approx(trace_form, rel=1e-6)
 
 
 def test_phase_distance_orthogonal_case():
