@@ -9,7 +9,8 @@ A Circuit is an ordered instruction list over three kinds:
   slot j (the scheduler later realises it from the fixed resource);
 * ResourceBlock - an executable evolution under the resource chain for a
   non-negative duration, conjugated on both sides by X gates where x_mask is
-  true (flipping the sign of every coupling whose endpoints differ in mask).
+  set (flipping the sign of every coupling whose endpoints differ in mask);
+  x_mask is immutable bytes, one 0 or 1 per qubit.
 
 Compilation strategy, the same for every L: split the target graph into
 zig-zag Hamiltonian paths, realise each path by conjugating a chain
@@ -142,15 +143,23 @@ class AnalogRequest:
 
 @dataclass(frozen=True)
 class ResourceBlock:
-    """Evolution under the resource chain, X-conjugated where x_mask is true."""
+    """Evolution under the resource chain, X-conjugated on qubit q where x_mask[q] is 1.
+
+    x_mask is bytes holding one 0 or 1 per qubit; any other byte value is a
+    ValueError.  Any other iterable is taken by truth value, so
+    ResourceBlock(d, (True, False)) == ResourceBlock(d, b"\\1\\0").
+    """
 
     duration: float
-    x_mask: tuple[bool, ...]
+    x_mask: bytes
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"block duration must be finite and >= 0, got {self.duration}")
-        object.__setattr__(self, "x_mask", tuple(map(bool, self.x_mask)))
+        if type(self.x_mask) is not bytes:
+            object.__setattr__(self, "x_mask", bytes(map(bool, self.x_mask)))
+        elif self.x_mask.translate(None, b"\0\1"):
+            raise ValueError("x_mask bytes must be 0 or 1")
 
     def slot_signs(self) -> tuple[int, ...]:
         """Effective coupling sign per chain slot under the X conjugation."""

@@ -12,6 +12,7 @@ by the command line where it is reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .circuits import (
     ata_circuit_general,
     lower_swap_layers,
 )
+from .errors import UnschedulableError
 from .graphs import CouplingGraph, NNChain
 from .scheduler import schedule
 
@@ -35,13 +37,27 @@ class CompileResult:
 
 
 def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:
-    """Replace every analog request by its solved resource blocks."""
+    """Replace every analog request by its solved resource blocks.
+
+    The blocks' durations must also sum, in program order as circuit_stats
+    sums them, to a finite total; the request that overflows it raises
+    UnschedulableError for its slot of largest ratio, which needs the
+    request's longest evolution.
+    """
     if resource.num_qubits != circuit.num_qubits:
         raise ValueError("resource chain size does not match the circuit")
     instrs: list[Instruction] = []
+    total = 0.0
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
-            instrs.extend(schedule(instr.slot_angles, resource, t_f))
+            blocks = schedule(instr.slot_angles, resource, t_f)
+            for block in blocks:
+                total += block.duration
+            if not math.isfinite(total):
+                phi, g = instr.slot_angles, resource.couplings
+                j = max(range(len(phi)), key=lambda k: abs(phi[k] / (g[k] * t_f)) if phi[k] else 0.0)
+                raise UnschedulableError(j, phi[j], "the total analog time overflows the float range")
+            instrs.extend(blocks)
         else:
             instrs.append(instr)
     return Circuit(circuit.num_qubits, tuple(instrs))

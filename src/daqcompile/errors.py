@@ -6,14 +6,16 @@ DEFAULT_MAX_QUBITS = 10
 
 
 class UnschedulableError(Exception):
-    """A target needs coupling on a chain slot whose resource coupling is zero."""
+    """A chain slot's angle cannot be reached on the resource.
 
-    def __init__(self, slot: int, angle: float):
+    Its resource coupling is zero, or the evolution it needs overflows the
+    float range.
+    """
+
+    def __init__(self, slot: int, angle: float, reason: str = "its resource coupling is zero"):
         self.slot = slot
         self.angle = angle
-        super().__init__(
-            f"slot {slot} requires ZZ angle {angle!r} but its resource coupling is zero"
-        )
+        super().__init__(f"slot {slot} requires ZZ angle {angle!r} but {reason}")
 
 
 class QubitLimitError(Exception):

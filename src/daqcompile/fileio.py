@@ -4,8 +4,11 @@ Both formats are UTF-8 JSON.  The writer keeps field order, puts each
 top-level field on its own line and each item of a top-level list (a
 schedule instruction) on its own compact line, and spells floats as
 Python's shortest repr, which round-trips binary64 exactly; identical
-inputs produce byte-identical outputs.  Unknown and repeated fields are
-rejected on parse.
+inputs produce byte-identical outputs.  schedule_document renders each
+instruction's line itself, a block's x_mask list straight from the mask's
+bytes; iter_canonical writes those lines as they are and encodes everything
+else with the standard library's encoder.  Unknown and repeated fields are
+rejected on parse, and a block's boolean list becomes the mask's bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -133,7 +137,10 @@ def load_problem(path: str) -> ProblemSpec:
                 raise FileFormatError(f"{where}: need 0 <= i < j < {L}")
             if (i, j) in weights:
                 raise FileFormatError(f"{where}: duplicate edge ({i}, {j})")
-            weights[(i, j)] = _as_number(entry["value"], f"{where}.value")
+            value = _as_number(entry["value"], f"{where}.value")
+            if not math.isfinite(t_f * value):
+                raise FileFormatError(f"{where}: time * value is beyond the float range")
+            weights[(i, j)] = value
         graph = CouplingGraph(L, weights)
         return ProblemSpec(L, resource, "ata", graph, None, t_f)
     if target["type"] == "nn":
@@ -186,12 +193,22 @@ def _instruction(entry: Any, L: int, where: str) -> Instruction:
         mask = block["x_mask"]
         if not isinstance(mask, list) or len(mask) != L or not set(map(type, mask)) <= {bool}:
             raise FileFormatError(f"{where}.x_mask: expected {L} booleans")
-        return ResourceBlock(duration, mask)
+        return ResourceBlock(duration, bytes(mask))
     raise FileFormatError(f"{where}: expected 'sqr' or 'resource_block'")
 
 
-def _check_stats(stats: Any) -> None:
-    """metadata.stats as `compile` writes it; `stats` prints these values as they are."""
+def _check_metadata(metadata: Any) -> None:
+    """metadata as `compile` writes it; `stats` prints its counts as they are.
+
+    The hash must look like a sha256 digest; it is not compared with the problem file.
+    """
+    _require_keys(metadata, {"tool_version", "input_sha256", "stats"}, "metadata")
+    if not isinstance(metadata["tool_version"], str):
+        raise FileFormatError("metadata.tool_version: expected a string")
+    digest = metadata["input_sha256"]
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise FileFormatError("metadata.input_sha256: expected 64 lowercase hex digits")
+    stats = metadata["stats"]
     _require_keys(stats, {"analog_requests", "resource_blocks", "sqr_gates", "total_analog_time"},
                   "metadata.stats")
     for key in ("analog_requests", "resource_blocks", "sqr_gates"):
@@ -238,9 +255,15 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
             instrs.append(_instruction(entry, L, f"instructions[{idx}]"))
         except ValueError as exc:
             raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
+    # Summed in program order, as circuit_stats sums them for `stats`.
+    total = 0.0
+    for instr in instrs:
+        if isinstance(instr, ResourceBlock):
+            total += instr.duration
+    if not math.isfinite(total):
+        raise FileFormatError("instructions: block durations sum beyond the float range")
     metadata = data["metadata"]
-    _require_keys(metadata, {"tool_version", "input_sha256", "stats"}, "metadata")
-    _check_stats(metadata["stats"])
+    _check_metadata(metadata)
     try:
         circuit = Circuit(L, tuple(instrs))
     except (ValueError, TypeError) as exc:
@@ -260,7 +283,9 @@ def iter_canonical(obj: Any) -> Iterator[str]:
 
     A top-level object comes one field per line, and a non-empty list
     directly under it one compact item per line, so a schedule's
-    instructions are never held as one string.
+    instructions are never held as one string.  The items of a list that
+    schedule_document rendered are already compact JSON and are written as
+    they are.
     """
     if not (isinstance(obj, dict) and obj):
         yield _encode(obj) + "\n"
@@ -270,8 +295,8 @@ def iter_canonical(obj: Any) -> Iterator[str]:
         yield f"{sep}{_encode(key)}: "
         if isinstance(value, list) and value:
             item_sep = "[\n    "
-            for item in value:
-                yield item_sep + _encode(item)
+            for item in value if type(value) is _Lines else map(_encode, value):
+                yield item_sep + item
                 item_sep = ",\n    "
             yield "\n  ]"
         else:
@@ -311,19 +336,29 @@ def write_replacing(path: str, chunks: Iterable[str]) -> None:
         raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _instruction_entry(instr: Instruction) -> dict:
-    if isinstance(instr, DigitalLayer):
-        gates = []
-        for g in instr.gates:
-            if g.is_two_qubit:
-                raise ValueError("cannot serialise iSWAP layers; lower the circuit first")
-            entry: dict[str, Any] = {"q": g.qubits[0], "gate": g.type.value}
-            if g.type is GateType.RZ:
-                entry["angle"] = g.angle
-            gates.append(entry)
-        return {"sqr": gates}
+class _Lines(list):
+    """Items already spelled as compact JSON, which iter_canonical writes as they are."""
+
+
+def _gate_text(g: Gate) -> str:
+    if g.is_two_qubit:
+        raise ValueError("cannot serialise iSWAP layers; lower the circuit first")
+    if g.type is GateType.RZ:
+        return f'{{"q":{g.qubits[0]},"gate":"rz","angle":{_encode(g.angle)}}}'
+    return f'{{"q":{g.qubits[0]},"gate":"{g.type.value}"}}'
+
+
+def _instruction_line(instr: Instruction) -> str:
+    """One instruction in the compact JSON spelling of the /1 schema.
+
+    A mask becomes its JSON list straight from its bytes, one 0 or 1 per qubit.
+    """
     if isinstance(instr, ResourceBlock):
-        return {"resource_block": {"duration": instr.duration, "x_mask": list(instr.x_mask)}}
+        bits = instr.x_mask.replace(b"\0", b"false,").replace(b"\1", b"true,")
+        return (f'{{"resource_block":{{"duration":{float(instr.duration)!r},'
+                f'"x_mask":[{bits[:-1].decode()}]}}}}')
+    if isinstance(instr, DigitalLayer):
+        return f'{{"sqr":[{",".join(map(_gate_text, instr.gates))}]}}'
     raise ValueError(f"cannot serialise {instr!r}; schedule analog requests first")
 
 
@@ -340,7 +375,7 @@ def schedule_document(
         "num_qubits": circuit.num_qubits,
         "resource_couplings": list(resource.couplings),
         "time": float(t_f),
-        "instructions": [_instruction_entry(i) for i in circuit.instructions],
+        "instructions": _Lines(map(_instruction_line, circuit.instructions)),
         "metadata": {
             "tool_version": tool_version,
             "input_sha256": input_sha256,

@@ -19,7 +19,8 @@ Masks color qubits by prefix parity so that exactly the intended slots flip
 sign in each block.  `schedule` does all of this in one NumPy pass per
 request: the masks come from a (blocks x slots) matrix of effective negative
 signs, whose running XOR along each row is the coloring of qubits 1..L-1
-(qubit 0 is never colored).
+(qubit 0 is never colored).  Each block's x_mask is its row's slice of the
+one bytes buffer of that boolean matrix, with no per-bit Python objects.
 
 The sign matrix itself, its row-elimination inverse and the minimum-time
 formula are test oracles in tests/oracles.py; only the closed form runs here.
@@ -49,9 +50,10 @@ def schedule(
 ) -> tuple[ResourceBlock, ...]:
     """Resource blocks that reconstruct every slot angle exactly in the minimum total time.
 
-    Zero-over-zero slots get ratio 0; a nonzero angle on a zero-coupling slot
-    raises UnschedulableError for the first such slot.  Ties in |b| keep
-    ascending slot order.
+    Zero-angle slots get ratio 0; a nonzero angle on a zero-coupling slot
+    raises UnschedulableError for the first such slot, and so does the first
+    slot whose ratio or block duration overflows the float range.  Ties in
+    |b| keep ascending slot order.
     """
     if not (math.isfinite(t_f) and t_f > 0):
         raise ValueError(f"reference time must be positive and finite, got {t_f}")
@@ -66,21 +68,32 @@ def schedule(
         if not math.isfinite(phi[j]):
             raise ValueError(f"non-finite angle on slot {j}")
         raise UnschedulableError(j, float(phi[j]))
-    b = np.divide(phi, g * t_f, out=np.zeros(m), where=g != 0.0)
-    magnitudes = np.abs(b)
-    order = np.argsort(-magnitudes, kind="stable")
-    b_sorted = magnitudes[order]
-    times = np.empty(m)
-    times[:-1] = (b_sorted[:-1] - b_sorted[1:]) * (t_f / 2.0)
-    times[-1] = (b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
+    with np.errstate(all="ignore"):
+        b = np.divide(phi, g * t_f, out=np.zeros(m), where=phi != 0.0)
+        magnitudes = np.abs(b)
+        order = np.argsort(-magnitudes, kind="stable")
+        b_sorted = magnitudes[order]
+        times = np.empty(m)
+        times[:-1] = (b_sorted[:-1] - b_sorted[1:]) * (t_f / 2.0)
+        times[-1] = (b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
+    # Blame the first slot whose ratio left the float range, or else the
+    # first whose block (sorted position n belongs to slot order[n]) did.
+    overflow = ~np.isfinite(b)
+    if not overflow.any():
+        overflow[order] = ~np.isfinite(times)
+    if overflow.any():
+        j = int(np.argmax(overflow))
+        raise UnschedulableError(j, float(phi[j]), "its evolution time overflows the float range")
     keep = np.flatnonzero(times > TIE_THRESHOLD * min(1.0, b_sorted[0]) * t_f)
     # Block n runs sorted slot p negative iff n < p; map positions back to
     # original slots, apply the permanent flips, then color by prefix parity.
     position = np.argsort(order)
     negative = (keep[:, None] < position[None, :]) ^ (b < 0.0)
-    masks = np.zeros((len(keep), resource.num_qubits), dtype=bool)
+    L = resource.num_qubits
+    masks = np.zeros((len(keep), L), dtype=bool)
     np.logical_xor.accumulate(negative, axis=1, out=masks[:, 1:])
+    flat = masks.tobytes()
     return tuple(
-        ResourceBlock(duration, mask)
-        for duration, mask in zip(times[keep].tolist(), masks.tolist())
+        ResourceBlock(duration, flat[start:start + L])
+        for duration, start in zip(times[keep].tolist(), range(0, len(flat), L))
     )

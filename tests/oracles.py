@@ -17,8 +17,10 @@ sequences, the sign matrix with its row-elimination inverse and the minimum
 analog time, the Kronecker-chain gate embedding, and the paper's general
 Z-relaying swap family, of which the compiler uses only the bare iSWAP.
 
-An element-at-a-time reference for the vectorised product code closes the
-file: the scheduler's X-mask for one block, built bit by bit.
+Element-at-a-time references for the vectorised product code close the
+file: the scheduler's X-mask for one block, built bit by bit, and the
+schedule file's JSON document, spelled one field at a time, which the
+writer renders as text straight from the masks' bytes.
 """
 
 import math
@@ -34,7 +36,9 @@ from daqcompile import (
     CouplingGraph,
     DigitalLayer,
     Gate,
+    GateType,
     PathCover,
+    ResourceBlock,
     SwapSequence,
     ata_circuit_general,
     sort_network_sequence,
@@ -461,3 +465,42 @@ def mask_from_row(row: Sequence[int], order: Sequence[int], flips: Sequence[bool
         effective = -original[j] if flips[j] else original[j]
         mask[j + 1] = mask[j] ^ (effective == -1)
     return tuple(mask)
+
+
+def instruction_spelling(instr) -> dict:
+    """One executable instruction as the daqc-schedule/1 object, field by field."""
+    if isinstance(instr, ResourceBlock):
+        return {"resource_block": {"duration": instr.duration, "x_mask": [bit == 1 for bit in instr.x_mask]}}
+    gates = []
+    for g in instr.gates:
+        entry = {"q": g.qubits[0], "gate": g.type.value}
+        if g.type is GateType.RZ:
+            entry["angle"] = g.angle
+        gates.append(entry)
+    return {"sqr": gates}
+
+
+def schedule_spelling(circuit: Circuit, couplings, t_f: float, stats: dict,
+                      tool_version: str, input_sha256: str) -> dict:
+    """The daqc-schedule/1 document of a compiled circuit, key order included."""
+    return {
+        "format": "daqc-schedule/1",
+        "num_qubits": circuit.num_qubits,
+        "resource_couplings": list(couplings),
+        "time": t_f,
+        "instructions": [instruction_spelling(i) for i in circuit.instructions],
+        "metadata": {"tool_version": tool_version, "input_sha256": input_sha256, "stats": stats},
+    }
+
+
+def same_document(a, b) -> bool:
+    """Equal as JSON documents, with key order, exact types and the sign of zero."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_document(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_document, a, b))
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b

@@ -355,3 +355,16 @@ def test_resource_block_durations_and_masks():
     blk = ResourceBlock(0.2, (True, False, True))
     assert blk.slot_signs() == (-1, -1)
     assert ResourceBlock(0.0, (False, False)).duration == 0.0
+
+
+def test_resource_block_mask_forms():
+    expected = ResourceBlock(0.5, b"\1\0\1\1")
+    assert expected.x_mask == b"\x01\x00\x01\x01"
+    for mask in ((True, False, True, True), [True, False, True, True], np.array([1, 0, 1, 1], dtype=bool),
+                 np.array([[False] * 4, [True, False, True, True]])[1]):
+        block = ResourceBlock(0.5, mask)
+        assert block == expected and type(block.x_mask) is bytes, mask
+        assert hash(block) == hash(expected)
+    for mask in (b"\1\2\0", b"\xff\0", b"\0\1\x80"):
+        with pytest.raises(ValueError, match="x_mask bytes must be 0 or 1"):
+            ResourceBlock(0.5, mask)

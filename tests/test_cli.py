@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from daqcompile import __version__, compile_ata
 from daqcompile.cli import main
 from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
 
-from oracles import complete_graph, minimum_time
+from oracles import complete_graph, minimum_time, same_document, schedule_spelling
 
 
 def write_json(path, obj):
@@ -53,7 +54,7 @@ def test_compile_nn_target_equal_to_resource(tmp_path, capsys):
     assert len(circuit.instructions) == 1
     block = circuit.instructions[0]
     assert block.duration == pytest.approx(0.8)
-    assert block.x_mask == (False,) * 5
+    assert block.x_mask == bytes(5)
     assert metadata["stats"]["analog_requests"] == 1
     assert list(metadata["stats"]) == ["analog_requests", "resource_blocks", "sqr_gates", "total_analog_time"]
     assert main(["verify", "--input", problem, "--schedule", out]) == 0
@@ -96,6 +97,22 @@ def test_schedule_round_trip(tmp_path):
     assert dumps_canonical(document) == (tmp_path / "s.json").read_text(encoding="utf-8")
 
 
+def test_compiled_file_digest_is_pinned(tmp_path):
+    # Dyadic weights, couplings and time: the compiler only adds, subtracts,
+    # multiplies and divides them (correctly rounded everywhere), so the file
+    # does not depend on the platform's libm.  The digest covers the version.
+    L = 16
+    problem = ata_problem(
+        tmp_path, L=L, t_f=0.75, resource=[(k % 5 + 2) / 4 for k in range(L - 1)], couplings=[
+            {"i": i, "j": j, "value": ((7 * i + 3 * j) % 17 - 8) / 8} for i in range(L) for j in range(i + 1, L)
+        ])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    assert __version__ == "0.1.0"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9702969c61b6b26ec18e2e2bfa38dfea81fc5847baf17ef97117b0c4093db7e4")
+
+
 def test_compiled_file_parses_to_schedule_document(tmp_path):
     path = ata_problem(tmp_path, L=12, t_f=0.7, couplings=[
         {"i": i, "j": j, "value": math.sin(3 * i + 7 * j)} for i in range(12) for j in range(i + 1, 12)
@@ -105,11 +122,9 @@ def test_compiled_file_parses_to_schedule_document(tmp_path):
     problem = load_problem(path)
     circuit = compile_ata(problem.target_graph, problem.resource, problem.t_f).circuit
     metadata = load_schedule(str(out))[3]
-    document = schedule_document(
-        circuit, problem.resource, problem.t_f, metadata["stats"], __version__, metadata["input_sha256"]
-    )
-    parsed = json.loads(out.read_text(encoding="utf-8"))
-    assert parsed == document and list(parsed) == list(document)
+    spelled = schedule_spelling(circuit, problem.resource.couplings, problem.t_f, metadata["stats"],
+                                __version__, metadata["input_sha256"])
+    assert same_document(json.loads(out.read_text(encoding="utf-8")), spelled)
 
 
 def test_failed_write_keeps_old_schedule(tmp_path, monkeypatch):
@@ -151,6 +166,59 @@ def test_compile_unschedulable_exits_2(tmp_path, capsys):
 def test_compile_unschedulable_ata_exits_2(tmp_path, capsys):
     problem = ata_problem(tmp_path, L=4, resource=[1.0, 0.0, 1.0])
     assert main(["compile", "--input", problem, "--output", str(tmp_path / "s.json")]) == 2
+
+
+def test_finite_input_that_overflows_exits_without_traceback(tmp_path, capsys):
+    huge = ata_problem(tmp_path, L=3, t_f=10.0, couplings=[{"i": 0, "j": 2, "value": 1e308}], name="a.json")
+    tiny = nn_problem(tmp_path, L=4, couplings=[1e-300, 0.8, 1.2], angles=[1e300, 0.1, 0.2], t_f=1e-10,
+                      name="b.json")
+    # each block fits, but the two requests' blocks sum past the float range
+    summed = ata_problem(tmp_path, L=4, t_f=1.0, name="c.json",
+                         couplings=[{"i": 0, "j": 1, "value": 1e308}, {"i": 0, "j": 2, "value": 1e308}])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", huge, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: target.couplings[0]: time * value is beyond the float range\n"
+    assert main(["compile", "--input", tiny, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "unschedulable: slot 0 requires ZZ angle 1e+300 but its evolution time overflows the float range\n")
+    assert main(["compile", "--input", summed, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("but the total analog time overflows the float range\n")
+    assert not out.exists()
+
+
+def test_schedule_whose_durations_overflow_exits_1(tmp_path, capsys):
+    problem = nn_problem(tmp_path, L=3, angles=[0.3, -0.2])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    block = {"resource_block": {"duration": 1e308, "x_mask": [False, False, False]}}
+    doc["instructions"] += [block, block]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", problem, "--schedule", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: instructions: block durations sum beyond the float range\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tool_version", [1, 2]), ("tool_version", 5), ("tool_version", None), ("input_sha256", {"a": 1}),
+    ("input_sha256", "0" * 63), ("input_sha256", "F" * 64),
+], ids=["version-list", "version-int", "version-null", "hash-object", "hash-short", "hash-upper"])
+def test_invalid_metadata_types_exit_1(tmp_path, capsys, key, value):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    doc["metadata"][key] = value
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", problem, "--schedule", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: metadata.{key}: expected "), captured.err
+        assert captured.out == ""
 
 
 def test_compile_then_verify_passes(tmp_path, capsys):

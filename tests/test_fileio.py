@@ -4,14 +4,18 @@ import copy
 import gc
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daqcompile import FileFormatError, Gate, GateType
+from daqcompile import Circuit, DigitalLayer, FileFormatError, Gate, GateType, NNChain, ResourceBlock
 from daqcompile import fileio
-from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule
+from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
+
+from oracles import same_document, schedule_spelling
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
 _scalars = (
@@ -34,31 +38,18 @@ _values = st.recursive(
 _documents = _values | st.dictionaries(_keys, _values, max_size=5)
 
 
-def _same(a, b) -> bool:
-    """Equal as documents, with key order, exact types and the sign of zero."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same, a, b))
-    if isinstance(a, float):
-        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-    return a == b
-
-
 @settings(max_examples=200, deadline=None)
 @given(_documents)
 def test_writer_round_trips_through_json(document):
     text = dumps_canonical(document)
-    assert _same(json.loads(text), document)
+    assert same_document(json.loads(text), document)
     assert "".join(iter_canonical(document)) == text
 
 
 def test_bool_and_int_lists_print_differently():
     document = {"bits": [True, False], "ints": [1, 0], "mixed": [1, True, 0.0, -0.0],
                 "block": {"bits": [True, 1], "big": 2**70, "tiny": 5e-324, "whole": 2.0}}
-    assert _same(json.loads(dumps_canonical(document)), document)
+    assert same_document(json.loads(dumps_canonical(document)), document)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -73,6 +64,47 @@ def test_iter_canonical_yields_instructions_one_at_a_time():
     instructions = [{"resource_block": {"duration": 0.5, "x_mask": [False, True]}}] * 3
     pieces = list(iter_canonical({"format": "f", "instructions": instructions}))
     assert [p.count('"resource_block"') for p in pieces if '"resource_block"' in p] == [1, 1, 1]
+
+
+# --- whole schedules: load(emit(circuit)) == circuit ------------------------------
+
+_angles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308])
+
+
+@st.composite
+def _schedules(draw):
+    """A random executable circuit: x/h/r/rz layers and blocks with any mask and duration."""
+    L = draw(st.integers(2, 12))
+    instructions = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            mask = draw(st.lists(st.booleans(), min_size=L, max_size=L))
+            instructions.append(ResourceBlock(draw(st.floats(0.0, 1e300)), bytes(mask)))
+            continue
+        qubits = draw(st.lists(st.integers(0, L - 1), min_size=1, max_size=L, unique=True))
+        names = draw(st.lists(st.sampled_from("xhrz"), min_size=len(qubits), max_size=len(qubits)))
+        instructions.append(DigitalLayer(tuple(
+            Gate(GateType.RZ, (q,), draw(_angles)) if name == "z" else Gate(GateType(name), (q,))
+            for q, name in zip(qubits, names)
+        )))
+    couplings = draw(st.lists(st.floats(-1e3, 1e3), min_size=L - 1, max_size=L - 1))
+    return Circuit(L, tuple(instructions)), NNChain(L, tuple(couplings)), draw(st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedules())
+def test_schedule_round_trips_through_the_file(schedule):
+    circuit, resource, t_f = schedule
+    stats = {"analog_requests": 1, "resource_blocks": 2, "sqr_gates": 3, "total_analog_time": 0.5}
+    text = dumps_canonical(schedule_document(circuit, resource, t_f, stats, "0.1.0", "ab" * 32))
+    assert same_document(
+        json.loads(text), schedule_spelling(circuit, resource.couplings, t_f, stats, "0.1.0", "ab" * 32))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert load_schedule(path) == (circuit, resource, t_f,
+                                       {"tool_version": "0.1.0", "input_sha256": "ab" * 32, "stats": stats})
 
 
 # --- strict schedule reader ------------------------------------------------------
@@ -102,7 +134,7 @@ def test_loaded_gates_are_shared_except_rz(tmp_path):
     assert last.gates[1] is Gate.x(1)
     assert first.gates[1] == last.gates[2] == Gate(GateType.RZ, (2,), 0.25)
     assert first.gates[1] is not last.gates[2]
-    assert block.x_mask == (False, True, True)
+    assert block.x_mask == b"\0\1\1"
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -163,3 +195,44 @@ def test_load_schedule_pauses_and_restores_the_collector(tmp_path, monkeypatch, 
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during and not any(during)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tool_version", [1, 2], "metadata.tool_version: expected a string"),
+    ("tool_version", 5, "metadata.tool_version: expected a string"),
+    ("tool_version", None, "metadata.tool_version: expected a string"),
+    ("tool_version", {"a": 1}, "metadata.tool_version: expected a string"),
+    ("input_sha256", [1, 2], "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", 5, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", None, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", {"a": 1}, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", "0" * 63, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", "0" * 65, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", "A" * 64, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", "g" * 64, "metadata.input_sha256: expected 64 lowercase hex digits"),
+    ("input_sha256", "0" * 63 + "\n", "metadata.input_sha256: expected 64 lowercase hex digits"),
+], ids=["version-list", "version-int", "version-null", "version-object", "hash-list", "hash-int",
+        "hash-null", "hash-object", "hash-short", "hash-long", "hash-upper", "hash-not-hex", "hash-newline"])
+def test_reader_metadata_types(tmp_path, field, value, message):
+    doc = copy.deepcopy(_SCHEDULE)
+    doc["metadata"][field] = value
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(_write_schedule(tmp_path, doc))
+    assert str(info.value) == message
+
+
+def test_reader_accepts_any_version_string_and_hex_digest(tmp_path):
+    doc = copy.deepcopy(_SCHEDULE)
+    doc["metadata"].update(tool_version="", input_sha256="0123456789abcdef" * 4)
+    assert load_schedule(_write_schedule(tmp_path, doc))[3] == doc["metadata"]
+
+
+def test_reader_rejects_durations_summing_past_the_float_range(tmp_path):
+    doc = copy.deepcopy(_SCHEDULE)
+    block = {"resource_block": {"duration": 1e308, "x_mask": [False, True, True]}}
+    doc["instructions"][1:1] = [block, block]
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(_write_schedule(tmp_path, doc))
+    assert str(info.value) == "instructions: block durations sum beyond the float range"
+    del doc["instructions"][1]
+    assert load_schedule(_write_schedule(tmp_path, doc))[0].instructions[1].duration == 1e308
