@@ -13,13 +13,14 @@ A Circuit is an ordered instruction list over three kinds:
   x_mask is immutable bytes, one 0 or 1 per qubit.
 
 Compilation strategy, the same for every L: split the target graph into
-zig-zag Hamiltonian paths, realise each path by conjugating a chain
-evolution with the iSWAP layers of its sorting-network swap frame, then
-cancel the inverse gates that meet between consecutive frames and re-layer
-what survives.  For even L the survivors are the paper's two mixed bridge
-layers per path boundary.  Every swap is the bare iSWAP, the member of the
-paper's Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no
-flanking rotations.
+zig-zag Hamiltonian paths and realise each path by conjugating a chain
+evolution with the iSWAP layers of its sorting-network swap frame.  Where
+one path's closing frame meets the next path's opening frame, all but the
+paper's two mixed iSWAP/iSWAP-dagger bridge layers cancel, so those two
+layers are emitted directly; only the first and the last frame are
+synthesised.  Every swap is the bare iSWAP, the member of the paper's
+Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking
+rotations.
 
 Requested analog angles are kept unreduced (no mod 2*pi) so durations stay
 minimal and well defined; global phase is not tracked.
@@ -224,75 +225,43 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
 
 # --- path-frame circuits ----------------------------------------------------
 
-def _cancel_inverses(gates: list[tuple[int, bool]], num_qubits: int) -> list[tuple[int, bool]]:
-    """Drop every iSWAP that meets its own inverse with no gate in between.
-
-    Gates are (left qubit, dagger) pairs in program order.  last[q] indexes
-    the latest kept gate on qubit q.  A gate cancels when both its qubits
-    point at one kept gate with the opposite dagger flag; that gate is
-    removed and both qubits fall back to the pointers saved when it was kept.
-    """
-    kept: list[tuple[int, bool] | None] = []
-    saved: list[tuple[int, int]] = []
-    last = [-1] * num_qubits
-    for i, dagger in gates:
-        top = last[i]
-        if top >= 0 and top == last[i + 1] and kept[top][1] != dagger:
-            last[i], last[i + 1] = saved[top]
-            kept[top] = None
-        else:
-            saved.append((top, last[i + 1]))
-            last[i] = last[i + 1] = len(kept)
-            kept.append((i, dagger))
-    return [g for g in kept if g is not None]
-
-
-def _asap_layers(gates: list[tuple[int, bool]], num_qubits: int) -> list[DigitalLayer]:
-    """Pack gates into the earliest layer after their qubits' previous gates.
-
-    Program order is kept and each layer lists its gates by left qubit.
-    """
-    layers: list[list[tuple[int, bool]]] = []
-    depth = [0] * num_qubits
-    for i, dagger in gates:
-        d = max(depth[i], depth[i + 1])
-        if d == len(layers):
-            layers.append([])
-        layers[d].append((i, dagger))
-        depth[i] = depth[i + 1] = d + 1
-    return [
-        DigitalLayer(tuple(Gate.iswap_dg(i) if dg else Gate.iswap(i) for i, dg in sorted(layer)))
-        for layer in layers
-    ]
-
-
 def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     """High-level circuit whose unitary is exp(i t_f H) for the target graph.
 
-    Path P of the zig-zag cover becomes its sorting-network swap frame
-    (plain iSWAPs), an analog request whose slot j carries
-    t_f * g'(P[j], P[j+1]), and the frame undone (iSWAP-daggers, layers
-    reversed).  Between two requests the closing frame of one path meets the
-    opening frame of the next: inverse gates cancel and the rest is packed
-    into ASAP layers.  Analog requests are ideal and still need scheduling
-    onto a concrete resource chain.
+    Path P of the zig-zag cover becomes an analog request whose slot j
+    carries t_f * g'(P[j], P[j+1]), conjugated by P's sorting-network swap
+    frame (plain iSWAP layers before, the same layers reversed as
+    iSWAP-daggers after).  Between paths p and p+1 (p = 1, 2, ...) only two
+    bridge layers are emitted, on slots 0, 2, 4, ... and then 1, 3, 5, ...,
+    with an iSWAP on slot i < 2p and an iSWAP-dagger elsewhere: for every L
+    that is exactly what is left of path p's closing frame and path p+1's
+    opening frame once each gate that meets its own inverse is cancelled and
+    the rest is packed into ASAP layers.  tests/oracles.py builds the circuit
+    that way (ata_circuit_cancelled) and the tests compare the two.  Analog
+    requests are ideal and still need scheduling onto a resource chain.
     """
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
     L = target.num_qubits
     cover = walecki_cover(L)
-    instrs: list[Instruction] = []
-    between: list[tuple[int, bool]] = []
-    for path, disabled in zip(cover.paths, cover.disabled_slots):
-        layers = sort_network_sequence(path).layers
-        between.extend((i, False) for layer in layers for i in layer)
-        instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
+    instrs: list[Instruction] = [
+        DigitalLayer(tuple(map(Gate.iswap, layer)))
+        for layer in sort_network_sequence(cover.paths[0]).layers
+    ]
+    for p, (path, disabled) in enumerate(zip(cover.paths, cover.disabled_slots)):
+        if p:  # the bridge from path p to path p + 1, counting paths from 1
+            for start in (0, 1):
+                instrs.append(DigitalLayer(tuple(
+                    Gate.iswap(i) if i < 2 * p else Gate.iswap_dg(i) for i in range(start, L - 1, 2)
+                )))
         instrs.append(AnalogRequest(tuple(
             0.0 if slot in disabled else t_f * target.weight(path[slot], path[slot + 1])
             for slot in range(L - 1)
         )))
-        between = [(i, True) for layer in reversed(layers) for i in layer]
-    instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
+    instrs.extend(
+        DigitalLayer(tuple(map(Gate.iswap_dg, layer)))
+        for layer in reversed(sort_network_sequence(cover.paths[-1]).layers)
+    )
     return Circuit(L, tuple(instrs))
 
 

@@ -27,9 +27,9 @@ from .fileio import (
     dumps_canonical,
     iter_canonical,
     load_problem,
+    load_problem_with_sha256,
     load_schedule,
     schedule_document,
-    sha256_of_file,
     write_replacing,
 )
 
@@ -64,7 +64,7 @@ def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
 def cmd_compile(args: argparse.Namespace) -> int:
     from .compiler import compile_ata, compile_chain
 
-    problem = load_problem(args.input)
+    problem, input_sha256 = load_problem_with_sha256(args.input)
     if problem.target_type == "ata":
         result = compile_ata(problem.target_graph, problem.resource, problem.t_f)
     else:
@@ -78,7 +78,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     }
     doc = schedule_document(
         result.circuit, problem.resource, problem.t_f, stats,
-        tool_version=__version__, input_sha256=sha256_of_file(args.input),
+        tool_version=__version__, input_sha256=input_sha256,
     )
     write_replacing(args.output, iter_canonical(doc))
     print(f"compiled {problem.target_type} target on {problem.num_qubits} qubits")

@@ -98,20 +98,43 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
+    """The file read in one go and decoded as strict UTF-8, newlines as they are."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _parse_json(text: str, path: str) -> Any:
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:
+        # malformed JSON, or an integer longer than the interpreter's
+        # int-to-str digit limit
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_problem(path: str) -> ProblemSpec:
-    data = _load_json(path)
+    return load_problem_with_sha256(path)[0]
+
+
+def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
+    """The problem and the sha256 of the very bytes it was parsed from.
+
+    The file is read once, so a pipe (--input /dev/stdin) is hashed as read;
+    strict UTF-8 decoding is one-to-one, so re-encoding gives those bytes back.
+    """
+    text = _read_text(path)
+    return _problem(_parse_json(text, path)), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _problem(data: Any) -> ProblemSpec:
     _require_keys(data, {"num_qubits", "resource_couplings", "target", "time"}, "problem")
     L = _as_int(data["num_qubits"], "num_qubits")
     if L < 2:
@@ -234,7 +257,7 @@ def _collector_paused() -> Iterator[None]:
 @_collector_paused()
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata)."""
-    data = _load_json(path)
+    data = _parse_json(_read_text(path), path)
     _require_keys(
         data,
         {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},

@@ -8,8 +8,9 @@ synthesises.  The same layers drive the swap-gate circuits: conjugating a
 chain evolution by the matching gate layers relabels the chain's vertices
 into the synthesised path (see circuits.ata_circuit_general).
 
-`sort_network_sequence`, an odd-even transposition sort, synthesises every
-path the compiler uses, for even and odd L alike.
+`sort_network_sequence`, an odd-even transposition sort, synthesises the
+swap frame of every path, for even and odd L alike; the compiler emits
+the first path's opening frame and the last path's closing frame.
 """
 
 from __future__ import annotations

@@ -8,8 +8,11 @@ construction instead of the closed form.
 The even-L closed forms of the source paper also live here: the swap
 ladders that synthesise each zig-zag path, the two mixed bridge layers
 left between consecutive paths after inverse gates cancel, the bridged
-circuit built from them, and the uncancelled per-path circuit.  The
-compiler derives all of these generically; tests compare against them.
+circuit built from them, and the uncancelled per-path circuit.  Beside
+them sits the generic construction for every L: sorting-network frames
+whose seams go through an inverse-gate cancellation pass and ASAP
+re-layering.  The compiler writes the bridges directly; tests compare
+against all of these.
 
 Next come the helpers that only tests need: complete graphs and edge sets,
 path covers and their weighted composition, permutations applied by swap
@@ -241,6 +244,71 @@ def ata_circuit_per_path(target, t_f: float) -> Circuit:
         instrs.extend(_iswap_layers(seq, dagger=False))
         instrs.append(request)
         instrs.extend(_iswap_layers(seq, dagger=True))
+    return Circuit(L, tuple(instrs))
+
+
+def _cancel_inverses(gates: list, num_qubits: int) -> list:
+    """Drop every iSWAP that meets its own inverse with no gate in between.
+
+    Gates are (left qubit, dagger) pairs in program order.  last[q] indexes
+    the latest kept gate on qubit q.  A gate cancels when both its qubits
+    point at one kept gate with the opposite dagger flag; that gate is
+    removed and both qubits fall back to the pointers saved when it was kept.
+    """
+    kept = []
+    saved = []
+    last = [-1] * num_qubits
+    for i, dagger in gates:
+        top = last[i]
+        if top >= 0 and top == last[i + 1] and kept[top][1] != dagger:
+            last[i], last[i + 1] = saved[top]
+            kept[top] = None
+        else:
+            saved.append((top, last[i + 1]))
+            last[i] = last[i + 1] = len(kept)
+            kept.append((i, dagger))
+    return [g for g in kept if g is not None]
+
+
+def _asap_layers(gates: list, num_qubits: int) -> list:
+    """Pack gates into the earliest layer after their qubits' previous gates.
+
+    Program order is kept and each layer lists its gates by left qubit.
+    """
+    layers = []
+    depth = [0] * num_qubits
+    for i, dagger in gates:
+        d = max(depth[i], depth[i + 1])
+        if d == len(layers):
+            layers.append([])
+        layers[d].append((i, dagger))
+        depth[i] = depth[i + 1] = d + 1
+    return [
+        DigitalLayer(tuple(Gate.iswap_dg(i) if dg else Gate.iswap(i) for i, dg in sorted(layer)))
+        for layer in layers
+    ]
+
+
+def ata_circuit_cancelled(target, t_f: float) -> Circuit:
+    """Every path in its sorting-network frame, with the frames' seams cancelled.
+
+    Between two requests the closing frame of one path meets the opening
+    frame of the next; every gate that meets its own inverse there is
+    dropped and the rest is packed into ASAP layers.  This is the
+    construction the compiler's direct bridge rule must reproduce, for even
+    and odd L alike.
+    """
+    L = target.num_qubits
+    cover = walecki_cover(L)
+    instrs = []
+    between = []
+    for path, request in zip(cover.paths, _path_requests(target, t_f)):
+        layers = sort_network_sequence(path).layers
+        between.extend((i, False) for layer in layers for i in layer)
+        instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
+        instrs.append(request)
+        between = [(i, True) for layer in reversed(layers) for i in layer]
+    instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
     return Circuit(L, tuple(instrs))
 
 

@@ -174,7 +174,7 @@ def test_criterion_07_partition_and_odd_covers():
 
 
 def test_criterion_08_bridge_soundness_l6():
-    # the generic cancellation pass rebuilds the closed-form bridged circuit
+    # the compiler's directly emitted bridge layers are the closed-form bridged circuit
     for L in range(2, 65, 2):
         target = random_graph(L, np.random.default_rng(860 + L))
         assert ata_circuit_general(target, 0.57) == bridged_circuit(target, 0.57), L

@@ -18,7 +18,9 @@ from daqcompile import (
     lower_iswap_layer,
     lower_swap_layers,
     phase_distance,
+    sort_network_sequence,
 )
+from daqcompile import circuits
 
 from oracles import (
     I2,
@@ -26,6 +28,7 @@ from oracles import (
     Y,
     Z,
     ata_circuit,
+    ata_circuit_cancelled,
     ata_circuit_per_path,
     bridge_layers,
     bridges,
@@ -265,6 +268,34 @@ def test_bridged_equals_per_path_circuits(L):
     u_f = circuit_unitary(ata_circuit_general(target, 0.43))
     u_g = circuit_unitary(ata_circuit_per_path(target, 0.43))
     assert phase_distance(u_f, u_g).distance < 1e-12
+
+
+@pytest.mark.parametrize("L", [*range(2, 66), 96, 97])
+def test_bridge_rule_equals_cancelled_frames(L):
+    # Above L=10 the cancelled frames are the only check on odd L: no
+    # closed form exists there and dense unitaries are out of reach.
+    rng = np.random.default_rng(700 + L)
+    edges = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    targets = {
+        "dense": {e: rng.normal() for e in edges},
+        "sparse 0.3": {e: rng.normal() for e in edges if rng.random() < 0.3},
+        "all zero": dict.fromkeys(edges, 0.0),
+    }
+    for name, weights in targets.items():
+        target = CouplingGraph(L, weights)
+        assert ata_circuit_general(target, 0.61) == ata_circuit_cancelled(target, 0.61), name
+
+
+def test_ata_general_synthesises_two_frames(monkeypatch):
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return sort_network_sequence(path)
+
+    monkeypatch.setattr(circuits, "sort_network_sequence", counted)
+    ata_circuit_general(complete_graph(33, 1.0), 0.3)
+    assert len(calls) == 2
 
 
 # --- lowering ------------------------------------------------------------------

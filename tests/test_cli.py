@@ -46,6 +46,10 @@ def ata_problem(tmp_path, L=4, t_f=0.5, couplings=None, resource=None, name="p.j
     })
 
 
+# A path through which a child reads its standard input, here a pipe.
+STDIN_PATH = "/dev/stdin" if os.path.lexists("/dev/stdin") else "/dev/fd/0" if os.path.isdir("/dev/fd") else None
+
+
 def test_compile_nn_target_equal_to_resource(tmp_path, capsys):
     problem = nn_problem(tmp_path, L=5, couplings=[0.9, 1.1, 0.7, 1.2], t_f=0.8)
     out = str(tmp_path / "s.json")
@@ -97,11 +101,14 @@ def test_schedule_round_trip(tmp_path):
     assert dumps_canonical(document) == (tmp_path / "s.json").read_text(encoding="utf-8")
 
 
-def test_compiled_file_digest_is_pinned(tmp_path):
+@pytest.mark.parametrize("L, digest", [
+    pytest.param(16, "9702969c61b6b26ec18e2e2bfa38dfea81fc5847baf17ef97117b0c4093db7e4", id="L16"),
+    pytest.param(17, "23f1742db95527ff2c5ff15a8714047105c993ce71286f90aa229d0ca742cf50", id="L17"),
+])
+def test_compiled_file_digest_is_pinned(tmp_path, L, digest):
     # Dyadic weights, couplings and time: the compiler only adds, subtracts,
     # multiplies and divides them (correctly rounded everywhere), so the file
     # does not depend on the platform's libm.  The digest covers the version.
-    L = 16
     problem = ata_problem(
         tmp_path, L=L, t_f=0.75, resource=[(k % 5 + 2) / 4 for k in range(L - 1)], couplings=[
             {"i": i, "j": j, "value": ((7 * i + 3 * j) % 17 - 8) / 8} for i in range(L) for j in range(i + 1, L)
@@ -109,8 +116,7 @@ def test_compiled_file_digest_is_pinned(tmp_path):
     out = tmp_path / "s.json"
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
     assert __version__ == "0.1.0"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9702969c61b6b26ec18e2e2bfa38dfea81fc5847baf17ef97117b0c4093db7e4")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_compiled_file_parses_to_schedule_document(tmp_path):
@@ -444,6 +450,49 @@ def test_malformed_bytes_exit_1(tmp_path, capsys, file, command, flaw):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {bad}: invalid JSON: "), captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("file, command", [
+    ("problem", "compile"), ("problem", "stats"), ("problem", "verify"),
+    ("schedule", "stats"), ("schedule", "verify"),
+])
+def test_integer_past_digit_limit_exits_1(tmp_path, file, command):
+    # Interpreters with an int-to-str digit limit (4300 by default) refuse the
+    # integer while parsing; older ones parse it and the time field rejects it.
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    inputs = {"problem": problem, "schedule": str(out)}
+    text = open(inputs[file], encoding="utf-8").read()
+    assert text.count('"time": 0.7') == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"time": 0.7', '"time": ' + "9" * 5000), encoding="utf-8")
+    inputs[file] = str(bad)
+    flag, target = ("--output", str(tmp_path / "o.json")) if command == "compile" else ("--schedule", inputs["schedule"])
+    run = subprocess.run(
+        [sys.executable, "-m", "daqcompile.cli", command, "--input", inputs["problem"], flag, target],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: "), run.stderr
+    assert run.stdout == ""
+
+
+@pytest.mark.skipif(STDIN_PATH is None, reason="neither /dev/stdin nor /dev/fd exists")
+def test_compile_from_pipe_hashes_bytes_read(tmp_path):
+    problem = ata_problem(tmp_path, L=5, t_f=0.7)
+    data = open(problem, "rb").read()
+    out = tmp_path / "s.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "daqcompile.cli", "compile", "--input", STDIN_PATH, "--output", str(out)],
+        input=data, capture_output=True, env=child_env(),
+    )
+    assert run.returncode == 0, run.stderr
+    assert load_schedule(str(out))[3]["input_sha256"] == hashlib.sha256(data).hexdigest()
+    from_file = tmp_path / "f.json"
+    assert main(["compile", "--input", problem, "--output", str(from_file)]) == 0
+    assert out.read_bytes() == from_file.read_bytes()
 
 
 @pytest.mark.parametrize("field", ["num_qubits", "resource couplings", "time"], ids=["num-qubits", "resource", "time"])
