@@ -22,8 +22,11 @@ synthesised.  Every swap is the bare iSWAP, the member of the paper's
 Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking
 rotations.
 
-Requested analog angles are kept unreduced (no mod 2*pi) so durations stay
-minimal and well defined; global phase is not tracked.
+Requested analog angles are scheduled as given, never reduced mod pi/2 or
+mod 2*pi, so each request's time is minimal only for the angles it was
+given: exp(i(theta +- pi)ZZ) equals exp(i theta ZZ) up to a global phase, so
+a request with |angle| > pi/2 runs longer than it needs to (ROADMAP item 2
+reduces the angles).  Global phase is not tracked.
 """
 
 from __future__ import annotations
@@ -202,14 +205,12 @@ class ScheduleStats:
     analog_block_count: int
     total_analog_time: float
     sqr_count: int
-    iswap_layer_count: int
 
 
 def circuit_stats(circuit: Circuit) -> ScheduleStats:
     analog = 0
     total_time = 0.0
     sqr = 0
-    iswap_layers = 0
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
             analog += 1
@@ -217,10 +218,8 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
             analog += 1
             total_time += instr.duration
         elif isinstance(instr, DigitalLayer):
-            if instr.has_iswaps:
-                iswap_layers += 1
             sqr += sum(1 for g in instr.gates if not g.is_two_qubit)
-    return ScheduleStats(analog, total_time, sqr, iswap_layers)
+    return ScheduleStats(analog, total_time, sqr)
 
 
 # --- path-frame circuits ----------------------------------------------------

@@ -1,8 +1,4 @@
-"""Exception types shared across the package, and the dense-verification cap."""
-
-# The dense verifier's default qubit cap (see unitaries), kept here so the
-# command line can show it without importing NumPy.
-DEFAULT_MAX_QUBITS = 10
+"""Exception types the library raises and the command line maps to exit codes."""
 
 
 class UnschedulableError(Exception):
@@ -16,10 +12,6 @@ class UnschedulableError(Exception):
         self.slot = slot
         self.angle = angle
         super().__init__(f"slot {slot} requires ZZ angle {angle!r} but {reason}")
-
-
-class QubitLimitError(Exception):
-    """Dense verification was requested beyond the configured qubit cap."""
 
 
 class FileFormatError(Exception):

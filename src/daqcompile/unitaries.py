@@ -10,9 +10,11 @@ Conventions (every test depends on them):
 Everything is binary64.  Gates are applied by BLAS-backed tensor contraction
 and analog instructions as diagonal phases, in one pass over the circuit.
 The phase-invariant distance is computed from entrywise differences, so it
-stays linear in the error down to ~1e-14 (see `phase_distance`).  The
-default cap of 10 qubits keeps dense checks tractable (one `verify` takes
-about 0.3 s at 8 qubits and 3 s at the cap on Linux x86-64).
+stays linear in the error down to ~1e-14 (see `phase_distance`).  Nothing
+here limits the qubit count: the command line's `verify` checks its cap
+(10 qubits by default) before it builds a matrix, which keeps dense checks
+tractable (one `verify` takes about 0.3 s at 8 qubits and 3 s at 10 on
+Linux x86-64).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .circuits import (
     GateType,
     ResourceBlock,
 )
-from .errors import DEFAULT_MAX_QUBITS, QubitLimitError
 from .graphs import CouplingGraph, Edge, NNChain
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,13 +41,6 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _R = _HADAMARD @ np.diag([1, 1j]) @ _HADAMARD
 for _shared in (_X, _ISWAP, _HADAMARD, _R):  # gate_matrix hands these out as they are
     _shared.setflags(write=False)
-
-
-def _check_cap(num_qubits: int, max_qubits: int) -> None:
-    if num_qubits > max_qubits:
-        raise QubitLimitError(
-            f"{num_qubits} qubits exceeds the dense-verification cap of {max_qubits}"
-        )
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -98,23 +92,16 @@ def _chain_phases(slot_angles: Sequence[float], num_qubits: int) -> np.ndarray:
     return _zz_phases({(j, j + 1): phi for j, phi in enumerate(slot_angles)}, num_qubits)
 
 
-def zz_evolution(
-    angles: Mapping[Edge, float], num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def zz_evolution(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
     """Diagonal unitary exp(i sum_{(u,v)} phi_uv Z_u Z_v) over any edge set."""
-    _check_cap(num_qubits, max_qubits)
     return np.diag(np.exp(1j * _zz_phases(angles, num_qubits)))
 
 
-def exact_target(
-    target: CouplingGraph, t_f: float, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def exact_target(target: CouplingGraph, t_f: float) -> np.ndarray:
     """Ideal evolution exp(i t_f sum g'_ij Z_i Z_j) of a coupling graph."""
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
-    return zz_evolution(
-        {edge: w * t_f for edge, w in target.weights.items()}, target.num_qubits, max_qubits
-    )
+    return zz_evolution({edge: w * t_f for edge, w in target.weights.items()}, target.num_qubits)
 
 
 def _block_phases(block: ResourceBlock, resource: NNChain, num_qubits: int) -> np.ndarray:
@@ -126,16 +113,13 @@ def _block_phases(block: ResourceBlock, resource: NNChain, num_qubits: int) -> n
     return _zz_phases(angles, num_qubits)
 
 
-def circuit_unitary(
-    circuit: Circuit, resource: NNChain | None = None, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> np.ndarray:
+def circuit_unitary(circuit: Circuit, resource: NNChain | None = None) -> np.ndarray:
     """Ordered product of instruction unitaries (instruction 0 acts first).
 
     Analog requests evaluate as ideal chain ZZ evolutions; resource blocks
     need the chain they run on.
     """
     L = circuit.num_qubits
-    _check_cap(L, max_qubits)
     needs_resource = any(isinstance(i, ResourceBlock) for i in circuit.instructions)
     if needs_resource:
         if resource is None:

@@ -33,21 +33,17 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from daqcompile import (
+from daqcompile.circuits import (
     AnalogRequest,
     Circuit,
-    CouplingGraph,
     DigitalLayer,
     Gate,
     GateType,
-    PathCover,
     ResourceBlock,
-    SwapSequence,
     ata_circuit_general,
-    sort_network_sequence,
-    walecki_cover,
 )
-from daqcompile.graphs import canonical_edge, validate_permutation
+from daqcompile.graphs import CouplingGraph, PathCover, canonical_edge, validate_permutation, walecki_cover
+from daqcompile.swaps import SwapSequence, sort_network_sequence
 from daqcompile.unitaries import gate_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -66,10 +62,6 @@ def kron_embed(mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
 
 def pauli_z(qubit: int, num_qubits: int) -> np.ndarray:
     return kron_embed(Z, qubit, num_qubits)
-
-
-def two_site(mat_high: np.ndarray, mat_low: np.ndarray, low: int, num_qubits: int) -> np.ndarray:
-    return kron_embed(mat_high, low + 1, num_qubits) @ kron_embed(mat_low, low, num_qubits)
 
 
 def zz_hamiltonian(angles: dict, num_qubits: int) -> np.ndarray:

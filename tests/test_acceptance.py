@@ -7,23 +7,13 @@ import time
 
 import numpy as np
 
-from daqcompile import (
-    Circuit,
-    CouplingGraph,
-    DigitalLayer,
-    Gate,
-    NNChain,
-    ata_circuit_general,
-    circuit_unitary,
-    exact_target,
-    phase_distance,
-    schedule,
-    walecki_cover,
-    walecki_sequence,
-    zigzag_path,
-)
+from daqcompile.circuits import Circuit, DigitalLayer, Gate, ata_circuit_general
 from daqcompile.cli import main
 from daqcompile.compiler import compile_ata
+from daqcompile.graphs import CouplingGraph, NNChain, walecki_cover, zigzag_path
+from daqcompile.scheduler import schedule
+from daqcompile.swaps import walecki_sequence
+from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
 from oracles import (
     I2,

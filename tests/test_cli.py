@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import daqcompile
-from daqcompile import __version__, compile_ata
+from daqcompile import __version__
 from daqcompile.cli import main
+from daqcompile.compiler import compile_ata
 from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
 
 from oracles import complete_graph, minimum_time, same_document, schedule_spelling
@@ -274,6 +275,21 @@ def test_verify_qubit_cap_exits_4(tmp_path, capsys):
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
     assert main(["verify", "--input", problem, "--schedule", out]) == 4
+    assert capsys.readouterr().err == "12 qubits exceeds the dense-verification cap of 10\n"
+
+
+@pytest.mark.parametrize("cap, code", [(2, 4), (3, 0)])
+def test_verify_max_qubits_option(tmp_path, capsys, cap, code):
+    problem = ata_problem(tmp_path, L=3)
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", out, "--max-qubits", str(cap)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == ("", "3 qubits exceeds the dense-verification cap of 2\n")
+    else:
+        assert captured.out.endswith("PASS\n") and captured.err == ""
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):
@@ -573,7 +589,7 @@ def test_stats_report(tmp_path, capsys):
 
 def test_stats_total_time_is_sum_of_group_minimums(tmp_path, capsys):
     # each analog request contributes exactly max|b| * t_f to the total
-    from daqcompile import AnalogRequest, ata_circuit_general, lower_swap_layers
+    from daqcompile.circuits import AnalogRequest, ata_circuit_general, lower_swap_layers
 
     L, t_f = 6, 0.5
     problem = ata_problem(
@@ -651,27 +667,12 @@ def test_stats_does_not_import_numpy(tmp_path):
     assert "resource_blocks: " in run.stdout
 
 
-_PUBLIC_NAMES = [
-    "AnalogRequest", "Circuit", "CompileResult", "CouplingGraph", "DigitalLayer", "DistanceReport",
-    "FileFormatError", "Gate", "GateType", "NNChain", "PathCover", "QubitLimitError", "ResourceBlock",
-    "ScheduleStats", "SwapSequence", "UnschedulableError", "ata_circuit_general", "circuit_stats",
-    "circuit_unitary", "compile_ata", "compile_chain", "exact_target", "lower_iswap_layer",
-    "lower_swap_layers", "phase_distance", "schedule", "schedule_requests", "sort_network_sequence",
-    "walecki_cover", "walecki_sequence", "zigzag_path", "zz_evolution",
-]
-
-
-def test_public_names_resolve():
-    from daqcompile import DistanceReport, compile_ata, schedule
-    from daqcompile.scheduler import schedule as scheduler_schedule
-    from daqcompile.unitaries import DistanceReport as unitaries_report
-
-    assert schedule is scheduler_schedule and DistanceReport is unitaries_report
-    assert compile_ata is daqcompile.compiler.compile_ata
-    for name in _PUBLIC_NAMES:
-        exec(f"from daqcompile import {name}", {})
-        assert getattr(daqcompile, name) is not None
-    with pytest.raises(AttributeError, match="no_such_name"):
-        daqcompile.no_such_name
-    with pytest.raises(ImportError):
-        exec("from daqcompile import no_such_name", {})
+def test_package_import_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import daqcompile\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('daqcompile.'))\n"
+        "assert not loaded, f'import daqcompile loaded {loaded}'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert run.returncode == 0, run.stderr

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daqcompile import Circuit, DigitalLayer, FileFormatError, Gate, GateType, NNChain, ResourceBlock
 from daqcompile import fileio
+from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock
+from daqcompile.errors import FileFormatError
 from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
+from daqcompile.graphs import NNChain
 
 from oracles import same_document, schedule_spelling
 

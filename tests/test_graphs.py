@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from daqcompile import CouplingGraph, NNChain, PathCover, walecki_cover, zigzag_path
+from daqcompile.graphs import CouplingGraph, NNChain, PathCover, walecki_cover, zigzag_path
 
 from oracles import (
     complete_edge_set,

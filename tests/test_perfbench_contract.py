@@ -27,7 +27,7 @@ def _problem(kind: str, L: int, rng: random.Random) -> dict:
             "target": target, "time": 0.7}
 
 
-@pytest.mark.parametrize("kind, L", [("ata", 6), ("nn", 5)])
+@pytest.mark.parametrize("kind, L", [("ata", 6), ("ata", 7), ("nn", 5)])
 def test_traced_pipeline_matches_the_cli(tmp_path, monkeypatch, kind, L):
     monkeypatch.setattr(sys, "path", list(sys.path))    # Pipeline prepends the source tree
     problem, sched = tmp_path / "p.json", tmp_path / "s.json"

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daqcompile import (
-    Circuit,
-    NNChain,
-    UnschedulableError,
-    circuit_unitary,
-    phase_distance,
-    schedule,
-    zz_evolution,
-)
-from daqcompile.scheduler import TIE_THRESHOLD
+from daqcompile.circuits import Circuit
+from daqcompile.errors import UnschedulableError
+from daqcompile.graphs import NNChain
+from daqcompile.scheduler import TIE_THRESHOLD, schedule
+from daqcompile.unitaries import circuit_unitary, phase_distance, zz_evolution
 
 from oracles import mask_from_row, minimum_time, sign_matrix, sign_matrix_inverse
 

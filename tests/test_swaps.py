@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from daqcompile import SwapSequence, sort_network_sequence, walecki_sequence, zigzag_path
+from daqcompile.graphs import zigzag_path
+from daqcompile.swaps import SwapSequence, sort_network_sequence, walecki_sequence
 
 from oracles import (
     apply_sequence,

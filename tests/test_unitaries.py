@@ -3,26 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from daqcompile import (
-    AnalogRequest,
-    Circuit,
-    CouplingGraph,
-    DigitalLayer,
-    Gate,
-    GateType,
-    NNChain,
-    QubitLimitError,
-    ResourceBlock,
-    circuit_unitary,
-    exact_target,
-    phase_distance,
-    sort_network_sequence,
-    walecki_cover,
-    walecki_sequence,
-    zigzag_path,
-    zz_evolution,
-)
-from daqcompile.swaps import SwapSequence
+from daqcompile.circuits import AnalogRequest, Circuit, DigitalLayer, Gate, GateType, ResourceBlock
+from daqcompile.graphs import CouplingGraph, NNChain, walecki_cover, zigzag_path
+from daqcompile.swaps import SwapSequence, sort_network_sequence, walecki_sequence
+from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
 
 from oracles import (
     X,
@@ -227,7 +211,7 @@ def test_circuit_unitary_requires_resource_for_blocks():
 def test_products_stay_unitary():
     rng = np.random.default_rng(19)
     target = CouplingGraph(4, {(i, j): rng.uniform(-1, 1) for i in range(4) for j in range(i + 1, 4)})
-    from daqcompile import ata_circuit_general, lower_swap_layers
+    from daqcompile.circuits import ata_circuit_general, lower_swap_layers
 
     u = circuit_unitary(lower_swap_layers(ata_circuit_general(target, 0.8)))
     assert is_unitary(np.asarray(u, dtype=complex))
@@ -282,12 +266,3 @@ def test_phase_distance_shape_mismatch():
     with pytest.raises(ValueError):
         phase_distance(np.eye(2), np.eye(4))
 
-
-# --- caps ------------------------------------------------------------------------
-
-def test_qubit_cap_enforced():
-    with pytest.raises(QubitLimitError):
-        zz_evolution({(0, 1): 0.1}, 12)
-    with pytest.raises(QubitLimitError):
-        circuit_unitary(Circuit(11, ()))
-    assert zz_evolution({(0, 1): 0.1}, 11, max_qubits=11).shape == (2048, 2048)
