@@ -147,11 +147,11 @@ class AnalogRequest:
 
 @dataclass(frozen=True)
 class ResourceBlock:
-    """Evolution under the resource chain, X-conjugated on qubit q where x_mask[q] is 1.
+    """The resource chain's evolution for `duration` between two X layers on the qubits masked 1.
 
-    x_mask is bytes holding one 0 or 1 per qubit; any other byte value is a
-    ValueError.  Any other iterable is taken by truth value, so
-    ResourceBlock(d, (True, False)) == ResourceBlock(d, b"\\1\\0").
+    The X layers flip the sign of every coupling whose two qubits differ in
+    mask.  x_mask is bytes holding one 0 or 1 per qubit; anything else,
+    another byte value or a tuple, list or array, is a ValueError.
     """
 
     duration: float
@@ -161,16 +161,9 @@ class ResourceBlock:
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"block duration must be finite and >= 0, got {self.duration}")
         if type(self.x_mask) is not bytes:
-            object.__setattr__(self, "x_mask", bytes(map(bool, self.x_mask)))
-        elif self.x_mask.translate(None, b"\0\1"):
+            raise ValueError(f"x_mask must be bytes, got {type(self.x_mask).__name__}")
+        if self.x_mask.translate(None, b"\0\1"):
             raise ValueError("x_mask bytes must be 0 or 1")
-
-    def slot_signs(self) -> tuple[int, ...]:
-        """Effective coupling sign per chain slot under the X conjugation."""
-        return tuple(
-            -1 if self.x_mask[j] != self.x_mask[j + 1] else 1
-            for j in range(len(self.x_mask) - 1)
-        )
 
 
 Instruction = Union[DigitalLayer, AnalogRequest, ResourceBlock]

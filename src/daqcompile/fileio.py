@@ -173,13 +173,15 @@ def _problem(data: Any) -> ProblemSpec:
     raise FileFormatError(f"target.type must be 'ata' or 'nn', got {target['type']!r}")
 
 
-def _checked_gate(g: Any, where: str) -> Gate:
+def _checked_gate(g: Any, L: int, where: str) -> Gate:
     """A gate entry off the fast path, checked field by field for the error message."""
     if not isinstance(g, dict):
         raise FileFormatError(f"{where}: expected an object")
     keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
     _require_keys(g, keys, where)
     q = _as_int(g["q"], f"{where}.q")
+    if q >= L:
+        raise FileFormatError(f"{where}.q: need q < {L}, got {q}")
     gate_type = _SQR_NAMES.get(g["gate"]) if isinstance(g["gate"], str) else None
     if gate_type is None:
         raise FileFormatError(f"{where}: unknown gate {g['gate']!r}")
@@ -191,8 +193,9 @@ def _checked_gate(g: Any, where: str) -> Gate:
 def _instruction(entry: Any, L: int, where: str) -> Instruction:
     """One schedule instruction; the gate, layer and block classes check the rest.
 
-    A well-formed x/h/r entry, exactly {"q": int, "gate": name}, takes the
-    shared gate straight away; anything else goes through _checked_gate.
+    A well-formed x/h/r entry, exactly {"q": int, "gate": name} with q < L,
+    takes the shared gate straight away; anything else goes through
+    _checked_gate, which rejects q >= L before a gate is cached for it.
     """
     if not isinstance(entry, dict) or len(entry) != 1:
         raise FileFormatError(f"{where}: expected exactly one of 'sqr'/'resource_block'")
@@ -204,10 +207,10 @@ def _instruction(entry: Any, L: int, where: str) -> Instruction:
         for g_idx, g in enumerate(entries):
             if type(g) is dict and len(g) == 2 and type(g.get("q")) is int and type(g.get("gate")) is str:
                 gate_type = _SHARED_NAMES.get(g["gate"])
-                if gate_type is not None:
+                if gate_type is not None and g["q"] < L:
                     gates.append(single_qubit_gate(gate_type, g["q"]))
                     continue
-            gates.append(_checked_gate(g, f"{where}.sqr[{g_idx}]"))
+            gates.append(_checked_gate(g, L, f"{where}.sqr[{g_idx}]"))
         return DigitalLayer(tuple(gates))
     if "resource_block" in entry:
         block = entry["resource_block"]

@@ -13,52 +13,41 @@ The phase-invariant distance is computed from entrywise differences, so it
 stays linear in the error down to ~1e-14 (see `phase_distance`).  Nothing
 here limits the qubit count: the command line's `verify` checks its cap
 (10 qubits by default) before it builds a matrix, which keeps dense checks
-tractable (one `verify` takes about 0.3 s at 8 qubits and 3 s at 10 on
-Linux x86-64).
+tractable (one `verify` takes about 0.35 s at 8 qubits and 2.9 s at 10 on
+a 2-vCPU Linux x86-64 VM).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .circuits import (
-    AnalogRequest,
-    Circuit,
-    DigitalLayer,
-    Gate,
-    GateType,
-    ResourceBlock,
-)
+from .circuits import AnalogRequest, Circuit, DigitalLayer, Gate, GateType
 from .graphs import CouplingGraph, Edge, NNChain
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_R = _HADAMARD @ np.diag([1, 1j]) @ _HADAMARD
-for _shared in (_X, _ISWAP, _HADAMARD, _R):  # gate_matrix hands these out as they are
+_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+_GATES = {
+    GateType.X: _X,
+    GateType.H: _HADAMARD,
+    GateType.R: _HADAMARD @ np.diag([1, 1j]) @ _HADAMARD,
+    GateType.ISWAP: _ISWAP,
+    GateType.ISWAP_DG: _ISWAP.conj().T,
+}
+for _shared in _GATES.values():  # gate_matrix hands these out as they are
     _shared.setflags(write=False)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """2x2 or 4x4 matrix of a gate; two-qubit blocks are in (high, low) bit order."""
-    if gate.type is GateType.X:
-        return _X
-    if gate.type is GateType.H:
-        return _HADAMARD
-    if gate.type is GateType.R:
-        return _R
     if gate.type is GateType.RZ:
         half = 0.5j * gate.angle
         return np.diag(np.exp([half, -half]))
-    if gate.type is GateType.ISWAP:
-        return _ISWAP
-    if gate.type is GateType.ISWAP_DG:
-        return _ISWAP.conj().T
-    raise TypeError(f"unknown gate {gate!r}")
+    return _GATES[gate.type]
 
 
 def _apply_gate(u: np.ndarray, gate: Gate) -> np.ndarray:
@@ -78,23 +67,15 @@ def spin_table(num_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def _zz_phases(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
+def zz_evolution(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
+    """Diagonal unitary exp(i sum_{(u,v)} phi_uv Z_u Z_v) over any edge set."""
     s = spin_table(num_qubits)
     phases = np.zeros(1 << num_qubits)
     for (u, v), phi in angles.items():
         if u == v or not (0 <= u < num_qubits and 0 <= v < num_qubits):
             raise ValueError(f"bad edge ({u}, {v})")
         phases += phi * (s[:, u] * s[:, v])
-    return phases
-
-
-def _chain_phases(slot_angles: Sequence[float], num_qubits: int) -> np.ndarray:
-    return _zz_phases({(j, j + 1): phi for j, phi in enumerate(slot_angles)}, num_qubits)
-
-
-def zz_evolution(angles: Mapping[Edge, float], num_qubits: int) -> np.ndarray:
-    """Diagonal unitary exp(i sum_{(u,v)} phi_uv Z_u Z_v) over any edge set."""
-    return np.diag(np.exp(1j * _zz_phases(angles, num_qubits)))
+    return np.diag(np.exp(1j * phases))
 
 
 def exact_target(target: CouplingGraph, t_f: float) -> np.ndarray:
@@ -104,37 +85,34 @@ def exact_target(target: CouplingGraph, t_f: float) -> np.ndarray:
     return zz_evolution({edge: w * t_f for edge, w in target.weights.items()}, target.num_qubits)
 
 
-def _block_phases(block: ResourceBlock, resource: NNChain, num_qubits: int) -> np.ndarray:
-    signs = block.slot_signs()
-    angles = {
-        (j, j + 1): block.duration * g * signs[j]
-        for j, g in enumerate(resource.couplings)
-    }
-    return _zz_phases(angles, num_qubits)
-
-
 def circuit_unitary(circuit: Circuit, resource: NNChain | None = None) -> np.ndarray:
     """Ordered product of instruction unitaries (instruction 0 acts first).
 
-    Analog requests evaluate as ideal chain ZZ evolutions; resource blocks
-    need the chain they run on.
+    Analog requests evaluate as ideal chain ZZ evolutions.  A resource block
+    is the chain's evolution D between two layers of X on the qubits of its
+    mask m, and X_m D(b) X_m = D(b xor m): its phase at basis index b is the
+    resource phase at b with m's bits flipped.  Blocks need the chain they
+    run on.
     """
     L = circuit.num_qubits
-    needs_resource = any(isinstance(i, ResourceBlock) for i in circuit.instructions)
-    if needs_resource:
-        if resource is None:
-            raise ValueError("circuit contains resource blocks: pass the chain")
-        if resource.num_qubits != L:
-            raise ValueError("resource chain size does not match the circuit")
+    if resource is not None and resource.num_qubits != L:
+        raise ValueError("resource chain size does not match the circuit")
+    s = spin_table(L)
+    chain = np.multiply(s[:, :-1], s[:, 1:], dtype=float)
+    index = np.arange(1 << L)
+    resource_phase = None if resource is None else chain @ resource.couplings
     u = np.eye(1 << L, dtype=complex)
     for instr in circuit.instructions:
         if isinstance(instr, DigitalLayer):
             for g in instr.gates:
                 u = _apply_gate(u, g)
         elif isinstance(instr, AnalogRequest):
-            u *= np.exp(1j * _chain_phases(instr.slot_angles, L))[:, None]
+            u *= np.exp(1j * (chain @ instr.slot_angles))[:, None]
+        elif resource_phase is None:
+            raise ValueError("circuit contains resource blocks: pass the chain")
         else:
-            u *= np.exp(1j * _block_phases(instr, resource, L))[:, None]
+            flip = sum(1 << q for q, bit in enumerate(instr.x_mask) if bit)
+            u *= np.exp(1j * instr.duration * resource_phase[index ^ flip])[:, None]
     return u
 
 

@@ -21,9 +21,10 @@ analog time, the Kronecker-chain gate embedding, and the paper's general
 Z-relaying swap family, of which the compiler uses only the bare iSWAP.
 
 Element-at-a-time references for the vectorised product code close the
-file: the scheduler's X-mask for one block, built bit by bit, and the
-schedule file's JSON document, spelled one field at a time, which the
-writer renders as text straight from the masks' bytes.
+file: the scheduler's X-mask for one block, built bit by bit, the slot
+signs a mask's X conjugation gives the chain, and the schedule file's JSON
+document, spelled one field at a time, which the writer renders as text
+straight from the masks' bytes.
 """
 
 import math
@@ -525,6 +526,11 @@ def mask_from_row(row: Sequence[int], order: Sequence[int], flips: Sequence[bool
         effective = -original[j] if flips[j] else original[j]
         mask[j + 1] = mask[j] ^ (effective == -1)
     return tuple(mask)
+
+
+def slot_signs(mask: bytes) -> tuple[int, ...]:
+    """Coupling sign per chain slot under X conjugation by `mask`: -1 where the slot's qubits differ."""
+    return tuple(-1 if mask[j] != mask[j + 1] else 1 for j in range(len(mask) - 1))
 
 
 def instruction_spelling(instr) -> dict:

@@ -32,6 +32,7 @@ from oracles import (
     minimum_time,
     sign_matrix,
     sign_matrix_inverse,
+    slot_signs,
 )
 
 
@@ -96,7 +97,7 @@ def test_criterion_03_scheduler_exactness_l64():
         assert all(blk.duration >= 0.0 for blk in blocks)
         recon = np.zeros(63)
         for blk in blocks:
-            recon += blk.duration * np.array(blk.slot_signs(), dtype=float) * np.asarray(g)
+            recon += blk.duration * np.array(slot_signs(blk.x_mask), dtype=float) * np.asarray(g)
         residual = float(np.max(np.abs(recon - np.asarray(phi))))
         assert residual < 1e-12
         worst = max(worst, residual)

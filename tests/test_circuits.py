@@ -35,6 +35,7 @@ from oracles import (
     general_swap,
     general_swap_unitary,
     ladder_sequence,
+    slot_signs,
     zz_hamiltonian,
 )
 
@@ -91,9 +92,9 @@ def test_circuit_validation():
     with pytest.raises(ValueError):
         Circuit(2, (AnalogRequest((0.1, 0.2)),))
     with pytest.raises(ValueError):
-        Circuit(2, (ResourceBlock(0.1, (False,)),))
+        Circuit(2, (ResourceBlock(0.1, b"\0"),))
     with pytest.raises(ValueError):
-        ResourceBlock(-0.1, (False, False))
+        ResourceBlock(-0.1, b"\0\0")
 
 
 # --- general swap family -----------------------------------------------------
@@ -386,19 +387,20 @@ def test_stats_deterministic_across_runs():
 
 
 def test_resource_block_durations_and_masks():
-    blk = ResourceBlock(0.2, (True, False, True))
-    assert blk.slot_signs() == (-1, -1)
-    assert ResourceBlock(0.0, (False, False)).duration == 0.0
+    blk = ResourceBlock(0.2, b"\1\0\1")
+    assert slot_signs(blk.x_mask) == (-1, -1)
+    assert ResourceBlock(0.0, b"\0\0").duration == 0.0
 
 
 def test_resource_block_mask_forms():
     expected = ResourceBlock(0.5, b"\1\0\1\1")
     assert expected.x_mask == b"\x01\x00\x01\x01"
-    for mask in ((True, False, True, True), [True, False, True, True], np.array([1, 0, 1, 1], dtype=bool),
-                 np.array([[False] * 4, [True, False, True, True]])[1]):
-        block = ResourceBlock(0.5, mask)
-        assert block == expected and type(block.x_mask) is bytes, mask
-        assert hash(block) == hash(expected)
+    same = ResourceBlock(0.5, bytes([1, 0, 1, 1]))
+    assert same == expected and hash(same) == hash(expected)
+    for mask in ((True, False, True, True), [1, 0, 1, 1], np.array([1, 0, 1, 1], dtype=bool),
+                 bytearray(b"\1\0\1\1"), np.array([[False] * 4, [True, False, True, True]])[1]):
+        with pytest.raises(ValueError, match="x_mask must be bytes, got "):
+            ResourceBlock(0.5, mask)
     for mask in (b"\1\2\0", b"\xff\0", b"\0\1\x80"):
         with pytest.raises(ValueError, match="x_mask bytes must be 0 or 1"):
             ResourceBlock(0.5, mask)

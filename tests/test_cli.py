@@ -251,6 +251,27 @@ def test_verify_detects_perturbed_duration(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mutant", ["one-bit", "reversed"])
+def test_verify_detects_a_wrong_mask(tmp_path, capsys, mutant):
+    # well-formed masks on the wrong qubits: one bit of the longest block
+    # flipped, or every mask read in reversed qubit order
+    problem = ata_problem(tmp_path, L=6, t_f=0.7, resource=[0.9, 1.3, 0.6, 1.1, 0.8])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    blocks = [i["resource_block"] for i in doc["instructions"] if "resource_block" in i]
+    if mutant == "one-bit":
+        mask = max(blocks, key=lambda b: b["duration"])["x_mask"]
+        mask[2] = not mask[2]
+    else:
+        for block in blocks:
+            block["x_mask"].reverse()
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
 def test_verify_resolves_a_tiny_duration_error(tmp_path, capsys):
     # a relative error of 1e-10 in one block is ~1e-10 of distance, far
     # above the ~1e-14 at which correct schedules verify

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daqcompile import fileio
-from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock
+from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock, single_qubit_gate
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
 from daqcompile.graphs import NNChain
@@ -149,7 +149,7 @@ def test_loaded_gates_are_shared_except_rz(tmp_path):
     ({"q": 1.0, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
     ({"q": True, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
     ({"q": -1, "gate": "r"}, "instructions[2]: negative qubit index in (-1,)"),
-    ({"q": 3, "gate": "r"}, "schedule instructions invalid: gate on qubit 3 exceeds L=3"),
+    ({"q": 3, "gate": "r"}, "instructions[2].sqr[1].q: need q < 3, got 3"),
     (["x", 1], "instructions[2].sqr[1]: expected an object"),
 ], ids=["missing-gate", "missing-q", "extra-key", "rz-without-angle", "unknown-name", "name-list",
         "float-q", "bool-q", "negative-q", "q-beyond-L", "not-an-object"])
@@ -159,6 +159,17 @@ def test_reader_gate_messages(tmp_path, entry, message):
     with pytest.raises(FileFormatError) as info:
         load_schedule(_write_schedule(tmp_path, doc))
     assert str(info.value) == message
+
+
+def test_reader_caches_no_gate_past_l(tmp_path):
+    # the shared-gate cache lives as long as the process: a rejected file must leave it as it was
+    doc = copy.deepcopy(_SCHEDULE)
+    doc["instructions"][2]["sqr"] = [{"q": 10**6, "gate": "x"}, {"q": 10**6 + 1, "gate": "x"}]
+    before = single_qubit_gate.cache_info().currsize
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(_write_schedule(tmp_path, doc))
+    assert str(info.value) == f"instructions[2].sqr[0].q: need q < 3, got {10**6}"
+    assert single_qubit_gate.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("mask", [[False, 1, True], [False, None, True], [False, True], "FTT"])

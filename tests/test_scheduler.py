@@ -11,7 +11,7 @@ from daqcompile.graphs import NNChain
 from daqcompile.scheduler import TIE_THRESHOLD, schedule
 from daqcompile.unitaries import circuit_unitary, phase_distance, zz_evolution
 
-from oracles import mask_from_row, minimum_time, sign_matrix, sign_matrix_inverse
+from oracles import mask_from_row, minimum_time, sign_matrix, sign_matrix_inverse, slot_signs
 
 
 def reconstruct(blocks, couplings):
@@ -19,7 +19,7 @@ def reconstruct(blocks, couplings):
     m = len(couplings)
     out = np.zeros(m)
     for blk in blocks:
-        signs = np.array(blk.slot_signs(), dtype=float)
+        signs = np.array(slot_signs(blk.x_mask), dtype=float)
         out += blk.duration * signs * np.asarray(couplings)
     return out
 
@@ -62,7 +62,7 @@ def test_ratios_direct_division():
     # b = (1/2, 1/1): slot 1 leads, so block 0 runs slot 0 negative
     blocks = schedule((1.0, 1.0), NNChain(3, (2.0, 1.0)), 1.0)
     assert [blk.duration for blk in blocks] == pytest.approx([0.25, 0.75])
-    assert [blk.slot_signs() for blk in blocks] == [(-1, 1), (1, 1)]
+    assert [slot_signs(blk.x_mask) for blk in blocks] == [(-1, 1), (1, 1)]
     assert np.allclose(reconstruct(blocks, (2.0, 1.0)), [1.0, 1.0], atol=1e-15)
 
 
@@ -76,7 +76,7 @@ def test_ratios_zero_resource_slot():
     # zero-over-zero is fine: that slot gets b = 0
     blocks = schedule((1.0, 0.0), NNChain(3, (1.0, 0.0)), 1.0)
     assert [blk.duration for blk in blocks] == [0.5, 0.5]
-    assert [blk.slot_signs()[0] for blk in blocks] == [1, 1]
+    assert [slot_signs(blk.x_mask)[0] for blk in blocks] == [1, 1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -116,7 +116,7 @@ def test_normalize_example():
     blocks = schedule((0.5, -1.0), NNChain(3, (1.0, 1.0)), 1.0)
     assert [blk.duration for blk in blocks] == [0.25, 0.75]
     assert [blk.x_mask for blk in blocks] == expected_masks([0, 1], [1, 0], [False, True])
-    assert [blk.slot_signs() for blk in blocks] == [(-1, -1), (1, -1)]
+    assert [slot_signs(blk.x_mask) for blk in blocks] == [(-1, -1), (1, -1)]
 
 
 def test_normalize_all_equal_is_identity():
@@ -400,7 +400,7 @@ def test_schedule_exact_over_ratio_spreads(L, exponents, t_f, seed):
     # their oracle durations bound what the schedule may leave out
     times = closed_form_rows(phi, g, t_f)[0]
     ghost = float(np.sum(times[times <= tie_line(phi, g, t_f)]))
-    signs = np.array([blk.slot_signs() for blk in blocks], dtype=float).reshape(-1, m)
+    signs = np.array([slot_signs(blk.x_mask) for blk in blocks], dtype=float).reshape(-1, m)
     residual = np.max(np.abs(durations @ signs * g - phi))
     assert residual <= 1e-12 * np.max(np.abs(phi)) + ghost * np.max(np.abs(g))
     total = math.fsum(durations)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import (
     kron_embed,
     pauli_z,
     random_unitary,
+    slot_signs,
     zz_hamiltonian,
 )
 
@@ -189,23 +191,34 @@ def test_conjugation_duality_random_sequences():
         assert phase_distance(u, zz_evolution(edges, L)).distance < 1e-12
 
 
-def test_resource_block_equals_explicit_x_conjugation():
-    L = 4
-    resource = NNChain(L, (0.9, -1.2, 0.6))
-    block = ResourceBlock(0.7, (False, True, True, False))
-    direct = circuit_unitary(Circuit(L, (block,)), resource)
-    x_layer = DigitalLayer((Gate.x(1), Gate.x(2)))
-    plain = AnalogRequest(tuple(g * 0.7 for g in resource.couplings))
-    conjugated = circuit_unitary(Circuit(L, (x_layer, plain, x_layer)))
-    assert phase_distance(np.asarray(direct), np.asarray(conjugated)).distance < 1e-12
+@pytest.mark.parametrize("bits", ["".join(bits) for bits in itertools.product("01", repeat=4)])
+def test_resource_block_equals_explicit_x_conjugation(bits):
+    # bits[q] is qubit q's mask bit; the couplings are asymmetric, so a mask
+    # read in reversed bit order gives another unitary
+    L, d = 4, 0.7
+    resource = NNChain(L, (0.9, -1.2, 0.35))
+    mask = bytes(map(int, bits))
+    direct = circuit_unitary(Circuit(L, (ResourceBlock(d, mask),)), resource)
+    plain = AnalogRequest(tuple(g * d for g in resource.couplings))
+    flipped = tuple(Gate.x(q) for q in range(L) if mask[q])
+    instrs = (DigitalLayer(flipped), plain, DigitalLayer(flipped)) if flipped else (plain,)
+    conjugated = circuit_unitary(Circuit(L, instrs))
+    assert phase_distance(direct, conjugated).distance < 1e-12
+    # the oracle's slot signs say the same
+    signed = AnalogRequest(tuple(g * d * sign for g, sign in zip(resource.couplings, slot_signs(mask))))
+    assert phase_distance(direct, circuit_unitary(Circuit(L, (signed,)))).distance < 1e-12
 
 
 def test_circuit_unitary_requires_resource_for_blocks():
-    c = Circuit(2, (ResourceBlock(0.1, (False, False)),))
-    with pytest.raises(ValueError):
+    c = Circuit(2, (DigitalLayer((Gate.h(0),)), ResourceBlock(0.1, b"\0\0")))
+    with pytest.raises(ValueError, match="circuit contains resource blocks: pass the chain"):
         circuit_unitary(c)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resource chain size does not match the circuit"):
         circuit_unitary(c, NNChain(3, (1.0, 1.0)))
+    # a resource of the wrong size is rejected even where no block needs it
+    with pytest.raises(ValueError, match="resource chain size does not match the circuit"):
+        circuit_unitary(Circuit(2, ()), NNChain(3, (1.0, 1.0)))
+    assert np.array_equal(circuit_unitary(Circuit(2, ()), NNChain(2, (1.0,))), np.eye(4))
 
 
 def test_products_stay_unitary():
