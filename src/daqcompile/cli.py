@@ -8,7 +8,8 @@ failed, 4 qubit count over the dense-verification cap.  Reports go to stdout,
 diagnostics to stderr; outputs are byte-identical for identical inputs.
 
 Only `compile` imports `compiler` and only `verify` imports `unitaries`,
-each inside its command, so `stats` (and `--help`) never load NumPy.
+each inside its command.  `unitaries` is the one module that loads NumPy,
+so `compile`, `stats` and `--help` run without it.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ TIE_THRESHOLD * min(1, max_j |b_j|) * t_f are dropped: the threshold shrinks
 with a request whose ratios are all below 1, so a tiny request keeps its
 blocks, and never grows past TIE_THRESHOLD * t_f for a large one.
 Masks color qubits by prefix parity so that exactly the intended slots flip
-sign in each block.  `schedule` does all of this in one NumPy pass per
-request: the masks come from a (blocks x slots) matrix of effective negative
-signs, whose running XOR along each row is the coloring of qubits 1..L-1
-(qubit 0 is never colored).  Each block's x_mask is its row's slice of the
-one bytes buffer of that boolean matrix, with no per-bit Python objects.
+sign in each block.  `schedule` does all of this in plain Python, with no
+NumPy: one sort and L-1 differences per request, one prefix-parity pass for
+the first kept block's mask (the running XOR of its effective negative
+signs colors qubits 1..L-1; qubit 0 is never colored), and then one suffix
+flip per later block.  From block n-1 to block n only sorted slot n turns
+positive, so qubits order[n]+1..L-1 flip; a mask is an int holding one
+byte per qubit, each flip XORs in a cached suffix constant, and blocks
+dropped as ties fold their flips into the next kept one.
 
 The sign matrix itself, its row-elimination inverse and the minimum-time
 formula are test oracles in tests/oracles.py; only the closed form runs here.
@@ -28,10 +31,11 @@ formula are test oracles in tests/oracles.py; only the closed form runs here.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import accumulate
+from operator import xor
 from typing import Sequence
-
-import numpy as np
 
 from .circuits import ResourceBlock
 from .errors import UnschedulableError
@@ -58,42 +62,63 @@ def schedule(
     if not (math.isfinite(t_f) and t_f > 0):
         raise ValueError(f"reference time must be positive and finite, got {t_f}")
     m = resource.num_qubits - 1
-    phi = np.array(target_angles, dtype=float)
-    if phi.shape != (m,):
+    phi = [float(a) for a in target_angles]
+    if len(phi) != m:
         raise ValueError(f"expected {m} slot angles, got {len(target_angles)}")
-    g = np.array(resource.couplings)
-    bad = ~np.isfinite(phi) | ((g == 0.0) & (phi != 0.0))
-    if bad.any():
-        j = int(np.argmax(bad))
-        if not math.isfinite(phi[j]):
+    b = [0.0] * m
+    overflow = None  # the first slot whose ratio leaves the float range
+    for j, (angle, g) in enumerate(zip(phi, resource.couplings)):
+        if not math.isfinite(angle):
             raise ValueError(f"non-finite angle on slot {j}")
-        raise UnschedulableError(j, float(phi[j]))
-    with np.errstate(all="ignore"):
-        b = np.divide(phi, g * t_f, out=np.zeros(m), where=phi != 0.0)
-        magnitudes = np.abs(b)
-        order = np.argsort(-magnitudes, kind="stable")
-        b_sorted = magnitudes[order]
-        times = np.empty(m)
-        times[:-1] = (b_sorted[:-1] - b_sorted[1:]) * (t_f / 2.0)
-        times[-1] = (b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
-    # Blame the first slot whose ratio left the float range, or else the
-    # first whose block (sorted position n belongs to slot order[n]) did.
-    overflow = ~np.isfinite(b)
-    if not overflow.any():
-        overflow[order] = ~np.isfinite(times)
-    if overflow.any():
-        j = int(np.argmax(overflow))
-        raise UnschedulableError(j, float(phi[j]), "its evolution time overflows the float range")
-    keep = np.flatnonzero(times > TIE_THRESHOLD * min(1.0, b_sorted[0]) * t_f)
-    # Block n runs sorted slot p negative iff n < p; map positions back to
-    # original slots, apply the permanent flips, then color by prefix parity.
-    position = np.argsort(order)
-    negative = (keep[:, None] < position[None, :]) ^ (b < 0.0)
-    L = resource.num_qubits
-    masks = np.zeros((len(keep), L), dtype=bool)
-    np.logical_xor.accumulate(negative, axis=1, out=masks[:, 1:])
-    flat = masks.tobytes()
-    return tuple(
-        ResourceBlock(duration, flat[start:start + L])
-        for duration, start in zip(times[keep].tolist(), range(0, len(flat), L))
-    )
+        if angle == 0.0:
+            continue
+        if g == 0.0:
+            raise UnschedulableError(j, angle)
+        try:
+            b[j] = angle / (g * t_f)
+        except ZeroDivisionError:  # g * t_f underflowed to zero
+            b[j] = math.inf
+        if overflow is None and not math.isfinite(b[j]):
+            overflow = j
+    if overflow is None:
+        magnitudes = [abs(r) for r in b]
+        order = sorted(range(m), key=magnitudes.__getitem__, reverse=True)
+        b_sorted = [magnitudes[j] for j in order]
+        half = t_f / 2.0
+        times = [(hi - lo) * half for hi, lo in zip(b_sorted, b_sorted[1:])]
+        times.append((b_sorted[0] + b_sorted[-1]) * half)
+        if not all(map(math.isfinite, times)):
+            # Blame the first slot whose block (sorted position n belongs
+            # to slot order[n]) left the float range.
+            overflow = min(order[n] for n, t in enumerate(times) if not math.isfinite(t))
+    if overflow is not None:
+        raise UnschedulableError(overflow, phi[overflow], "its evolution time overflows the float range")
+    line = TIE_THRESHOLD * min(1.0, b_sorted[0]) * t_f
+    kept = [n for n, t in enumerate(times) if t > line]
+    if not kept:
+        return ()
+    # Block n runs sorted slot p negative iff n < p.  The first kept block's
+    # signs, with the permanent flips of negative ratios, color the qubits by
+    # prefix parity; from block n-1 to n slot order[n] turns positive, which
+    # flips the suffix of qubits past it.
+    first = kept[0]
+    negative = [r < 0.0 for r in b]
+    for j in order[first + 1:]:
+        negative[j] = not negative[j]
+    L = m + 1
+    first_mask = bytes(accumulate(negative, xor, initial=0))
+    blocks = [ResourceBlock(times[first], first_mask)]
+    mask = int.from_bytes(first_mask, "little")
+    suffix = _suffix_flips(L)
+    for n in range(first + 1, kept[-1] + 1):
+        mask ^= suffix[order[n] + 1]
+        if times[n] > line:
+            blocks.append(ResourceBlock(times[n], mask.to_bytes(L, "little")))
+    return tuple(blocks)
+
+
+@functools.cache
+def _suffix_flips(num_qubits: int) -> tuple[int, ...]:
+    """Per qubit q, the little-endian mask int (one byte per qubit) of X on qubits q..L-1."""
+    ones = int.from_bytes(b"\1" * num_qubits, "little")
+    return tuple(ones >> (8 * q) << (8 * q) for q in range(num_qubits))

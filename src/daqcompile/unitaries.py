@@ -7,8 +7,9 @@ Conventions (every test depends on them):
 * Rz(theta) = exp(i Z theta / 2) = diag(e^{i theta/2}, e^{-i theta/2}).
 * Analog evolutions are exp(+i t H); ZZ phases add as exp(i sum phi s_u s_v).
 
-Everything is binary64.  Gates are applied by BLAS-backed tensor contraction
-and analog instructions as diagonal phases, in one pass over the circuit.
+Everything is binary64.  Gates are applied by BLAS-backed tensor contraction,
+a layer of X gates only by one row permutation, and analog instructions as
+diagonal phases, in one pass over the circuit.
 The phase-invariant distance is computed from entrywise differences, so it
 stays linear in the error down to ~1e-14 (see `phase_distance`).  Nothing
 here limits the qubit count: the command line's `verify` checks its cap
@@ -92,7 +93,8 @@ def circuit_unitary(circuit: Circuit, resource: NNChain | None = None) -> np.nda
     is the chain's evolution D between two layers of X on the qubits of its
     mask m, and X_m D(b) X_m = D(b xor m): its phase at basis index b is the
     resource phase at b with m's bits flipped.  Blocks need the chain they
-    run on.
+    run on.  A layer of X gates only, on the qubits of m, is that same X_m:
+    row b of X_m U is row b xor m of U.
     """
     L = circuit.num_qubits
     if resource is not None and resource.num_qubits != L:
@@ -104,8 +106,11 @@ def circuit_unitary(circuit: Circuit, resource: NNChain | None = None) -> np.nda
     u = np.eye(1 << L, dtype=complex)
     for instr in circuit.instructions:
         if isinstance(instr, DigitalLayer):
-            for g in instr.gates:
-                u = _apply_gate(u, g)
+            if all(g.type is GateType.X for g in instr.gates):
+                u = u[index ^ sum(1 << g.qubits[0] for g in instr.gates)]
+            else:
+                for g in instr.gates:
+                    u = _apply_gate(u, g)
         elif isinstance(instr, AnalogRequest):
             u *= np.exp(1j * (chain @ instr.slot_angles))[:, None]
         elif resource_phase is None:

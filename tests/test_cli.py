@@ -671,21 +671,36 @@ def test_closed_stdout_exits_1_quietly(tmp_path, command):
     assert (run.returncode, run.stderr) == (1, "")
 
 
-def test_stats_does_not_import_numpy(tmp_path):
-    problem = ata_problem(tmp_path, L=6, t_f=0.7)
-    out = str(tmp_path / "s.json")
-    assert main(["compile", "--input", problem, "--output", out]) == 0
+def test_compile_and_stats_run_without_numpy(tmp_path):
+    # only `verify` needs NumPy: with it unimportable, `compile` and `stats`
+    # still run and write the schedules an ordinary compile writes
+    problems = [
+        ata_problem(tmp_path, L=6, t_f=0.7, name="ata.json"),
+        nn_problem(tmp_path, L=7, angles=[0.3, -0.3, 0.0, 1.1, 0.0, -0.25], name="nn.json"),
+    ]
+    calls = []
+    for k, problem in enumerate(problems):
+        out = str(tmp_path / f"child{k}.json")
+        calls.append(["compile", "--input", problem, "--output", out])
+        calls.append(["stats", "--input", problem, "--schedule", out])
     script = (
         "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
         "import daqcompile.cli\n"
-        "assert 'numpy' not in sys.modules, 'import daqcompile.cli loaded numpy'\n"
-        f"code = daqcompile.cli.main(['stats', '--input', {problem!r}, '--schedule', {out!r}])\n"
-        "assert 'numpy' not in sys.modules, 'stats loaded numpy'\n"
-        "sys.exit(code)\n"
+        f"for argv in {calls!r}:\n"
+        "    code = daqcompile.cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "assert sys.modules.pop('numpy') is None\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] == 'numpy']\n"
+        "assert not loaded, loaded\n"
     )
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert run.returncode == 0, run.stderr
-    assert "resource_blocks: " in run.stdout
+    assert run.stdout.count("resource_blocks: ") == 4
+    for k, problem in enumerate(problems):
+        out = tmp_path / f"in_process{k}.json"
+        assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+        assert (tmp_path / f"child{k}.json").read_bytes() == out.read_bytes()
 
 
 def test_package_import_loads_no_submodule():

@@ -277,6 +277,34 @@ def test_schedule_masks_match_row_oracle():
     assert ties > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(2, 64), data=st.data())
+def test_schedule_tie_heavy_requests_match_row_oracle(L, data):
+    """Ratios from at most three magnitudes, zeros and both signs: most blocks are ties.
+
+    Every block dropped between two kept ones folds its suffix flip into the
+    next kept mask, so each mask must still equal the row oracle's.
+    """
+    m = L - 1
+    levels = data.draw(st.lists(st.sampled_from([0.25, 0.3, 0.1 * 3, 0.7, 1.1, 2.0]),
+                                min_size=1, max_size=3, unique=True))
+    ratios = data.draw(st.lists(st.sampled_from([0.0, *levels]), min_size=m, max_size=m))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    g = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, -0.7, -1.3]), min_size=m, max_size=m))
+    t_f = data.draw(st.sampled_from([0.7, 1.0, 2.5]))
+    phi = tuple(s * r * gj * t_f for s, r, gj in zip(signs, ratios, g))
+    blocks = schedule(phi, NNChain(L, tuple(g)), t_f)
+    times, order, flips = closed_form_rows(phi, g, t_f)
+    line = tie_line(phi, g, t_f)
+    kept = np.flatnonzero(times > line)
+    assert [blk.x_mask for blk in blocks] == expected_masks(kept, order, flips)
+    durations = [blk.duration for blk in blocks]
+    assert durations == pytest.approx(times[kept].tolist(), rel=1e-15, abs=1e-15)
+    ghost = float(np.sum(times[times <= line]))
+    b = np.asarray(phi) / (np.asarray(g) * t_f)
+    assert math.fsum(durations) == pytest.approx(minimum_time(b, t_f), rel=1e-15, abs=ghost)
+
+
 # --- full scheduling --------------------------------------------------------------
 
 def test_schedule_resource_itself_single_full_block():

@@ -74,6 +74,31 @@ def test_circuit_application_matches_full_matrices():
     assert np.allclose(u, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("layer", [
+    DigitalLayer((Gate.x(0), Gate.x(2), Gate.x(3))),  # all x: one row permutation
+    DigitalLayer((Gate.x(1), Gate.h(0), Gate.x(3))),  # mixed: gate by gate
+    DigitalLayer((Gate.x(2),)),
+])
+def test_x_layers_match_full_matrices(layer):
+    L = 4
+    before = (
+        DigitalLayer((Gate.h(0), Gate.r(1), Gate.h(3))),
+        DigitalLayer((Gate.iswap(1),)),
+        AnalogRequest((0.3, -0.8, 1.1)),
+    )
+    after = (DigitalLayer((Gate.iswap_dg(2), Gate.r(0))),)
+    u = circuit_unitary(Circuit(L, before + (layer,) + after))
+    oracle = np.eye(1 << L, dtype=complex)
+    for instr in before + (layer,) + after:
+        if isinstance(instr, AnalogRequest):
+            angles = {(j, j + 1): phi for j, phi in enumerate(instr.slot_angles)}
+            oracle = evolution(zz_hamiltonian(angles, L)) @ oracle
+        else:
+            for g in instr.gates:
+                oracle = np.asarray(gate_unitary(g, L)) @ oracle
+    assert np.allclose(u, oracle, atol=1e-12)
+
+
 def test_iswap_basis_action():
     u = gate_unitary(Gate.iswap(0), 2)
     assert u[0, 0] == 1, "fixes |00>"
