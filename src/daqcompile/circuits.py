@@ -22,6 +22,12 @@ synthesised.  Every swap is the bare iSWAP, the member of the paper's
 Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking
 rotations.
 
+Instructions are immutable, so one object may stand at many places of a
+circuit: lowering shares the basis layers of iSWAP layers that touch the
+same qubits, and the compiler shares the blocks of repeated requests.
+Validation and circuit_stats walk a layer's gates once per distinct layer
+object.
+
 Requested analog angles are scheduled as given, never reduced mod pi/2 or
 mod 2*pi, so each request's time is minimal only for the angles it was
 given: exp(i(theta +- pi)ZZ) equals exp(i theta ZZ) up to a global phase, so
@@ -178,8 +184,14 @@ class Circuit:
         L = self.num_qubits
         if L < 2:
             raise ValueError("a circuit needs at least 2 qubits")
+        checked: set[int] = set()
         for instr in self.instructions:
             if isinstance(instr, DigitalLayer):
+                # A layer's gates are checked once per layer object, however
+                # often it repeats; the other checks cost less than the lookup.
+                if id(instr) in checked:
+                    continue
+                checked.add(id(instr))
                 for g in instr.gates:
                     if max(g.qubits) >= L:
                         raise ValueError(f"gate on qubit {max(g.qubits)} exceeds L={L}")
@@ -201,9 +213,16 @@ class ScheduleStats:
 
 
 def circuit_stats(circuit: Circuit) -> ScheduleStats:
+    """Counts over every occurrence of every instruction.
+
+    A layer object that repeats has its gates counted once and that count
+    added at each occurrence; block durations are summed one occurrence at
+    a time, in program order.
+    """
     analog = 0
     total_time = 0.0
     sqr = 0
+    layer_sqr: dict[int, int] = {}
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
             analog += 1
@@ -211,7 +230,10 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
             analog += 1
             total_time += instr.duration
         elif isinstance(instr, DigitalLayer):
-            sqr += sum(1 for g in instr.gates if not g.is_two_qubit)
+            count = layer_sqr.get(id(instr))
+            if count is None:
+                count = layer_sqr[id(instr)] = sum(1 for g in instr.gates if not g.is_two_qubit)
+            sqr += count
     return ScheduleStats(analog, total_time, sqr)
 
 
@@ -259,14 +281,20 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
 
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------
 
-def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list[Instruction]:
+def lower_iswap_layer(
+    layer: DigitalLayer,
+    num_qubits: int,
+    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] | None = None,
+) -> list[Instruction]:
     """Replace a parallel iSWAP layer by ZZ analog requests and rotations.
 
     exp(+-i pi/4 (XX+YY)) splits into commuting XX and YY halves; each half is
     a chain ZZ evolution conjugated into the right basis (H for XX, R = HSH
     for YY, closed by R-dagger emitted as R then X since R**3 = R-dagger).
     Daggered gates request angle -pi/4; the scheduler's sign masks absorb the
-    sign so durations stay non-negative.
+    sign so durations stay non-negative.  Both halves are the same request
+    object.  `basis`, when given, maps a tuple of touched qubits to its H, R
+    and X layers; layers found there are reused and new ones are added.
     """
     if not all(g.is_two_qubit for g in layer.gates):
         raise ValueError("layer mixes iSWAPs with single-qubit gates")
@@ -276,20 +304,29 @@ def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list[Instruction]
         sign = -1.0 if g.type is GateType.ISWAP_DG else 1.0
         angles[g.qubits[0]] = sign * math.pi / 4.0
         touched.extend(g.qubits)
-    touched.sort()
+    key = tuple(sorted(touched))
+    layers = None if basis is None else basis.get(key)
+    if layers is None:
+        layers = tuple(DigitalLayer(tuple(map(gate, key))) for gate in (Gate.h, Gate.r, Gate.x))
+        if basis is not None:
+            basis[key] = layers
+    h_layer, r_layer, x_layer = layers
     request = AnalogRequest(tuple(angles))
-    h_layer = DigitalLayer(tuple(Gate.h(q) for q in touched))
-    r_layer = DigitalLayer(tuple(Gate.r(q) for q in touched))
-    x_layer = DigitalLayer(tuple(Gate.x(q) for q in touched))
     return [h_layer, request, h_layer, r_layer, request, r_layer, x_layer]
 
 
 def lower_swap_layers(circuit: Circuit) -> Circuit:
-    """Lower every iSWAP layer of a circuit; other instructions pass through."""
+    """Lower every iSWAP layer of a circuit; other instructions pass through.
+
+    Lowered layers that touch the same qubits share one H, one R and one X
+    layer object, so later passes can do their per-layer work once per
+    distinct object.
+    """
+    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] = {}
     instrs: list[Instruction] = []
     for instr in circuit.instructions:
         if isinstance(instr, DigitalLayer) and instr.has_iswaps:
-            instrs.extend(lower_iswap_layer(instr, circuit.num_qubits))
+            instrs.extend(lower_iswap_layer(instr, circuit.num_qubits, basis))
         else:
             instrs.append(instr)
     return Circuit(circuit.num_qubits, tuple(instrs))

@@ -1,11 +1,12 @@
 """Command-line front end: compile problems, verify schedules, report stats.
 
 Exit codes: 0 success / verification passed, 1 malformed input (including
-command-line usage errors and an unwritable --output) or a standard output
-closed before the report was written (as by `| head -1`; nothing is printed
-to stderr then), 2 target unschedulable on the given resource, 3 verification
-failed, 4 qubit count over the dense-verification cap.  Reports go to stdout,
-diagnostics to stderr; outputs are byte-identical for identical inputs.
+command-line usage errors and an --output that is unwritable or not a
+regular file) or a standard output closed before the report was written (as
+by `| head -1`; nothing is printed to stderr then), 2 target unschedulable
+on the given resource, 3 verification failed, 4 qubit count over the
+dense-verification cap.  Reports go to stdout, diagnostics to stderr;
+outputs are byte-identical for identical inputs.
 
 Only `compile` imports `compiler` and only `verify` imports `unitaries`,
 each inside its command.  `unitaries` is the one module that loads NumPy,

@@ -3,11 +3,14 @@
 The pipeline is build -> lower -> schedule: an all-to-all target becomes the
 high-level path circuit, its iSWAP layers are lowered to analog requests plus
 rotations, and every analog request is solved into resource blocks with sign
-masks.  The result contains only single-qubit layers and resource blocks,
-and it is exact: the only blocks dropped are float ties
-(scheduler.TIE_THRESHOLD).  The result carries only what compilation
-measures; the paper's 5L-12 reference count is worked out from the problem
-by the command line where it is reported.
+masks.  Requests repeat (both halves of a lowered iSWAP layer ask for the
+same angles, and so do many layers), so each distinct angle tuple is solved
+once per compile and its repeats share the same block objects; the schedule
+file still spells every block wherever it runs.  The result contains only
+single-qubit layers and resource blocks, and it is exact: the only blocks
+dropped are float ties (scheduler.TIE_THRESHOLD).  The result carries only
+what compilation measures; the paper's 5L-12 reference count is worked out
+from the problem by the command line where it is reported.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .circuits import (
     AnalogRequest,
     Circuit,
     Instruction,
+    ResourceBlock,
     ata_circuit_general,
     lower_swap_layers,
 )
@@ -39,18 +43,25 @@ class CompileResult:
 def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:
     """Replace every analog request by its solved resource blocks.
 
-    The blocks' durations must also sum, in program order as circuit_stats
-    sums them, to a finite total; the request that overflows it raises
-    UnschedulableError for its slot of largest ratio, which needs the
-    request's longest evolution.
+    Each distinct angle tuple is solved once per call and every request
+    that repeats it gets the same block objects.  The key is the tuple's
+    value, so 0.0 and -0.0 angles meet in it; schedule treats them alike.
+    The blocks' durations must also sum, occurrence by occurrence in
+    program order as circuit_stats sums them, to a finite total; the
+    request that overflows it, repeated or not, raises UnschedulableError
+    for its slot of largest ratio, which needs the request's longest
+    evolution.
     """
     if resource.num_qubits != circuit.num_qubits:
         raise ValueError("resource chain size does not match the circuit")
+    solved: dict[tuple[float, ...], tuple[ResourceBlock, ...]] = {}
     instrs: list[Instruction] = []
     total = 0.0
     for instr in circuit.instructions:
         if isinstance(instr, AnalogRequest):
-            blocks = schedule(instr.slot_angles, resource, t_f)
+            blocks = solved.get(instr.slot_angles)
+            if blocks is None:
+                blocks = solved[instr.slot_angles] = schedule(instr.slot_angles, resource, t_f)
             for block in blocks:
                 total += block.duration
             if not math.isfinite(total):

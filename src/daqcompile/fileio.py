@@ -6,9 +6,12 @@ schedule instruction) on its own compact line, and spells floats as
 Python's shortest repr, which round-trips binary64 exactly; identical
 inputs produce byte-identical outputs.  schedule_document renders each
 instruction's line itself, a block's x_mask list straight from the mask's
-bytes; iter_canonical writes those lines as they are and encodes everything
-else with the standard library's encoder.  Unknown and repeated fields are
-rejected on parse, and a block's boolean list becomes the mask's bytes.
+bytes, and renders a repeated instruction or gate object only once per call
+(the compiler shares them); the file still spells every instruction at each
+of its places.  iter_canonical writes those lines as they are and encodes
+everything else with the standard library's encoder.  Unknown and repeated
+fields are rejected on parse, and a block's boolean list becomes the mask's
+bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import re
+import stat
 import tempfile
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
@@ -336,15 +340,27 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def write_replacing(path: str, chunks: Iterable[str]) -> None:
-    """Write `chunks` to a temporary file beside `path`, then rename it onto `path`.
+    """Write `chunks` to a temporary file, then rename it onto the file `path` names.
 
-    If anything fails part way, the temporary file is removed and whatever
-    was at `path` before is left as it was.  An OS error (a missing or
-    unwritable directory, a full disk) becomes a FileFormatError naming `path`.
+    A symbolic link is followed: the temporary file goes beside the link's
+    final target and replaces that, so the link stays a link.  A target that
+    exists but is not a regular file (a directory, a FIFO, a device) is left
+    untouched and refused.  If anything fails part way, the temporary file
+    is removed and whatever was there before is left as it was.  An OS
+    error (a missing or unwritable directory, a full disk) becomes a
+    FileFormatError naming `path`.
     """
+    target = os.path.realpath(path)
+    try:
+        if not stat.S_ISREG(os.stat(target).st_mode):
+            raise FileFormatError(f"cannot write {path}: not a regular file")
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".", suffix=".tmp"
+            dir=os.path.dirname(target), prefix=os.path.basename(target) + ".", suffix=".tmp"
         )
         try:
             with open(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -353,7 +369,7 @@ def write_replacing(path: str, chunks: Iterable[str]) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
@@ -374,18 +390,44 @@ def _gate_text(g: Gate) -> str:
     return f'{{"q":{g.qubits[0]},"gate":"{g.type.value}"}}'
 
 
-def _instruction_line(instr: Instruction) -> str:
+def _instruction_line(instr: Instruction, gate_texts: dict[int, str]) -> str:
     """One instruction in the compact JSON spelling of the /1 schema.
 
-    A mask becomes its JSON list straight from its bytes, one 0 or 1 per qubit.
+    A mask becomes its JSON list straight from its bytes, one 0 or 1 per
+    qubit.  gate_texts maps id(gate) to the gate's spelling; gates missing
+    from it are spelled and added.
     """
     if isinstance(instr, ResourceBlock):
         bits = instr.x_mask.replace(b"\0", b"false,").replace(b"\1", b"true,")
         return (f'{{"resource_block":{{"duration":{float(instr.duration)!r},'
                 f'"x_mask":[{bits[:-1].decode()}]}}}}')
     if isinstance(instr, DigitalLayer):
-        return f'{{"sqr":[{",".join(map(_gate_text, instr.gates))}]}}'
+        texts = []
+        for g in instr.gates:
+            text = gate_texts.get(id(g))
+            if text is None:
+                text = gate_texts[id(g)] = _gate_text(g)
+            texts.append(text)
+        return f'{{"sqr":[{",".join(texts)}]}}'
     raise ValueError(f"cannot serialise {instr!r}; schedule analog requests first")
+
+
+def _instruction_lines(instructions: tuple[Instruction, ...]) -> _Lines:
+    """Every instruction's line, each distinct instruction and gate object rendered once.
+
+    The caches are keyed by id(), never by value: equal values can be
+    spelled differently (0.0 and -0.0), and the tuple keeps every object,
+    and so its id, alive for the whole call.
+    """
+    lines: dict[int, str] = {}
+    gate_texts: dict[int, str] = {}
+    out = _Lines()
+    for instr in instructions:
+        line = lines.get(id(instr))
+        if line is None:
+            line = lines[id(instr)] = _instruction_line(instr, gate_texts)
+        out.append(line)
+    return out
 
 
 def schedule_document(
@@ -401,7 +443,7 @@ def schedule_document(
         "num_qubits": circuit.num_qubits,
         "resource_couplings": list(resource.couplings),
         "time": float(t_f),
-        "instructions": _Lines(map(_instruction_line, circuit.instructions)),
+        "instructions": _instruction_lines(circuit.instructions),
         "metadata": {
             "tool_version": tool_version,
             "input_sha256": input_sha256,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -105,6 +106,7 @@ def test_schedule_round_trip(tmp_path):
 @pytest.mark.parametrize("L, digest", [
     pytest.param(16, "9702969c61b6b26ec18e2e2bfa38dfea81fc5847baf17ef97117b0c4093db7e4", id="L16"),
     pytest.param(17, "23f1742db95527ff2c5ff15a8714047105c993ce71286f90aa229d0ca742cf50", id="L17"),
+    pytest.param(96, "261b86647bf422a09f8eb7ba7149bdc4060c6443de17055844ed66e4f0426073", id="L96"),
 ])
 def test_compiled_file_digest_is_pinned(tmp_path, L, digest):
     # Dyadic weights, couplings and time: the compiler only adds, subtracts,
@@ -399,6 +401,38 @@ def test_unwritable_output_exits_1(tmp_path, capsys, where):
     assert err.startswith(f"error: cannot write {out}: ")
     assert ".tmp" not in err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_output_through_a_symlink_replaces_its_target(tmp_path):
+    problem = ata_problem(tmp_path, L=5)
+    real = tmp_path / "real.json"
+    real.write_text("previous schedule\n", encoding="utf-8")
+    link = tmp_path / "link.json"
+    try:
+        link.symlink_to(real)
+    except (OSError, NotImplementedError):
+        pytest.skip("cannot make symbolic links here")
+    direct = tmp_path / "direct.json"
+    assert main(["compile", "--input", problem, "--output", str(direct)]) == 0
+    assert main(["compile", "--input", problem, "--output", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == direct.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["direct.json", "link.json", "p.json", "real.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo on this platform")
+def test_output_that_is_not_a_regular_file_exits_1(tmp_path, capsys):
+    problem = ata_problem(tmp_path, L=4)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    link = tmp_path / "link"
+    link.symlink_to(fifo)
+    for out in (fifo, link, tmp_path):
+        assert main(["compile", "--input", problem, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: not a regular file\n"
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert link.is_symlink()
+    assert sorted(os.listdir(tmp_path)) == ["link", "p.json", "pipe"]
 
 
 @pytest.mark.parametrize("flaw", ["negative-qubit", "repeated-qubit", "negative-duration", "gate-list"])

@@ -1,0 +1,147 @@
+"""Sharing in compile: each distinct request is solved once and its repeats reuse the same blocks."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from daqcompile import compiler
+from daqcompile.circuits import (
+    AnalogRequest,
+    Circuit,
+    DigitalLayer,
+    Gate,
+    ResourceBlock,
+    ata_circuit_general,
+    circuit_stats,
+    lower_swap_layers,
+)
+from daqcompile.cli import main
+from daqcompile.compiler import compile_ata, schedule_requests
+from daqcompile.errors import UnschedulableError
+from daqcompile.graphs import CouplingGraph, NNChain
+from daqcompile.scheduler import schedule
+
+
+def random_problem(L, seed):
+    rng = random.Random(seed)
+    graph = CouplingGraph(L, {(i, j): rng.gauss(0.0, 1.0) for i in range(L) for j in range(i + 1, L)})
+    return graph, NNChain(L, tuple(rng.uniform(0.5, 1.5) for _ in range(L - 1)))
+
+
+def block_runs(circuit):
+    """The maximal runs of consecutive resource blocks, in order."""
+    runs, run = [], []
+    for instr in circuit.instructions:
+        if isinstance(instr, ResourceBlock):
+            run.append(instr)
+        elif run:
+            runs.append(run)
+            run = []
+    return runs + [run] if run else runs
+
+
+def test_schedule_runs_once_per_distinct_request(monkeypatch):
+    graph, resource = random_problem(10, seed=3)
+    calls = []
+
+    def counting(angles, chain, t_f):
+        calls.append(tuple(angles))
+        return schedule(angles, chain, t_f)
+
+    monkeypatch.setattr(compiler, "schedule", counting)
+    result = compile_ata(graph, resource, 0.7)
+    requests = [i.slot_angles for i in lower_swap_layers(ata_circuit_general(graph, 0.7)).instructions
+                if isinstance(i, AnalogRequest)]
+    assert result.analog_requests == len(requests)
+    assert sorted(calls) == sorted(set(requests))
+    assert len(calls) < len(requests)
+
+
+def test_lowered_iswap_layers_share_layers_and_blocks():
+    L = 5
+    resource = NNChain(L, (0.9, 1.3, 0.6, 1.1))
+    # Two iSWAP layers on the same qubits: their H, R and X layers are the same objects.
+    layers = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(0), Gate.iswap(2))))
+    lowered = lower_swap_layers(Circuit(L, layers)).instructions
+    assert len(lowered) == 14
+    for first, second in zip(lowered[:7], lowered[7:]):
+        if isinstance(first, DigitalLayer):
+            assert first is second
+        else:
+            assert first != second
+    # The XX and YY halves of one layer run the very same block objects.
+    runs = block_runs(schedule_requests(lower_swap_layers(Circuit(L, layers[:1])), resource, 0.7))
+    assert len(runs) == 2 and runs[0]
+    assert all(a is b for a, b in zip(*runs, strict=True))
+
+
+def test_requests_differing_only_in_the_sign_of_zero_share_blocks():
+    L = 4
+    resource = NNChain(L, (0.9, 1.3, 0.6))
+    plus, minus = AnalogRequest((0.3, 0.0, -0.5)), AnalogRequest((0.3, -0.0, -0.5))
+    executable = schedule_requests(Circuit(L, (plus, DigitalLayer((Gate.h(1),)), minus)), resource, 0.7)
+    first, second = block_runs(executable)
+    assert first == second == list(schedule(minus.slot_angles, resource, 0.7))
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_overflow_on_a_repeated_request_blames_that_request():
+    L = 3
+    resource = NNChain(L, (1.0, 1.0))
+    big = AnalogRequest((1e308, 0.0))      # blocks sum to 1e308
+    other = AnalogRequest((0.0, 6e307))    # 6e307, blamed on slot 1 if it were to blame
+    ok = schedule_requests(Circuit(L, (big, other)), resource, 1.0)
+    assert circuit_stats(ok).total_analog_time < float("inf")
+    with pytest.raises(UnschedulableError) as err:
+        schedule_requests(Circuit(L, (big, other, big)), resource, 1.0)
+    assert (err.value.slot, err.value.angle) == (0, 1e308)
+    assert "total analog time overflows" in str(err.value)
+
+
+def test_cli_overflow_on_a_repeated_request_exits_2(tmp_path, capsys):
+    # The lowered iSWAP requests are each about 2e307 long here; the twelfth
+    # request overflows the total, and it repeats an earlier one.
+    L = 4
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "num_qubits": L, "resource_couplings": [4e-308] * (L - 1), "time": 1.0,
+        "target": {"type": "ata", "couplings": [
+            {"i": i, "j": j, "value": 1e-300} for i in range(L) for j in range(i + 1, L)]},
+    }), encoding="utf-8")
+    assert main(["compile", "--input", str(problem), "--output", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == (
+        "unschedulable: slot 0 requires ZZ angle -0.7853981633974483 "
+        "but the total analog time overflows the float range\n")
+    assert not (tmp_path / "s.json").exists()
+
+
+@st.composite
+def _ata_problems(draw):
+    L = draw(st.integers(2, 12))
+    weights = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    edges = draw(st.lists(st.tuples(st.integers(0, L - 1), st.integers(0, L - 1)), max_size=L * L))
+    graph = CouplingGraph(L, {(min(e), max(e)): draw(weights) for e in set(edges) if e[0] != e[1]})
+    couplings = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+    resource = NNChain(L, tuple(draw(st.lists(couplings, min_size=L - 1, max_size=L - 1))))
+    return graph, resource, draw(st.floats(0.05, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ata_problems())
+def test_compile_equals_scheduling_every_request_independently(problem):
+    graph, resource, t_f = problem
+    lowered = lower_swap_layers(ata_circuit_general(graph, t_f))
+    instrs = []
+    for instr in lowered.instructions:
+        if isinstance(instr, AnalogRequest):
+            instrs.extend(schedule(instr.slot_angles, resource, t_f))
+        else:
+            instrs.append(instr)
+    expected = Circuit(graph.num_qubits, tuple(instrs))
+    result = compile_ata(graph, resource, t_f)
+    assert result.circuit == expected
+    assert result.analog_requests == sum(isinstance(i, AnalogRequest) for i in lowered.instructions)
+    assert circuit_stats(result.circuit) == circuit_stats(expected)

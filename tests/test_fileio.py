@@ -109,6 +109,36 @@ def test_schedule_round_trips_through_the_file(schedule):
                                        {"tool_version": "0.1.0", "input_sha256": "ab" * 32, "stats": stats})
 
 
+def test_equal_values_in_distinct_objects_keep_their_own_spelling():
+    # The writer shares work by object, never by value: 0.0 and -0.0 are equal but spelled apart.
+    L = 3
+    layers = [DigitalLayer((Gate(GateType.RZ, (q,), angle), Gate.h(2))) for q in (0, 1) for angle in (0.0, -0.0)]
+    blocks = [ResourceBlock(duration, b"\0\1\0") for duration in (0.0, -0.0, 0.0)]
+    circuit = Circuit(L, (layers[0], blocks[0], layers[1], blocks[1], layers[2], blocks[2], layers[3]))
+    assert layers[0] == layers[1] and blocks[0] == blocks[1]
+    lines = schedule_document(circuit, NNChain(L, (1.0, 1.0)), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
+    assert [line.split('"angle":')[1].split("}")[0] for line in lines[::2]] == ["0.0", "-0.0"] * 2
+    assert [line.split('"duration":')[1].split(",")[0] for line in lines[1::2]] == ["0.0", "-0.0", "0.0"]
+
+
+def test_repeated_objects_are_rendered_once(monkeypatch):
+    L = 4
+    layer = DigitalLayer((Gate.h(0), Gate.r(1), Gate(GateType.RZ, (3,), 0.25)))
+    other = DigitalLayer((Gate.h(0), Gate.r(1)))   # a distinct layer of shared gates
+    block = ResourceBlock(0.5, b"\0\1\1\0")
+    circuit = Circuit(L, (layer, block, layer, other, block, layer))
+    expected = schedule_document(circuit, NNChain(L, (1.0,) * 3), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
+    rendered, spelled = [], []
+    instruction_line, gate_text = fileio._instruction_line, fileio._gate_text
+    monkeypatch.setattr(fileio, "_instruction_line", lambda instr, *rest: rendered.append(instr)
+                        or instruction_line(instr, *rest))
+    monkeypatch.setattr(fileio, "_gate_text", lambda g: spelled.append(g) or gate_text(g))
+    lines = schedule_document(circuit, NNChain(L, (1.0,) * 3), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
+    assert lines == expected and len(lines) == 6
+    assert [id(i) for i in rendered] == [id(layer), id(block), id(other)]
+    assert [id(g) for g in spelled] == [id(g) for g in layer.gates]
+
+
 # --- strict schedule reader ------------------------------------------------------
 
 _SCHEDULE = {

@@ -99,6 +99,25 @@ def test_x_layers_match_full_matrices(layer):
     assert np.allclose(u, oracle, atol=1e-12)
 
 
+@pytest.mark.parametrize("qubits", [
+    tuple(range(9)),     # two full chunks and a single qubit
+    (0, 2, 3, 4, 8),     # a gap inside the first chunk; the last qubit alone
+    (1, 5, 6, 7, 8),     # a chunk that starts above qubit 0
+    (3, 7),              # two gates that land in one chunk only if it were aligned
+    (8,),
+])
+def test_single_qubit_layers_match_gate_by_gate_products(qubits):
+    # Layers without iSWAPs are applied up to four adjacent qubits at a time.
+    L = 9
+    rng = np.random.default_rng(len(qubits))
+    kinds = [Gate.h, Gate.r, Gate.x, lambda q: Gate(GateType.RZ, (q,), float(rng.uniform(-3, 3)))]
+    layer = DigitalLayer(tuple(kinds[(q + len(qubits)) % 4](q) for q in qubits))
+    oracle = np.eye(1 << L, dtype=complex)
+    for g in layer.gates:
+        oracle = np.asarray(gate_unitary(g, L)) @ oracle
+    assert np.allclose(circuit_unitary(Circuit(L, (layer,))), oracle, rtol=0, atol=1e-14)
+
+
 def test_iswap_basis_action():
     u = gate_unitary(Gate.iswap(0), 2)
     assert u[0, 0] == 1, "fixes |00>"
