@@ -11,7 +11,10 @@ bytes, and renders a repeated instruction or gate object only once per call
 of its places.  iter_canonical writes those lines as they are and encodes
 everything else with the standard library's encoder.  Unknown and repeated
 fields are rejected on parse, and a block's boolean list becomes the mask's
-bytes.
+bytes.  load_schedule parses each distinct instruction line once, with the
+standard library's decoder, and builds one instruction from it that every
+repeat of the line shares; this holds for any layout, and an item that is
+not alone on its line is simply parsed on its own.
 """
 
 from __future__ import annotations
@@ -100,6 +103,103 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
         keys = [k for k, _ in pairs]
         raise FileFormatError(f"duplicate keys {sorted(k for k in obj if keys.count(k) > 1)}")
     return obj
+
+
+_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
+_whitespace = re.compile(r"[ \t\n\r]*").match
+
+
+def _skip(text: str, pos: int) -> int:
+    return _whitespace(text, pos).end()
+
+
+def _instruction_items(text: str, pos: int) -> tuple[list, int]:
+    """The JSON array starting at text[pos] ('[') and the index past its ']'.
+
+    An item that begins a line is looked up before it is parsed: if the rest
+    of its line, less trailing commas and carriage returns, is the exact text
+    of an earlier item that began a line, the item is that item's parsed
+    value, the same object.  This holds for any layout.  An object, array or
+    string ends at its own closing character, and a number or literal ends
+    at the comma or whitespace after it, so equal text parses to an equal
+    value that ends at the same place; a raw newline can only be whitespace.
+    Only items that begin a line and hold no newline, the ones a line can
+    equal, are recorded, and no line much longer than the longest of them is
+    searched or sliced, so a one-line or indented file costs one parse per
+    item and keeps no second copy of its text.
+    """
+    items: list = []
+    parsed: dict[str, Any] = {}   # exact item text -> its parsed value
+    longest = 0
+    after = pos + 1               # where the whitespace before an item starts
+    pos = _skip(text, after)
+    more = not text.startswith("]", pos)
+    while more:
+        begins_line = text.find("\n", after, pos) >= 0
+        end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
+        line = text[pos:end].rstrip(",\r") if end >= 0 else None
+        if line is not None and line in parsed:
+            value = parsed[line]
+            pos += len(line)
+        else:
+            value, end = _decode(text, pos)
+            if begins_line and text.find("\n", pos, end) < 0:
+                parsed[text[pos:end]] = value
+                longest = max(longest, end - pos)
+            pos = end
+        items.append(value)
+        pos = _skip(text, pos)
+        more = text.startswith(",", pos)
+        if more:
+            after = pos + 1
+            pos = _skip(text, after)
+        elif not text.startswith("]", pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return items, pos + 1
+
+
+def _schedule_json(text: str) -> Any:
+    """json.loads with the duplicate-key hook, instruction lines shared.
+
+    A top-level object is walked field by field, and an "instructions" array
+    in it item by item (_instruction_items); every value is parsed by the
+    standard decoder, so the result equals json.loads's, except that equal
+    instruction lines give one shared object.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    pos = _skip(text, 0)
+    if not text.startswith("{", pos):
+        value, pos = _decode(text, pos)
+    else:
+        pairs = []
+        pos = _skip(text, pos + 1)
+        more = not text.startswith("}", pos)
+        while more:
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+            key, pos = _decode(text, pos)
+            pos = _skip(text, pos)
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            pos = _skip(text, pos + 1)
+            if key == "instructions" and text.startswith("[", pos):
+                value, pos = _instruction_items(text, pos)
+            else:
+                value, pos = _decode(text, pos)
+            pairs.append((key, value))
+            pos = _skip(text, pos)
+            more = text.startswith(",", pos)
+            if more:
+                pos = _skip(text, pos + 1)
+            elif not text.startswith("}", pos):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos += 1
+        value = _unique_keys(pairs)
+    pos = _skip(text, pos)
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -263,8 +363,19 @@ def _collector_paused() -> Iterator[None]:
 # they are built only re-scans them: about a tenth of the load at L=96.
 @_collector_paused()
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
-    """Parse a schedule file into (circuit, resource echo, time, metadata)."""
-    data = _parse_json(_read_text(path), path)
+    """Parse a schedule file into (circuit, resource echo, time, metadata).
+
+    Each distinct instruction line is parsed once (_schedule_json) and each
+    distinct parsed entry is built into one instruction object, which every
+    repeat shares.  The whole file is parsed before any entry is checked, and
+    an error names the entry's first index.
+    """
+    try:
+        data = _schedule_json(_read_text(path))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
     _require_keys(
         data,
         {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},
@@ -277,14 +388,19 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
         raise FileFormatError("num_qubits must be >= 2")
     resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
     t_f = _as_number(data["time"], "time")
-    if not isinstance(data["instructions"], list):
+    entries = data["instructions"]
+    if not isinstance(entries, list):
         raise FileFormatError("instructions: expected a list")
+    built: dict[int, Instruction] = {}   # id(parsed entry) -> its instruction
     instrs: list[Instruction] = []
-    for idx, entry in enumerate(data["instructions"]):
-        try:
-            instrs.append(_instruction(entry, L, f"instructions[{idx}]"))
-        except ValueError as exc:
-            raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
+    for idx, entry in enumerate(entries):
+        instr = built.get(id(entry))
+        if instr is None:
+            try:
+                instr = built[id(entry)] = _instruction(entry, L, f"instructions[{idx}]")
+            except ValueError as exc:
+                raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
+        instrs.append(instr)
     # Summed in program order, as circuit_stats sums them for `stats`.
     total = 0.0
     for instr in instrs:
@@ -294,6 +410,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
         raise FileFormatError("instructions: block durations sum beyond the float range")
     metadata = data["metadata"]
     _check_metadata(metadata)
+    del data, entries, built
     try:
         circuit = Circuit(L, tuple(instrs))
     except (ValueError, TypeError) as exc:

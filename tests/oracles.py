@@ -22,9 +22,11 @@ Z-relaying swap family, of which the compiler uses only the bare iSWAP.
 
 Element-at-a-time references for the vectorised product code close the
 file: the scheduler's X-mask for one block, built bit by bit, the slot
-signs a mask's X conjugation gives the chain, and the schedule file's JSON
+signs a mask's X conjugation gives the chain, the schedule file's JSON
 document, spelled one field at a time, which the writer renders as text
-straight from the masks' bytes.
+straight from the masks' bytes, and the schedule reader that parses the
+whole file with json.loads and builds every instruction entry on its own,
+which the product's line-shared reader must match.
 """
 
 import math
@@ -43,7 +45,19 @@ from daqcompile.circuits import (
     ResourceBlock,
     ata_circuit_general,
 )
-from daqcompile.graphs import CouplingGraph, PathCover, canonical_edge, validate_permutation, walecki_cover
+from daqcompile.errors import FileFormatError
+from daqcompile.fileio import (
+    SCHEDULE_FORMAT,
+    _as_int,
+    _as_number,
+    _as_number_list,
+    _check_metadata,
+    _instruction,
+    _parse_json,
+    _read_text,
+    _require_keys,
+)
+from daqcompile.graphs import CouplingGraph, NNChain, PathCover, canonical_edge, validate_permutation, walecki_cover
 from daqcompile.swaps import SwapSequence, sort_network_sequence
 from daqcompile.unitaries import gate_matrix
 
@@ -570,3 +584,46 @@ def same_document(a, b) -> bool:
     if isinstance(a, float):
         return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
     return a == b
+
+
+def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
+    """fileio.load_schedule as it was before instruction lines were shared.
+
+    json.loads parses the whole file, then every entry is built into its own
+    instruction object, however often its line repeats.
+    """
+    data = _parse_json(_read_text(path), path)
+    _require_keys(
+        data,
+        {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},
+        "schedule",
+    )
+    if data["format"] != SCHEDULE_FORMAT:
+        raise FileFormatError(f"unsupported schedule format {data['format']!r}")
+    L = _as_int(data["num_qubits"], "num_qubits")
+    if L < 2:
+        raise FileFormatError("num_qubits must be >= 2")
+    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
+    t_f = _as_number(data["time"], "time")
+    if not isinstance(data["instructions"], list):
+        raise FileFormatError("instructions: expected a list")
+    instrs = []
+    for idx, entry in enumerate(data["instructions"]):
+        try:
+            instrs.append(_instruction(entry, L, f"instructions[{idx}]"))
+        except ValueError as exc:
+            raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
+    # Summed in program order, as circuit_stats sums them for `stats`.
+    total = 0.0
+    for instr in instrs:
+        if isinstance(instr, ResourceBlock):
+            total += instr.duration
+    if not math.isfinite(total):
+        raise FileFormatError("instructions: block durations sum beyond the float range")
+    metadata = data["metadata"]
+    _check_metadata(metadata)
+    try:
+        circuit = Circuit(L, tuple(instrs))
+    except (ValueError, TypeError) as exc:
+        raise FileFormatError(f"schedule instructions invalid: {exc}") from exc
+    return circuit, resource, t_f, metadata

@@ -6,18 +6,20 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daqcompile import fileio
+from daqcompile.cli import main
 from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock, single_qubit_gate
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
 from daqcompile.graphs import NNChain
 
-from oracles import same_document, schedule_spelling
+from oracles import reference_load_schedule, same_document, schedule_spelling
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
 _scalars = (
@@ -75,13 +77,17 @@ _angles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0
 
 @st.composite
 def _schedules(draw):
-    """A random executable circuit: x/h/r/rz layers and blocks with any mask and duration."""
+    """A random executable circuit: x/h/r/rz layers and blocks with any mask and duration.
+
+    Some instructions repeat, and zero durations and angles come with either sign.
+    """
     L = draw(st.integers(2, 12))
     instructions = []
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
             mask = draw(st.lists(st.booleans(), min_size=L, max_size=L))
-            instructions.append(ResourceBlock(draw(st.floats(0.0, 1e300)), bytes(mask)))
+            duration = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e300))
+            instructions.append(ResourceBlock(duration, bytes(mask)))
             continue
         qubits = draw(st.lists(st.integers(0, L - 1), min_size=1, max_size=L, unique=True))
         names = draw(st.lists(st.sampled_from("xhrz"), min_size=len(qubits), max_size=len(qubits)))
@@ -89,6 +95,8 @@ def _schedules(draw):
             Gate(GateType.RZ, (q,), draw(_angles)) if name == "z" else Gate(GateType(name), (q,))
             for q, name in zip(qubits, names)
         )))
+    for instr in draw(st.lists(st.sampled_from(instructions), max_size=6)) if instructions else ():
+        instructions.insert(draw(st.integers(0, len(instructions))), instr)
     couplings = draw(st.lists(st.floats(-1e3, 1e3), min_size=L - 1, max_size=L - 1))
     return Circuit(L, tuple(instructions)), NNChain(L, tuple(couplings)), draw(st.floats(1e-3, 1e3))
 
@@ -107,6 +115,34 @@ def test_schedule_round_trips_through_the_file(schedule):
             fh.write(text)
         assert load_schedule(path) == (circuit, resource, t_f,
                                        {"tool_version": "0.1.0", "input_sha256": "ab" * 32, "stats": stats})
+
+
+def _spelled(loaded) -> str:
+    """A loaded schedule written back: equal text means equal values, zero signs included."""
+    circuit, resource, t_f, metadata = loaded
+    return dumps_canonical(schedule_document(circuit, resource, t_f, metadata["stats"],
+                                             metadata["tool_version"], metadata["input_sha256"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_schedules())
+def test_reader_matches_the_reference_in_every_layout(schedule):
+    circuit, resource, t_f = schedule
+    stats = {"analog_requests": 1, "resource_blocks": 2, "sqr_gates": 3, "total_analog_time": 0.5}
+    document = schedule_document(circuit, resource, t_f, stats, "0.1.0", "ab" * 32)
+    canonical = dumps_canonical(document)
+    plain = json.loads(canonical)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.json")
+        crlf = canonical.replace("\n", "\r\n")
+        for text in (canonical, crlf, json.dumps(plain), json.dumps(plain, indent=2)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            loaded, expected = load_schedule(path), reference_load_schedule(path)
+            assert loaded == expected
+            assert _spelled(loaded) == _spelled(expected) == canonical
+            if text in (canonical, crlf):   # one object per distinct line
+                assert len({id(i) for i in loaded[0].instructions}) == len(set(document["instructions"]))
 
 
 def test_equal_values_in_distinct_objects_keep_their_own_spelling():
@@ -157,6 +193,124 @@ def _write_schedule(tmp_path, doc):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _write_canonical(tmp_path, doc):
+    path = tmp_path / "s.json"
+    path.write_text(dumps_canonical(doc), encoding="utf-8")
+    return str(path)
+
+
+def _repeating(doc):
+    """_SCHEDULE with its first layer and its block repeated: lines 0 = 2 = 5 and 1 = 3."""
+    layer, block, other = doc["instructions"]
+    return {**doc, "instructions": [layer, block, layer, block, other, layer]}
+
+
+def test_identical_instruction_lines_load_as_one_object(tmp_path):
+    path = _write_canonical(tmp_path, _repeating(_SCHEDULE))
+    circuit = load_schedule(path)[0]
+    instrs = circuit.instructions
+    assert instrs[0] is instrs[2] is instrs[5] and instrs[1] is instrs[3]
+    assert instrs[4] is not instrs[0]
+    assert circuit == reference_load_schedule(path)[0]
+
+
+def test_each_distinct_instruction_line_is_built_once(tmp_path, monkeypatch):
+    path = _write_canonical(tmp_path, _repeating(_SCHEDULE))
+    built = []
+    real_instruction = fileio._instruction
+    monkeypatch.setattr(fileio, "_instruction",
+                        lambda entry, L, where: built.append(where) or real_instruction(entry, L, where))
+    load_schedule(path)
+    assert built == ["instructions[0]", "instructions[1]", "instructions[4]"]
+
+
+def test_lines_differing_in_the_sign_of_zero_load_apart(tmp_path):
+    doc = copy.deepcopy(_SCHEDULE)
+    layers = [{"sqr": [{"q": 0, "gate": "h"}, {"q": 2, "gate": "rz", "angle": a}]} for a in (0.0, -0.0, 0.0)]
+    blocks = [{"resource_block": {"duration": d, "x_mask": [False, True, True]}} for d in (0.0, -0.0, 0.0)]
+    doc["instructions"] = [item for pair in zip(layers, blocks) for item in pair]
+    instrs = load_schedule(_write_canonical(tmp_path, doc))[0].instructions
+    layers, blocks = instrs[::2], instrs[1::2]
+    assert [math.copysign(1.0, layer.gates[1].angle) for layer in layers] == [1.0, -1.0, 1.0]
+    assert [math.copysign(1.0, block.duration) for block in blocks] == [1.0, -1.0, 1.0]
+    assert layers[0] is layers[2] and blocks[0] is blocks[2]
+    assert layers[1] is not layers[0] and blocks[1] is not blocks[0]
+
+
+def _canonical_text(instructions=None) -> str:
+    doc = _SCHEDULE if instructions is None else {**_SCHEDULE, "instructions": instructions}
+    return dumps_canonical(doc)
+
+
+_BLOCK_LINE = '{"resource_block":{"duration":0.5,"x_mask":[false,true,true]}}'
+_TWICE_KEYED = '{"resource_block":{"duration":0.5,"duration":0.5,"x_mask":[false,true,true]}}'
+
+# Each edit of the canonical _SCHEDULE text, and whether the reference rejects
+# it as invalid JSON (whose wording differs between Python versions).
+_MALFORMED = {
+    "trailing-data": (lambda text: text + "{}\n", True),
+    "duplicate-top-level-key": (lambda text: text.replace('{\n  "format"', '{\n  "time": 0.5,\n  "format"'), False),
+    "duplicate-key-in-a-repeated-line": (
+        lambda text: text.replace(_BLOCK_LINE, _TWICE_KEYED + ",\n    " + _TWICE_KEYED), False),
+    "missing-comma": (lambda text: text.replace("},\n    {", "}\n    {", 1), True),
+    "trailing-comma": (lambda text: text.replace("}\n  ],", "},\n  ],"), True),
+    "empty-instructions-with-space": (lambda text: _canonical_text([]).replace('"instructions": []', '"instructions": [ ]'),
+                                      False),
+    "top-level-array": (lambda text: "[" + text + "]", False),
+    "byte-order-mark": (lambda text: "\ufeff" + text, True),
+    "deep-nesting": (lambda text: "[" * 200000 + "]" * 200000, False),
+    "bad-entry-then-syntax-error": (lambda text: _canonical_text([{"sqr": []}] + _SCHEDULE["instructions"])[:-2], True),
+    "repeated-bad-line": (lambda text: _canonical_text([_SCHEDULE["instructions"][0], {"sqr": []}] * 2), False),
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_malformed_schedules_fail_as_the_reference_does(tmp_path, capsys, name):
+    edit, invalid_json = _MALFORMED[name]
+    text = edit(_canonical_text())
+    assert text != _canonical_text()
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    got, expected = _outcome(load_schedule, str(path)), _outcome(reference_load_schedule, str(path))
+    if invalid_json:
+        prefix = f"{path}: invalid JSON: "
+        assert isinstance(got, str) and got.startswith(prefix) and expected.startswith(prefix)
+    else:
+        assert got == expected
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"num_qubits": 3, "resource_couplings": [1.0, 1.0],
+                                   "target": {"type": "nn", "angles": [0.5, 0.5]}, "time": 0.5}), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["stats", "--input", str(problem), "--schedule", str(path)])
+    captured = capsys.readouterr()
+    if isinstance(got, str):
+        assert code == 1 and captured.err == f"error: {got}\n" and captured.out == ""
+    else:
+        assert code == 0 and captured.err == ""
+
+
+@pytest.mark.parametrize("layout", ["one-line", "long-first-line"])
+def test_reader_stays_linear_after_a_long_item(tmp_path, layout):
+    # One long item, then many short ones: no short item may search or slice
+    # as far as the long one, or this takes minutes instead of a fraction of a second.
+    sep = ", " if layout == "one-line" else ",\n"
+    items = '"' + "x" * 8_000_000 + '"' + sep + ",".join(["1"] * 200_000)
+    path = tmp_path / "s.json"
+    path.write_text(_canonical_text().replace('"instructions": [', '"instructions": [' + items + ","), encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError) as info:
+        load_schedule(str(path))
+    assert time.perf_counter() - start < 10.0
+    assert str(info.value) == "instructions[0]: expected exactly one of 'sqr'/'resource_block'"
 
 
 def test_loaded_gates_are_shared_except_rz(tmp_path):
