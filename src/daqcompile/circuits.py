@@ -12,39 +12,37 @@ A Circuit is an ordered instruction list over three kinds:
   set (flipping the sign of every coupling whose endpoints differ in mask);
   x_mask is immutable bytes, one 0 or 1 per qubit.
 
-Compilation strategy, the same for every L: split the target graph into
-zig-zag Hamiltonian paths and realise each path by conjugating a chain
-evolution with the iSWAP layers of its sorting-network swap frame.  Where
-one path's closing frame meets the next path's opening frame, all but the
-paper's two mixed iSWAP/iSWAP-dagger bridge layers cancel, so those two
-layers are emitted directly; only the first and the last frame are
-synthesised.  Every swap is the bare iSWAP, the member of the paper's
-Z-relaying family exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking
-rotations.
+Compilation strategy, the same for every L: a linear swap network
+(ata_circuit_general) whose iSWAP layers are lowered with the same-kind
+halves of consecutive layers merged (lower_swap_layers), 3L - 4 analog
+requests for even L and 3L - 3 for odd L >= 3.  Every swap is the bare
+iSWAP, the member of the paper's Z-relaying family
+exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.
 
 Instructions are immutable, so one object may stand at many places of a
-circuit: lowering shares the basis layers of iSWAP layers that touch the
-same qubits, and the compiler shares the blocks of repeated requests.
-Validation and circuit_stats walk a layer's gates once per distinct layer
-object.
+circuit: the swap network repeats four iSWAP layer objects, lowering
+shares its requests and basis layers by value, and the compiler shares the
+blocks of repeated requests.  Validation and circuit_stats walk a layer's
+gates once per distinct layer object.
 
 Requested analog angles are scheduled as given, never reduced mod pi/2 or
 mod 2*pi, so each request's time is minimal only for the angles it was
 given: exp(i(theta +- pi)ZZ) equals exp(i theta ZZ) up to a global phase, so
-a request with |angle| > pi/2 runs longer than it needs to (ROADMAP item 2
+a request with |angle| > pi/2 runs longer than it needs to (ROADMAP item 3
 reduces the angles).  Global phase is not tracked.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .graphs import CouplingGraph, walecki_cover
-from .swaps import sort_network_sequence
+from .graphs import CouplingGraph
 
 
 class GateType(str, Enum):
@@ -237,96 +235,126 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
     return ScheduleStats(analog, total_time, sqr)
 
 
-# --- path-frame circuits ----------------------------------------------------
+# --- the swap-network circuit -----------------------------------------------
 
 def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     """High-level circuit whose unitary is exp(i t_f H) for the target graph.
 
-    Path P of the zig-zag cover becomes an analog request whose slot j
-    carries t_f * g'(P[j], P[j+1]), conjugated by P's sorting-network swap
-    frame (plain iSWAP layers before, the same layers reversed as
-    iSWAP-daggers after).  Between paths p and p+1 (p = 1, 2, ...) only two
-    bridge layers are emitted, on slots 0, 2, 4, ... and then 1, 3, 5, ...,
-    with an iSWAP on slot i < 2p and an iSWAP-dagger elsewhere: for every L
-    that is exactly what is left of path p's closing frame and path p+1's
-    opening frame once each gate that meets its own inverse is cancelled and
-    the rest is packed into ASAP layers.  tests/oracles.py builds the circuit
-    that way (ata_circuit_cancelled) and the tests compare the two.  Analog
-    requests are ideal and still need scheduling onto a resource chain.
+    The linear swap network (Kivlichan et al., arXiv:1711.04789): layer
+    k = 0, 1, ... puts a plain iSWAP on every slot j = k (mod 2), which moves
+    the logical qubits along the chain until every pair has been adjacent.
+    Before layer k, the still-unassigned pairs adjacent at that point share
+    one analog request, slot j carrying t_f * g' of the pair it holds and 0
+    elsewhere.  A swapped pair stays adjacent for one more layer while every
+    other pair separates, so the request is emitted only when some of those
+    pairs would separate, or when they finish the cover; then the network
+    stops.  Its layers are undone in reverse order with iSWAP-daggers, so
+    the digital part is the identity and needs no compensation.  Even and
+    odd L take this one route, with 2L - 4 iSWAP layers.  The four distinct
+    layers, plain and daggered on each slot parity, are built once and
+    shared.  Analog requests are ideal and still need scheduling onto a
+    resource chain.
     """
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
     L = target.num_qubits
-    cover = walecki_cover(L)
-    instrs: list[Instruction] = [
-        DigitalLayer(tuple(map(Gate.iswap, layer)))
-        for layer in sort_network_sequence(cover.paths[0]).layers
-    ]
-    for p, (path, disabled) in enumerate(zip(cover.paths, cover.disabled_slots)):
-        if p:  # the bridge from path p to path p + 1, counting paths from 1
-            for start in (0, 1):
-                instrs.append(DigitalLayer(tuple(
-                    Gate.iswap(i) if i < 2 * p else Gate.iswap_dg(i) for i in range(start, L - 1, 2)
-                )))
-        instrs.append(AnalogRequest(tuple(
-            0.0 if slot in disabled else t_f * target.weight(path[slot], path[slot + 1])
-            for slot in range(L - 1)
-        )))
-    instrs.extend(
-        DigitalLayer(tuple(map(Gate.iswap_dg, layer)))
-        for layer in reversed(sort_network_sequence(cover.paths[-1]).layers)
-    )
+    parities = range(min(2, L - 1))
+    forward = [DigitalLayer(tuple(map(Gate.iswap, range(p, L - 1, 2)))) for p in parities]
+    undo = [DigitalLayer(tuple(map(Gate.iswap_dg, range(p, L - 1, 2)))) for p in parities]
+    order = list(range(L))         # order[j]: the logical qubit at position j
+    done = bytearray(L * L)        # done[a * L + b]: pair (a, b) is in a request
+    left = L * (L - 1) // 2
+    instrs: list[Instruction] = []
+    k = 0
+    while True:
+        pending = [j for j in range(L - 1) if not done[order[j] * L + order[j + 1]]]
+        # A pending pair off layer k's parity separates in it (for L >= 3).
+        if len(pending) == left or any((j ^ k) & 1 for j in pending):
+            angles = [0.0] * (L - 1)
+            for j in pending:
+                a, b = order[j], order[j + 1]
+                angles[j] = t_f * target.weight(a, b)
+                done[a * L + b] = done[b * L + a] = 1
+            instrs.append(AnalogRequest(tuple(angles)))
+            left -= len(pending)
+            if not left:
+                break
+        for j in range(k & 1, L - 1, 2):
+            order[j], order[j + 1] = order[j + 1], order[j]
+        instrs.append(forward[k & 1])
+        k += 1
+    instrs.extend(undo[i & 1] for i in reversed(range(k)))
     return Circuit(L, tuple(instrs))
 
 
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------
 
-def lower_iswap_layer(
-    layer: DigitalLayer,
-    num_qubits: int,
-    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] | None = None,
-) -> list[Instruction]:
-    """Replace a parallel iSWAP layer by ZZ analog requests and rotations.
+def _is_iswap_layer(instr: Instruction) -> bool:
+    return isinstance(instr, DigitalLayer) and instr.has_iswaps
+
+
+def lower_swap_layers(circuit: Circuit) -> Circuit:
+    """Lower every run of consecutive iSWAP layers; other instructions pass through.
 
     exp(+-i pi/4 (XX+YY)) splits into commuting XX and YY halves; each half is
     a chain ZZ evolution conjugated into the right basis (H for XX, R = HSH
     for YY, closed by R-dagger emitted as R then X since R**3 = R-dagger).
     Daggered gates request angle -pi/4; the scheduler's sign masks absorb the
-    sign so durations stay non-negative.  Both halves are the same request
-    object.  `basis`, when given, maps a tuple of touched qubits to its H, R
-    and X layers; layers found there are reused and new ones are added.
+    sign so durations stay non-negative.  Within a run, layer i emits its XX
+    half first when i is even and its YY half first when i is odd, so the
+    halves that meet between two layers are of one kind.  All chain XX terms
+    commute, and so do all YY terms, so each such meeting pair is one
+    request: the slot angles add, and the basis layers cover both layers'
+    qubits.  A run of n layers costs n + 1 requests, alternately XX and YY;
+    one layer lowers to H, request, H, R, request, R, X with both halves the
+    same request object.
+
+    Requests with the same angles are one object, and so are basis layers
+    on the same qubits, so later passes can do their per-object work once;
+    a layer object's half is worked out once however often it repeats.
     """
+    L = circuit.num_qubits
+    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] = {}
+    requests: dict[tuple[float, ...], AnalogRequest] = {}
+    layer_halves: dict[int, tuple[list[float], set[int]]] = {}
+    instrs: list[Instruction] = []
+    for is_run, group in itertools.groupby(circuit.instructions, key=_is_iswap_layer):
+        if not is_run:
+            instrs.extend(group)
+            continue
+        halves = []
+        for layer in group:
+            half = layer_halves.get(id(layer))
+            if half is None:
+                half = layer_halves[id(layer)] = _layer_half(layer, L)
+            halves.append(half)
+        no_half = ([0.0] * (L - 1), set())
+        for m, (before, after) in enumerate(zip([no_half] + halves, halves + [no_half])):
+            key = tuple(map(operator.add, before[0], after[0]))
+            request = requests.get(key)
+            if request is None:
+                request = requests[key] = AnalogRequest(key)
+            qubits = tuple(sorted(before[1] | after[1]))
+            layers = basis.get(qubits)
+            if layers is None:
+                layers = basis[qubits] = tuple(
+                    DigitalLayer(tuple(map(gate, qubits))) for gate in (Gate.h, Gate.r, Gate.x)
+                )
+            h_layer, r_layer, x_layer = layers
+            if m % 2 == 0:
+                instrs.extend((h_layer, request, h_layer))
+            else:
+                instrs.extend((r_layer, request, r_layer, x_layer))
+    return Circuit(L, tuple(instrs))
+
+
+def _layer_half(layer: DigitalLayer, num_qubits: int) -> tuple[list[float], set[int]]:
+    """Slot angles (+-pi/4 per gate) and touched qubits of one half of an iSWAP layer."""
     if not all(g.is_two_qubit for g in layer.gates):
         raise ValueError("layer mixes iSWAPs with single-qubit gates")
     angles = [0.0] * (num_qubits - 1)
-    touched: list[int] = []
+    touched: set[int] = set()
     for g in layer.gates:
-        sign = -1.0 if g.type is GateType.ISWAP_DG else 1.0
-        angles[g.qubits[0]] = sign * math.pi / 4.0
-        touched.extend(g.qubits)
-    key = tuple(sorted(touched))
-    layers = None if basis is None else basis.get(key)
-    if layers is None:
-        layers = tuple(DigitalLayer(tuple(map(gate, key))) for gate in (Gate.h, Gate.r, Gate.x))
-        if basis is not None:
-            basis[key] = layers
-    h_layer, r_layer, x_layer = layers
-    request = AnalogRequest(tuple(angles))
-    return [h_layer, request, h_layer, r_layer, request, r_layer, x_layer]
-
-
-def lower_swap_layers(circuit: Circuit) -> Circuit:
-    """Lower every iSWAP layer of a circuit; other instructions pass through.
-
-    Lowered layers that touch the same qubits share one H, one R and one X
-    layer object, so later passes can do their per-layer work once per
-    distinct object.
-    """
-    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] = {}
-    instrs: list[Instruction] = []
-    for instr in circuit.instructions:
-        if isinstance(instr, DigitalLayer) and instr.has_iswaps:
-            instrs.extend(lower_iswap_layer(instr, circuit.num_qubits, basis))
-        else:
-            instrs.append(instr)
-    return Circuit(circuit.num_qubits, tuple(instrs))
+        angles[g.qubits[0]] = -math.pi / 4.0 if g.type is GateType.ISWAP_DG else math.pi / 4.0
+        touched.update(g.qubits)
+    return angles, touched

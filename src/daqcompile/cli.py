@@ -43,9 +43,9 @@ DEFAULT_MAX_QUBITS = 10
 
 # Printed under every reference_request_count line.
 _REFERENCE_NOTE = (
-    "note: reference_request_count is 5L-12, reachable by merging "
-    "consecutive swap-layer evolutions; this compiler emits two "
-    "requests per swap layer, so analog_requests is larger but O(L)."
+    "note: reference_request_count is 5L-12, the paper's count; this "
+    "compiler's swap network with merged iSWAP halves needs 3L-4 for "
+    "even L, as many at L=4 and fewer from L=6 on."
 )
 
 

@@ -1,12 +1,13 @@
 """End-to-end compilation: target couplings to an executable chain schedule.
 
 The pipeline is build -> lower -> schedule: an all-to-all target becomes the
-high-level path circuit, its iSWAP layers are lowered to analog requests plus
-rotations, and every analog request is solved into resource blocks with sign
-masks.  Requests repeat (both halves of a lowered iSWAP layer ask for the
-same angles, and so do many layers), so each distinct angle tuple is solved
-once per compile and its repeats share the same block objects; the schedule
-file still spells every block wherever it runs.  The result contains only
+high-level swap-network circuit, its runs of iSWAP layers are lowered to
+analog requests plus rotations, and every analog request is solved into
+resource blocks with sign masks.  Requests repeat (the merged iSWAP halves
+are the same few all-slot +-pi/4 vectors over and over), so each distinct
+angle tuple is solved once per compile and its repeats share the same
+block objects; the schedule file still spells every block wherever it
+runs.  The result contains only
 single-qubit layers and resource blocks, and it is exact: the only blocks
 dropped are float ties (scheduler.TIE_THRESHOLD).  The result carries only
 what compilation measures; the paper's 5L-12 reference count is worked out

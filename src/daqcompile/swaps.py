@@ -4,13 +4,14 @@ A SwapSequence is an ordered list of layers; each layer is a set of disjoint
 adjacent transpositions (i, i+1), stored by left index i, that can execute in
 parallel.  Applying a sequence to a permutation swaps array *positions* layer
 by layer; applying it to the identity yields the permutation the sequence
-synthesises.  The same layers drive the swap-gate circuits: conjugating a
-chain evolution by the matching gate layers relabels the chain's vertices
-into the synthesised path (see circuits.ata_circuit_general).
+synthesises.  Conjugating a chain evolution by the matching iSWAP layers
+relabels the chain's vertices into the synthesised path.
 
 `sort_network_sequence`, an odd-even transposition sort, synthesises the
-swap frame of every path, for even and odd L alike; the compiler emits
-the first path's opening frame and the last path's closing frame.
+swap frame of every zig-zag path, for even and odd L alike.  That was the
+paper's path route; the compiler now runs a linear swap network instead
+(see circuits.ata_circuit_general), so only the benchmark's tracer and the
+tests call this module.
 """
 
 from __future__ import annotations

@@ -5,14 +5,21 @@ gates embed via explicit Kronecker chains, evolutions go through
 scipy.linalg.expm, and the zig-zag paths come from the literal walk
 construction instead of the closed form.
 
-The even-L closed forms of the source paper also live here: the swap
-ladders that synthesise each zig-zag path, the two mixed bridge layers
-left between consecutive paths after inverse gates cancel, the bridged
-circuit built from them, and the uncancelled per-path circuit.  Beside
-them sits the generic construction for every L: sorting-network frames
-whose seams go through an inverse-gate cancellation pass and ASAP
-re-layering.  The compiler writes the bridges directly; tests compare
-against all of these.
+The paper's path route lives here too, which the compiler no longer
+takes (it runs a linear swap network).  First its even-L closed forms: the
+swap ladders that synthesise each zig-zag path, the two mixed bridge
+layers left between consecutive paths after inverse gates cancel, the
+bridged circuit built from them, and the uncancelled per-path circuit.
+Beside them sits the generic construction for every L: sorting-network
+frames whose seams go through an inverse-gate cancellation pass and ASAP
+re-layering.  `path_route_circuit` writes the bridges directly; tests
+compare it against all of these.  An exhaustive
+search over layered swap networks bounds the layer count of the
+compiler's route from below at small L.
+
+The per-layer iSWAP lowering, two requests per layer, is the reference for
+the compiler's lowering, which merges the same-kind halves of
+consecutive layers.
 
 Next come the helpers that only tests need: complete graphs and edge sets,
 path covers and their weighted composition, permutations applied by swap
@@ -317,6 +324,131 @@ def ata_circuit_cancelled(target, t_f: float) -> Circuit:
         between = [(i, True) for layer in reversed(layers) for i in layer]
     instrs.extend(_asap_layers(_cancel_inverses(between, L), L))
     return Circuit(L, tuple(instrs))
+
+
+def path_route_circuit(target, t_f: float) -> Circuit:
+    """The paper's path route: zig-zag path requests joined by the two-layer bridge rule.
+
+    Path P of the zig-zag cover becomes an analog request whose slot j
+    carries t_f * g'(P[j], P[j+1]), conjugated by P's sorting-network swap
+    frame (plain iSWAP layers before, the same layers reversed as
+    iSWAP-daggers after).  Between paths p and p+1 (p = 1, 2, ...) only two
+    bridge layers are emitted, on slots 0, 2, 4, ... and then 1, 3, 5, ...,
+    with an iSWAP on slot i < 2p and an iSWAP-dagger elsewhere: for every L
+    that is exactly what is left of path p's closing frame and path p+1's
+    opening frame once each gate that meets its own inverse is cancelled and
+    the rest is packed into ASAP layers (ata_circuit_cancelled).
+    """
+    if not math.isfinite(t_f):
+        raise ValueError("non-finite evolution time")
+    L = target.num_qubits
+    cover = walecki_cover(L)
+    instrs = [
+        DigitalLayer(tuple(map(Gate.iswap, layer)))
+        for layer in sort_network_sequence(cover.paths[0]).layers
+    ]
+    for p, (path, disabled) in enumerate(zip(cover.paths, cover.disabled_slots)):
+        if p:  # the bridge from path p to path p + 1, counting paths from 1
+            for start in (0, 1):
+                instrs.append(DigitalLayer(tuple(
+                    Gate.iswap(i) if i < 2 * p else Gate.iswap_dg(i) for i in range(start, L - 1, 2)
+                )))
+        instrs.append(AnalogRequest(tuple(
+            0.0 if slot in disabled else t_f * target.weight(path[slot], path[slot + 1])
+            for slot in range(L - 1)
+        )))
+    instrs.extend(
+        DigitalLayer(tuple(map(Gate.iswap_dg, layer)))
+        for layer in reversed(sort_network_sequence(cover.paths[-1]).layers)
+    )
+    return Circuit(L, tuple(instrs))
+
+
+def _matchings(num_slots: int) -> list:
+    """Every non-empty set of pairwise disjoint chain slots, as sorted tuples."""
+    out = [()]
+    for j in range(num_slots):
+        out += [m + (j,) for m in out if not m or m[-1] < j - 1]
+    return out[1:]
+
+
+def shortest_swap_network(num_qubits: int, limit: int) -> int | None:
+    """Fewest layers of any layered swap network that makes every pair adjacent and ends where it began.
+
+    A layer is any non-empty set of disjoint adjacent swaps; a pair counts
+    as adjacent at the start, between two layers or at the end.  Breadth-first
+    over (arrangement, pairs met so far), keeping only states that can
+    still finish within `limit` layers: an arrangement needs at least its
+    largest displacement in layers to return, and a pair d positions apart
+    needs at least ceil((d - 1) / 2) layers to meet and then
+    ceil((h - 1) / 2) more to reach their homes h positions apart.  None if no network
+    of at most `limit` layers exists.
+    """
+    L = num_qubits
+    bit = {}
+    for a in range(L):
+        for b in range(a + 1, L):
+            bit[a, b] = bit[b, a] = 1 << len(bit) // 2
+    full = (1 << L * (L - 1) // 2) - 1
+    layers = _matchings(L - 1)
+
+    def met(order):
+        return sum(bit[order[j], order[j + 1]] for j in range(L - 1))
+
+    def remaining(order, seen):
+        pos = {q: j for j, q in enumerate(order)}
+        need = max(abs(pos[q] - q) for q in range(L))
+        for (a, b), m in bit.items():
+            if a < b and not seen & m:
+                # ceil((d - 1) / 2) is d // 2 for a distance d >= 1
+                need = max(need, abs(pos[a] - pos[b]) // 2 + (b - a) // 2)
+        return need
+
+    start = tuple(range(L))
+    frontier = {(start, met(start))}
+    for depth in range(limit + 1):
+        if (start, full) in frontier:
+            return depth
+        nxt = set()
+        for order, seen in frontier:
+            for layer in layers:
+                arr = list(order)
+                for j in layer:
+                    arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                arr = tuple(arr)
+                state = (arr, seen | met(arr))
+                if state not in nxt and depth + 1 + remaining(*state) <= limit:
+                    nxt.add(state)
+        frontier = nxt
+    return None
+
+
+# --- the per-layer iSWAP lowering ---------------------------------------------
+
+def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list:
+    """One iSWAP layer as H, request, H, R, request, R, X: its XX half, then its YY half."""
+    if not all(g.is_two_qubit for g in layer.gates):
+        raise ValueError("layer mixes iSWAPs with single-qubit gates")
+    angles = [0.0] * (num_qubits - 1)
+    touched = []
+    for g in layer.gates:
+        angles[g.qubits[0]] = (-1.0 if g.type is GateType.ISWAP_DG else 1.0) * math.pi / 4.0
+        touched.extend(g.qubits)
+    key = tuple(sorted(touched))
+    h_layer, r_layer, x_layer = (DigitalLayer(tuple(map(gate, key))) for gate in (Gate.h, Gate.r, Gate.x))
+    request = AnalogRequest(tuple(angles))
+    return [h_layer, request, h_layer, r_layer, request, r_layer, x_layer]
+
+
+def lower_per_layer(circuit: Circuit) -> Circuit:
+    """Lower each iSWAP layer on its own, two requests per layer; nothing is merged."""
+    instrs = []
+    for instr in circuit.instructions:
+        if isinstance(instr, DigitalLayer) and instr.has_iswaps:
+            instrs.extend(lower_iswap_layer(instr, circuit.num_qubits))
+        else:
+            instrs.append(instr)
+    return Circuit(circuit.num_qubits, tuple(instrs))
 
 
 # --- edge sets, path covers and weighted composition ---------------------------

