@@ -4,13 +4,13 @@ Exit codes: 0 success / verification passed, 1 malformed input (including
 command-line usage errors and an --output that is unwritable or not a
 regular file) or a standard output closed before the report was written (as
 by `| head -1`; nothing is printed to stderr then), 2 target unschedulable
-on the given resource, 3 verification failed, 4 qubit count over the
-dense-verification cap.  Reports go to stdout, diagnostics to stderr;
-outputs are byte-identical for identical inputs.
+on the given resource, 3 verification failed.  Reports go to stdout,
+diagnostics to stderr; outputs are byte-identical for identical inputs.
 
-Only `compile` imports `compiler` and only `verify` imports `unitaries`,
-each inside its command.  `unitaries` is the one module that loads NumPy,
-so `compile`, `stats` and `--help` run without it.
+Only `compile` imports `compiler` and only `verify` imports `frames`, each
+inside its command.  No module the command line loads imports NumPy:
+`unitaries`, the dense oracle that does, serves the tests and the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable
 
 from . import __version__
 from .circuits import Circuit, circuit_stats
@@ -36,17 +35,16 @@ from .fileio import (
 )
 
 
-# `verify`'s default qubit cap: dense matrices of 2^10 x 2^10 keep one check
-# to a few seconds.
-DEFAULT_MAX_QUBITS = 10
-
-
 # Printed under every reference_request_count line.
 _REFERENCE_NOTE = (
     "note: reference_request_count is 5L-12, the paper's count; this "
     "compiler's swap network with merged iSWAP halves needs 3L-4 for "
     "even L, as many at L=4 and fewer from L=6 on."
 )
+
+
+# A failed `verify` lists this many of its worst couplings.
+_WORST_SHOWN = 5
 
 
 def _reference_request_count(problem: ProblemSpec) -> int | None:
@@ -100,23 +98,26 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem, circuit, _metadata = _load_pair(args)
-    if problem.num_qubits > args.max_qubits:
-        print(f"{problem.num_qubits} qubits exceeds the dense-verification cap of {args.max_qubits}",
-              file=sys.stderr)
-        return 4
-    from .unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
+    from .frames import check_schedule
 
+    problem, circuit, _metadata = _load_pair(args)
     if problem.target_type == "ata":
-        target = exact_target(problem.target_graph, problem.t_f)
+        target = {edge: w * problem.t_f for edge, w in problem.target_graph.weights.items()}
     else:
-        angles = {(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}
-        target = zz_evolution(angles, problem.num_qubits)
-    actual = circuit_unitary(circuit, problem.resource)
-    report = phase_distance(target, actual)
-    passed = report.distance < args.tol
-    print(f"distance: {report.distance:.3e}")
+        target = {(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}
+    report = check_schedule(circuit, problem.resource, target)
+    passed = report.passed(args.tol)
+    print(f"distance: {report.bound:.3e}")
     print(f"tolerance: {args.tol:.3e}")
+    if not passed:
+        for c in report.couplings[:_WORST_SHOWN]:
+            if c.off > 0.0:
+                print(f"{c.edge}: realised {c.realised!r}, target {c.target!r}, off by {c.off:.3e}")
+        if report.single_z or report.other_z or report.rounding:
+            print(f"single-qubit Z off by {report.single_z:.3e}, longer Z strings off by "
+                  f"{report.other_z:.3e}, rounding to k*pi/4 off by {report.rounding:.3e}")
+        if report.frame_off is not None:
+            print(f"frame: qubit {report.frame_off} does not return to itself")
     print("PASS" if passed else "FAIL")
     return 0 if passed else 3
 
@@ -144,21 +145,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checked(
-    convert: Callable[[str], float], valid: Callable[[float], bool], wanted: str
-) -> Callable[[str], float]:
-    """An argparse type: `convert`, then reject what `valid` refuses as a usage error."""
-
-    def parse(text: str) -> float:
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
-            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
-        return value
-
-    return parse
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite number above 0; anything else is a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,13 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--input", required=True, help="problem JSON file")
     p_verify.add_argument("--schedule", required=True, help="schedule JSON file")
     p_verify.add_argument(
-        "--tol", type=_checked(float, lambda tol: math.isfinite(tol) and tol > 0, "a finite number > 0"),
-        default=1e-9, help="distance tolerance",
-    )
-    p_verify.add_argument(
-        "--max-qubits", type=_checked(int, lambda cap: cap >= 2, "an integer >= 2"),
-        default=DEFAULT_MAX_QUBITS,
-        help=f"dense-verification qubit cap (default {DEFAULT_MAX_QUBITS})",
+        "--tol", type=_tolerance, default=1e-9, help="tolerance on the distance bound",
     )
     p_verify.set_defaults(func=cmd_verify)
 

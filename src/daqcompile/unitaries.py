@@ -1,5 +1,9 @@
 """Exact dense-matrix oracle for gates, analog blocks, and whole circuits.
 
+The command line no longer uses it: `verify` walks a Pauli frame
+(`frames`).  Only the tests, which check the frame verdicts against it, and
+the benchmark's tracer call it; it is the one module that loads NumPy.
+
 Conventions (every test depends on them):
 
 * Qubit q is bit q of the basis index (qubit 0 = least significant bit).
@@ -14,10 +18,8 @@ matrix per run of qubits), iSWAP layers gate by gate; analog instructions
 act as diagonal phases, all in one pass over the circuit.
 The phase-invariant distance is computed from entrywise differences, so it
 stays linear in the error down to ~1e-14 (see `phase_distance`).  Nothing
-here limits the qubit count: the command line's `verify` checks its cap
-(10 qubits by default) before it builds a matrix, which keeps dense checks
-tractable (one `verify` takes about 0.3 s at 8 qubits and 1.7 s at 10 on
-a 2-vCPU Linux x86-64 VM).
+here limits the qubit count, but memory and time grow as 4^L: one check
+took about 0.3 s at 8 qubits and 1.7 s at 10 on a 2-vCPU Linux x86-64 VM.
 """
 
 from __future__ import annotations

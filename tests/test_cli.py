@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -282,37 +283,123 @@ def test_verify_resolves_a_tiny_duration_error(tmp_path, capsys):
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
     argv = ["verify", "--input", problem, "--schedule", str(out), "--tol", "1e-11"]
     assert main(argv) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    block = max((i["resource_block"] for i in doc["instructions"] if "resource_block" in i),
-                key=lambda b: b["duration"])
-    block["duration"] *= 1 + 1e-10
-    out.write_text(json.dumps(doc), encoding="utf-8")
+    _scaled_block(out, 1 + 1e-10)
     capsys.readouterr()
     assert main(argv) == 3
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_qubit_cap_exits_4(tmp_path, capsys):
+def test_verify_passes_at_12_qubits(tmp_path, capsys):
+    # the frame walk has no qubit cap: 12 qubits verify like 4
     L = 12
     problem = ata_problem(tmp_path, L=L, couplings=[{"i": 0, "j": 11, "value": 0.4}])
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
-    assert main(["verify", "--input", problem, "--schedule", out]) == 4
-    assert capsys.readouterr().err == "12 qubits exceeds the dense-verification cap of 10\n"
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("PASS\n") and captured.err == ""
 
 
-@pytest.mark.parametrize("cap, code", [(2, 4), (3, 0)])
-def test_verify_max_qubits_option(tmp_path, capsys, cap, code):
+@pytest.mark.parametrize("cap, old_code", [(2, 4), (3, 0)])
+def test_verify_max_qubits_option(tmp_path, capsys, cap, old_code):
+    # `--max-qubits` went with the dense cap: a value below the problem's 3
+    # qubits (which exited 4) and one at it (which passed) are both now
+    # unknown options, a usage error with nothing on stdout
     problem = ata_problem(tmp_path, L=3)
     out = str(tmp_path / "s.json")
     assert main(["compile", "--input", problem, "--output", out]) == 0
     capsys.readouterr()
-    assert main(["verify", "--input", problem, "--schedule", out, "--max-qubits", str(cap)]) == code
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", problem, "--schedule", out, "--max-qubits", str(cap)])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
-    if code:
-        assert (captured.out, captured.err) == ("", "3 qubits exceeds the dense-verification cap of 2\n")
-    else:
-        assert captured.out.endswith("PASS\n") and captured.err == ""
+    assert captured.out == "" and f"error: unrecognized arguments: --max-qubits {cap}" in captured.err
+    assert "dense-verification cap" not in captured.err
+
+
+def _scaled_block(out, factor):
+    """Scale the duration of the schedule file's longest block by `factor`; returns it."""
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    block = max((i["resource_block"] for i in doc["instructions"] if "resource_block" in i),
+                key=lambda b: b["duration"])
+    block["duration"] *= factor
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return block
+
+
+def test_failed_verify_explains_itself(tmp_path, capsys):
+    # a chain target's blocks realise its couplings directly: a longer block
+    # puts every slot it runs off its target, worst first
+    problem = nn_problem(tmp_path, L=5, couplings=[0.9, 1.3, 0.6, 1.1], angles=[0.5, -0.2, 0.3, 0.9])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    _scaled_block(out, 1 + 1e-3)
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("distance: ") and lines[1] == "tolerance: 1.000e-09"
+    assert lines[-1] == "FAIL"
+    worst = lines[2:-1]
+    assert 1 <= len(worst) <= 4
+    offs = []
+    for line in worst:
+        edge, rest = line.split(": realised ")
+        realised, rest = rest.split(", target ")
+        target, off = rest.split(", off by ")
+        i, j = map(int, edge.strip("()").split(", "))
+        assert j == i + 1
+        assert float(off) == pytest.approx(abs(float(realised) - float(target)), rel=1e-3)
+        offs.append(float(off))
+    assert offs == sorted(offs, reverse=True) and offs[-1] > 1e-6
+    assert sum(offs) == pytest.approx(float(lines[0].removeprefix("distance: ")), rel=1e-3)
+
+
+def test_failed_verify_reports_rounding_off_the_z_frame(tmp_path, capsys):
+    # an rz after an h rotates X: its angle is no multiple of pi/4, so the
+    # rounding to one is what fails
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    doc["instructions"][0:0] = [{"sqr": [{"q": 1, "gate": "h"}]},
+                                {"sqr": [{"q": 1, "gate": "rz", "angle": 0.25}]},
+                                {"sqr": [{"q": 1, "gate": "h"}]}]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].endswith("rounding to k*pi/4 off by 1.250e-01") and lines[-1] == "FAIL"
+
+
+def test_failed_verify_names_the_first_qubit_off_the_frame(tmp_path, capsys):
+    problem = ata_problem(tmp_path, L=4, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    doc["instructions"].append({"sqr": [{"q": 2, "gate": "h"}, {"q": 3, "gate": "x"}]})
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["frame: qubit 2 does not return to itself", "FAIL"]
+
+
+def test_verify_at_64_qubits_resolves_a_relative_1e9_duration_error(tmp_path, capsys):
+    rng = random.Random(5)
+    L = 64
+    couplings = [{"i": i, "j": j, "value": rng.gauss(0.0, 1.0)} for i in range(L) for j in range(i + 1, L)]
+    problem = ata_problem(tmp_path, L=L, t_f=0.7, couplings=couplings,
+                          resource=[rng.uniform(0.5, 1.5) for _ in range(L - 1)])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "PASS" and float(lines[0].removeprefix("distance: ")) < 1e-9
+    _scaled_block(out, 1 + 1e-9)
+    assert main(["verify", "--input", problem, "--schedule", str(out)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):
@@ -706,8 +793,9 @@ def test_closed_stdout_exits_1_quietly(tmp_path, command):
 
 
 def test_compile_and_stats_run_without_numpy(tmp_path):
-    # only `verify` needs NumPy: with it unimportable, `compile` and `stats`
-    # still run and write the schedules an ordinary compile writes
+    # no command needs NumPy: with it unimportable, `compile`, `stats` and
+    # `verify` still run, and `compile` writes the schedules an ordinary
+    # compile writes
     problems = [
         ata_problem(tmp_path, L=6, t_f=0.7, name="ata.json"),
         nn_problem(tmp_path, L=7, angles=[0.3, -0.3, 0.0, 1.1, 0.0, -0.25], name="nn.json"),
@@ -717,6 +805,7 @@ def test_compile_and_stats_run_without_numpy(tmp_path):
         out = str(tmp_path / f"child{k}.json")
         calls.append(["compile", "--input", problem, "--output", out])
         calls.append(["stats", "--input", problem, "--schedule", out])
+        calls.append(["verify", "--input", problem, "--schedule", out])
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None  # any import of numpy now raises ImportError\n"
@@ -731,6 +820,7 @@ def test_compile_and_stats_run_without_numpy(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("resource_blocks: ") == 4
+    assert run.stdout.count("\nPASS\n") == 2
     for k, problem in enumerate(problems):
         out = tmp_path / f"in_process{k}.json"
         assert main(["compile", "--input", problem, "--output", str(out)]) == 0
