@@ -3,8 +3,7 @@
 A Circuit is an ordered instruction list over three kinds:
 
 * DigitalLayer - parallel gates on pairwise disjoint qubits (single-qubit
-  rotations or adjacent iSWAP/iSWAP-dagger gates; every x, h and r gate on
-  a qubit is one shared object from single_qubit_gate);
+  rotations or adjacent iSWAP/iSWAP-dagger gates);
 * AnalogRequest - an ideal chain ZZ evolution asking for phase phi_j on each
   slot j (the scheduler later realises it from the fixed resource);
 * ResourceBlock - an executable evolution under the resource chain for a
@@ -34,7 +33,6 @@ reduces the angles).  Global phase is not tracked.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -78,17 +76,17 @@ class Gate:
         if self.angle != 0.0 and self.type is not GateType.RZ:
             raise ValueError(f"{self.type.value} takes no angle")
 
-    @staticmethod
-    def x(q: int) -> "Gate":
-        return single_qubit_gate(GateType.X, q)
+    @classmethod
+    def x(cls, q: int) -> "Gate":
+        return cls(GateType.X, (q,))
 
-    @staticmethod
-    def h(q: int) -> "Gate":
-        return single_qubit_gate(GateType.H, q)
+    @classmethod
+    def h(cls, q: int) -> "Gate":
+        return cls(GateType.H, (q,))
 
-    @staticmethod
-    def r(q: int) -> "Gate":
-        return single_qubit_gate(GateType.R, q)
+    @classmethod
+    def r(cls, q: int) -> "Gate":
+        return cls(GateType.R, (q,))
 
     @classmethod
     def iswap(cls, left: int) -> "Gate":
@@ -101,18 +99,6 @@ class Gate:
     @property
     def is_two_qubit(self) -> bool:
         return self.type in _TWO_QUBIT
-
-
-@functools.cache
-def single_qubit_gate(gate_type: GateType, q: int) -> Gate:
-    """The one shared, immutable angle-free gate of this type on qubit q.
-
-    Every x, h and r gate on a qubit is the same object, so a schedule of
-    L-qubit rotation layers holds at most 3L of them however long it is.
-    A call that raises (an invalid qubit, a two-qubit type) caches nothing
-    and raises again on every later call.
-    """
-    return Gate(gate_type, (q,))
 
 
 @dataclass(frozen=True)

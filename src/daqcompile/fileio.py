@@ -6,9 +6,9 @@ schedule instruction) on its own compact line, and spells floats as
 Python's shortest repr, which round-trips binary64 exactly; identical
 inputs produce byte-identical outputs.  schedule_document renders each
 instruction's line itself, a block's x_mask list straight from the mask's
-bytes, and renders a repeated instruction or gate object only once per call
-(the compiler shares them); the file still spells every instruction at each
-of its places.  iter_canonical writes those lines as they are and encodes
+bytes, and renders a repeated instruction object only once per call (the
+compiler shares them); the file still spells every instruction at each of
+its places.  iter_canonical writes those lines as they are and encodes
 everything else with the standard library's encoder.  Unknown and repeated
 fields are rejected on parse, and a block's boolean list becomes the mask's
 bytes.  load_schedule parses each distinct instruction line once, with the
@@ -38,15 +38,13 @@ from .circuits import (
     GateType,
     Instruction,
     ResourceBlock,
-    single_qubit_gate,
 )
 from .errors import FileFormatError
 from .graphs import CouplingGraph, NNChain
 
 SCHEDULE_FORMAT = "daqc-schedule/1"
 
-_SHARED_NAMES = {t.value: t for t in (GateType.X, GateType.H, GateType.R)}
-_SQR_NAMES = {**_SHARED_NAMES, GateType.RZ.value: GateType.RZ}
+_SQR_NAMES = {t.value: t for t in (GateType.X, GateType.H, GateType.R, GateType.RZ)}
 
 
 @dataclass(frozen=True)
@@ -278,7 +276,7 @@ def _problem(data: Any) -> ProblemSpec:
 
 
 def _checked_gate(g: Any, L: int, where: str) -> Gate:
-    """A gate entry off the fast path, checked field by field for the error message."""
+    """One gate entry, checked field by field so that an error names the field."""
     if not isinstance(g, dict):
         raise FileFormatError(f"{where}: expected an object")
     keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
@@ -291,31 +289,20 @@ def _checked_gate(g: Any, L: int, where: str) -> Gate:
         raise FileFormatError(f"{where}: unknown gate {g['gate']!r}")
     if gate_type is GateType.RZ:
         return Gate(gate_type, (q,), _as_number(g["angle"], f"{where}.angle"))
-    return single_qubit_gate(gate_type, q)
+    return Gate(gate_type, (q,))
 
 
 def _instruction(entry: Any, L: int, where: str) -> Instruction:
-    """One schedule instruction; the gate, layer and block classes check the rest.
-
-    A well-formed x/h/r entry, exactly {"q": int, "gate": name} with q < L,
-    takes the shared gate straight away; anything else goes through
-    _checked_gate, which rejects q >= L before a gate is cached for it.
-    """
+    """One schedule instruction; the gate, layer and block classes check the rest."""
     if not isinstance(entry, dict) or len(entry) != 1:
         raise FileFormatError(f"{where}: expected exactly one of 'sqr'/'resource_block'")
     if "sqr" in entry:
         entries = entry["sqr"]
         if not isinstance(entries, list) or not entries:
             raise FileFormatError(f"{where}.sqr: expected a non-empty list")
-        gates = []
-        for g_idx, g in enumerate(entries):
-            if type(g) is dict and len(g) == 2 and type(g.get("q")) is int and type(g.get("gate")) is str:
-                gate_type = _SHARED_NAMES.get(g["gate"])
-                if gate_type is not None and g["q"] < L:
-                    gates.append(single_qubit_gate(gate_type, g["q"]))
-                    continue
-            gates.append(_checked_gate(g, L, f"{where}.sqr[{g_idx}]"))
-        return DigitalLayer(tuple(gates))
+        return DigitalLayer(tuple(
+            _checked_gate(g, L, f"{where}.sqr[{g_idx}]") for g_idx, g in enumerate(entries)
+        ))
     if "resource_block" in entry:
         block = entry["resource_block"]
         _require_keys(block, {"duration", "x_mask"}, f"{where}.resource_block")
@@ -507,42 +494,34 @@ def _gate_text(g: Gate) -> str:
     return f'{{"q":{g.qubits[0]},"gate":"{g.type.value}"}}'
 
 
-def _instruction_line(instr: Instruction, gate_texts: dict[int, str]) -> str:
+def _instruction_line(instr: Instruction) -> str:
     """One instruction in the compact JSON spelling of the /1 schema.
 
     A mask becomes its JSON list straight from its bytes, one 0 or 1 per
-    qubit.  gate_texts maps id(gate) to the gate's spelling; gates missing
-    from it are spelled and added.
+    qubit.
     """
     if isinstance(instr, ResourceBlock):
         bits = instr.x_mask.replace(b"\0", b"false,").replace(b"\1", b"true,")
         return (f'{{"resource_block":{{"duration":{float(instr.duration)!r},'
                 f'"x_mask":[{bits[:-1].decode()}]}}}}')
     if isinstance(instr, DigitalLayer):
-        texts = []
-        for g in instr.gates:
-            text = gate_texts.get(id(g))
-            if text is None:
-                text = gate_texts[id(g)] = _gate_text(g)
-            texts.append(text)
-        return f'{{"sqr":[{",".join(texts)}]}}'
+        return f'{{"sqr":[{",".join(map(_gate_text, instr.gates))}]}}'
     raise ValueError(f"cannot serialise {instr!r}; schedule analog requests first")
 
 
 def _instruction_lines(instructions: tuple[Instruction, ...]) -> _Lines:
-    """Every instruction's line, each distinct instruction and gate object rendered once.
+    """Every instruction's line, each distinct instruction object rendered once.
 
-    The caches are keyed by id(), never by value: equal values can be
-    spelled differently (0.0 and -0.0), and the tuple keeps every object,
-    and so its id, alive for the whole call.
+    The cache is keyed by id(), never by value: equal values can be spelled
+    differently (0.0 and -0.0), and the tuple keeps every object, and so its
+    id, alive for the whole call.
     """
     lines: dict[int, str] = {}
-    gate_texts: dict[int, str] = {}
     out = _Lines()
     for instr in instructions:
         line = lines.get(id(instr))
         if line is None:
-            line = lines[id(instr)] = _instruction_line(instr, gate_texts)
+            line = lines[id(instr)] = _instruction_line(instr)
         out.append(line)
     return out
 

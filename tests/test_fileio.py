@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from daqcompile import fileio
 from daqcompile.cli import main
-from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock, single_qubit_gate
+from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
 from daqcompile.graphs import NNChain
@@ -160,19 +160,17 @@ def test_equal_values_in_distinct_objects_keep_their_own_spelling():
 def test_repeated_objects_are_rendered_once(monkeypatch):
     L = 4
     layer = DigitalLayer((Gate.h(0), Gate.r(1), Gate(GateType.RZ, (3,), 0.25)))
-    other = DigitalLayer((Gate.h(0), Gate.r(1)))   # a distinct layer of shared gates
+    other = DigitalLayer((Gate.h(0), Gate.r(1)))   # a distinct layer of equal gates
     block = ResourceBlock(0.5, b"\0\1\1\0")
     circuit = Circuit(L, (layer, block, layer, other, block, layer))
     expected = schedule_document(circuit, NNChain(L, (1.0,) * 3), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
-    rendered, spelled = [], []
-    instruction_line, gate_text = fileio._instruction_line, fileio._gate_text
-    monkeypatch.setattr(fileio, "_instruction_line", lambda instr, *rest: rendered.append(instr)
-                        or instruction_line(instr, *rest))
-    monkeypatch.setattr(fileio, "_gate_text", lambda g: spelled.append(g) or gate_text(g))
+    rendered = []
+    instruction_line = fileio._instruction_line
+    monkeypatch.setattr(fileio, "_instruction_line", lambda instr: rendered.append(instr)
+                        or instruction_line(instr))
     lines = schedule_document(circuit, NNChain(L, (1.0,) * 3), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
     assert lines == expected and len(lines) == 6
     assert [id(i) for i in rendered] == [id(layer), id(block), id(other)]
-    assert [id(g) for g in spelled] == [id(g) for g in layer.gates]
 
 
 # --- strict schedule reader ------------------------------------------------------
@@ -316,11 +314,13 @@ def test_reader_stays_linear_after_a_long_item(tmp_path, layout):
 def test_loaded_gates_are_shared_except_rz(tmp_path):
     circuit = load_schedule(_write_schedule(tmp_path, _SCHEDULE))[0]
     first, block, last = circuit.instructions
-    assert first.gates[0] is last.gates[0] is Gate.h(0)
-    assert last.gates[1] is Gate.x(1)
+    assert first.gates[0] == last.gates[0] == Gate.h(0)
+    assert last.gates[1] == Gate.x(1)
     assert first.gates[1] == last.gates[2] == Gate(GateType.RZ, (2,), 0.25)
-    assert first.gates[1] is not last.gates[2]
     assert block.x_mask == b"\0\1\1"
+    # a repeated line is one layer object, and so are all of its gates
+    instrs = load_schedule(_write_canonical(tmp_path, _repeating(_SCHEDULE)))[0].instructions
+    assert isinstance(instrs[0], DigitalLayer) and instrs[0] is instrs[2] is instrs[5]
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -343,17 +343,6 @@ def test_reader_gate_messages(tmp_path, entry, message):
     with pytest.raises(FileFormatError) as info:
         load_schedule(_write_schedule(tmp_path, doc))
     assert str(info.value) == message
-
-
-def test_reader_caches_no_gate_past_l(tmp_path):
-    # the shared-gate cache lives as long as the process: a rejected file must leave it as it was
-    doc = copy.deepcopy(_SCHEDULE)
-    doc["instructions"][2]["sqr"] = [{"q": 10**6, "gate": "x"}, {"q": 10**6 + 1, "gate": "x"}]
-    before = single_qubit_gate.cache_info().currsize
-    with pytest.raises(FileFormatError) as info:
-        load_schedule(_write_schedule(tmp_path, doc))
-    assert str(info.value) == f"instructions[2].sqr[0].q: need q < 3, got {10**6}"
-    assert single_qubit_gate.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("mask", [[False, 1, True], [False, None, True], [False, True], "FTT"])

@@ -15,7 +15,6 @@ from daqcompile.circuits import (
     Gate,
     GateType,
     ResourceBlock,
-    single_qubit_gate,
 )
 from daqcompile.compiler import compile_ata, compile_chain
 from daqcompile.frames import CONJUGATION, check_schedule, pauli_product
@@ -40,7 +39,7 @@ def pauli_matrix(p) -> np.ndarray:
 @pytest.mark.parametrize("gate_type", [GateType.X, GateType.H, GateType.R])
 def test_conjugation_table_matches_the_gate_matrices(gate_type):
     # derived from the 2x2 matrices, not copied: R = HSH sends Z to +Y = iXZ
-    g = gate_matrix(single_qubit_gate(gate_type, 0))
+    g = gate_matrix(Gate(gate_type, (0,)))
     derived = []
     for pauli in (X, Z):
         image = g.conj().T @ pauli @ g
@@ -156,7 +155,7 @@ def mutants(draw, circuit):
         n = draw(st.integers(0, len(gates) - 1))
         if kind == "swap":
             new = draw(st.sampled_from(sorted(set(CONJUGATION) - {gates[n].type})))
-            gates[n] = single_qubit_gate(new, gates[n].qubits[0])
+            gates[n] = Gate(new, (gates[n].qubits[0],))
         else:
             del gates[n]
         instrs[k:k + 1] = [DigitalLayer(tuple(gates))] if gates else []
