@@ -16,13 +16,16 @@ Compilation strategy, the same for every L: a linear swap network
 halves of consecutive layers merged (lower_swap_layers), 3L - 4 analog
 requests for even L and 3L - 3 for odd L >= 3.  Every swap is the bare
 iSWAP, the member of the paper's Z-relaying family
-exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.
+exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.  The
+lowering's basis changes are one Clifford frame carried from request to
+request, tracked with the conjugation table below (CONJUGATION, which the
+verifier in frames shares): one single-qubit layer per request for even L.
 
 Instructions are immutable, so one object may stand at many places of a
 circuit: the swap network repeats four iSWAP layer objects, lowering
-shares its requests and basis layers by value, and the compiler shares the
-blocks of repeated requests.  Validation and circuit_stats walk a layer's
-gates once per distinct layer object.
+shares its requests by value and emits one layer object per gate kind,
+and the compiler shares the blocks of repeated requests.  Validation and
+circuit_stats walk a layer's gates once per distinct layer object.
 
 Requested analog angles are scheduled as given, never reduced mod pi/2 or
 mod 2*pi, so each request's time is minimal only for the angles it was
@@ -273,6 +276,69 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     return Circuit(L, tuple(instrs))
 
 
+# --- single-qubit Clifford frames ----------------------------------------------
+
+Pauli = tuple[int, int, int]   # (x, z, e): i^e X^x Z^z with bit q of x and z on qubit q
+
+# g^dag X g and g^dag Z g of each Clifford gate as one-qubit (x, z, e).
+CONJUGATION: dict[GateType, tuple[Pauli, Pauli]] = {
+    GateType.X: ((1, 0, 0), (0, 1, 2)),   # X -> X, Z -> -Z
+    GateType.H: ((0, 1, 0), (1, 0, 0)),   # X -> Z, Z -> X
+    GateType.R: ((1, 0, 0), (1, 1, 1)),   # R = HSH: X -> X, Z -> Y = iXZ
+}
+
+
+def pauli_product(a: Pauli, b: Pauli) -> Pauli:
+    """Product a b of bit-packed Paulis: Z^z X^x = (-1)^|z & x| X^x Z^z."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) & 3
+
+
+def pauli_image(xq: Pauli, zq: Pauli, img: Pauli) -> Pauli:
+    """The one-qubit Pauli img = i^e X^x Z^z with X and Z replaced by the Paulis xq and zq.
+
+    With xq and zq the images C^dag X C and C^dag Z C of a Clifford C, and img
+    a gate's entry in CONJUGATION, this is the frame's image after the gate.
+    """
+    x, z, e = img
+    out = pauli_product(xq, zq) if x and z else xq if x else zq
+    return out[0], out[1], (out[2] + e) & 3
+
+
+Frame = tuple[Pauli, Pauli]    # images C^dag X C and C^dag Z C of one qubit's Clifford C
+
+_IDENTITY: Frame = ((1, 0, 0), (0, 1, 0))
+
+# What the frame must satisfy before an instruction: the identity, diagonal
+# (Z image +Z), or a Z image on the X axis, the Y axis, or either.
+_GOALS = {
+    "identity": lambda frame: frame == _IDENTITY,
+    "diagonal": lambda frame: frame[1] == (0, 1, 0),
+    "x": lambda frame: frame[1][:2] == (1, 0),
+    "y": lambda frame: frame[1][:2] == (1, 1),
+    "xy": lambda frame: frame[1][0] == 1,
+}
+
+
+def _word(frame: Frame, goal: str) -> tuple[tuple[GateType, ...], Frame]:
+    """Shortest x/h/r word taking `frame` to one that meets `goal`, and that frame.
+
+    Breadth-first over the 24 single-qubit Cliffords, ties broken in the order x, h, r.
+    """
+    reached = _GOALS[goal]
+    seen = {frame}
+    level = [((), frame)]
+    while not any(reached(f) for _, f in level):
+        following = []
+        for word, (xq, zq) in level:
+            for gate, (x_img, z_img) in CONJUGATION.items():
+                f = pauli_image(xq, zq, x_img), pauli_image(xq, zq, z_img)
+                if f not in seen:
+                    seen.add(f)
+                    following.append((word + (gate,), f))
+        level = following
+    return next((w, f) for w, f in level if reached(f))
+
+
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------
 
 def _is_iswap_layer(instr: Instruction) -> bool:
@@ -282,55 +348,79 @@ def _is_iswap_layer(instr: Instruction) -> bool:
 def lower_swap_layers(circuit: Circuit) -> Circuit:
     """Lower every run of consecutive iSWAP layers; other instructions pass through.
 
-    exp(+-i pi/4 (XX+YY)) splits into commuting XX and YY halves; each half is
-    a chain ZZ evolution conjugated into the right basis (H for XX, R = HSH
-    for YY, closed by R-dagger emitted as R then X since R**3 = R-dagger).
-    Daggered gates request angle -pi/4; the scheduler's sign masks absorb the
-    sign so durations stay non-negative.  Within a run, layer i emits its XX
-    half first when i is even and its YY half first when i is odd, so the
-    halves that meet between two layers are of one kind.  All chain XX terms
-    commute, and so do all YY terms, so each such meeting pair is one
-    request: the slot angles add, and the basis layers cover both layers'
-    qubits.  A run of n layers costs n + 1 requests, alternately XX and YY;
-    one layer lowers to H, request, H, R, request, R, X with both halves the
-    same request object.
+    exp(+-i pi/4 (XX+YY)) splits into commuting XX and YY halves, each a chain
+    ZZ evolution seen through a single-qubit Clifford frame.  Daggered gates
+    request angle -pi/4; the scheduler's sign masks absorb the sign so
+    durations stay non-negative.  Within a run, layer i puts one half into
+    request i and the other into request i + 1, and the requests alternate
+    between the XX and YY kinds, so the halves that meet between two layers
+    are of one kind.  All chain XX terms commute, and so do all YY terms, so
+    each such meeting pair is one request whose slot angles add.  A run of n
+    layers costs n + 1 requests.
 
-    Requests with the same angles are one object, and so are basis layers
-    on the same qubits, so later passes can do their per-object work once;
-    a layer object's half is worked out once however often it repeats.
+    The basis changes are not undone after each request.  One Clifford C,
+    the product of the x/h/r layers emitted so far, is tracked as its images
+    of X and Z (the (x, z, e) form of CONJUGATION) and is the same on every
+    qubit that an iSWAP layer of the circuit touches.  A request emitted
+    after C realises exp(i sum_j phi_j P_j P_j+1) with P = C^dag Z C on each
+    qubit; the sign of P squares away, because both ends of a slot share C.
+    So before each request of a run, the shortest x/h/r word moves C until P
+    is +-X or +-Y, on the other axis from the run's previous request: in
+    practice h opens a run and one r moves between its requests.  Before a
+    request or block that is not from a run, and before an all-rz layer,
+    C is only made diagonal, which commutes with them; before any other
+    instruction, and at the end, C returns to the identity.  A compiled
+    circuit then costs one single-qubit layer per request for even L.  The
+    layers hold x, h and r gates only.
+
+    Requests with the same angles are one object, and each gate kind is one
+    layer object on the touched qubits, so later passes can do their
+    per-object work once; a layer object's half, and the word for a frame
+    and goal, are worked out once per call however often they repeat.
     """
     L = circuit.num_qubits
-    basis: dict[tuple[int, ...], tuple[DigitalLayer, DigitalLayer, DigitalLayer]] = {}
+    layer_halves: dict[int, list[float]] = {}
+    touched: set[int] = set()
+    for instr in circuit.instructions:
+        if _is_iswap_layer(instr) and id(instr) not in layer_halves:
+            layer_halves[id(instr)], qubits = _layer_half(instr, L)
+            touched |= qubits
+    # one layer object per gate kind; without iSWAPs the frame stays the identity
+    qubits = sorted(touched)
+    basis = {gate: DigitalLayer(tuple(Gate(gate, (q,)) for q in qubits)) for gate in CONJUGATION if qubits}
     requests: dict[tuple[float, ...], AnalogRequest] = {}
-    layer_halves: dict[int, tuple[list[float], set[int]]] = {}
     instrs: list[Instruction] = []
+    frame = _IDENTITY
+    words: dict[tuple[Frame, str], tuple[tuple[GateType, ...], Frame]] = {}
+
+    def move(goal: str) -> None:
+        nonlocal frame
+        found = words.get((frame, goal))
+        if found is None:
+            found = words[(frame, goal)] = _word(frame, goal)
+        word, frame = found
+        instrs.extend(basis[gate] for gate in word)
+
     for is_run, group in itertools.groupby(circuit.instructions, key=_is_iswap_layer):
         if not is_run:
-            instrs.extend(group)
+            for instr in group:
+                # requests, blocks (X_m D X_m) and all-rz layers are diagonal
+                diagonal = not isinstance(instr, DigitalLayer) or all(g.type is GateType.RZ for g in instr.gates)
+                move("diagonal" if diagonal else "identity")
+                instrs.append(instr)
             continue
-        halves = []
-        for layer in group:
-            half = layer_halves.get(id(layer))
-            if half is None:
-                half = layer_halves[id(layer)] = _layer_half(layer, L)
-            halves.append(half)
-        no_half = ([0.0] * (L - 1), set())
-        for m, (before, after) in enumerate(zip([no_half] + halves, halves + [no_half])):
-            key = tuple(map(operator.add, before[0], after[0]))
+        halves = [layer_halves[id(layer)] for layer in group]
+        zero = [0.0] * (L - 1)
+        axis = "xy"
+        for before, after in zip([zero] + halves, halves + [zero]):
+            key = tuple(map(operator.add, before, after))
             request = requests.get(key)
             if request is None:
                 request = requests[key] = AnalogRequest(key)
-            qubits = tuple(sorted(before[1] | after[1]))
-            layers = basis.get(qubits)
-            if layers is None:
-                layers = basis[qubits] = tuple(
-                    DigitalLayer(tuple(map(gate, qubits))) for gate in (Gate.h, Gate.r, Gate.x)
-                )
-            h_layer, r_layer, x_layer = layers
-            if m % 2 == 0:
-                instrs.extend((h_layer, request, h_layer))
-            else:
-                instrs.extend((r_layer, request, r_layer, x_layer))
+            move(axis)
+            instrs.append(request)
+            axis = "y" if frame[1][1] == 0 else "x"
+    move("identity")
     return Circuit(L, tuple(instrs))
 
 

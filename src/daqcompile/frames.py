@@ -52,24 +52,19 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuits import Circuit, DigitalLayer, GateType, ResourceBlock
+from .circuits import (
+    CONJUGATION,
+    Circuit,
+    DigitalLayer,
+    GateType,
+    Pauli,
+    ResourceBlock,
+    pauli_image,
+    pauli_product,
+)
 from .graphs import Edge, NNChain
 
 QUARTER = math.pi / 4.0
-
-Pauli = tuple[int, int, int]   # (x, z, e): i^e X^x Z^z with bit q of x and z on qubit q
-
-# g^dag X g and g^dag Z g of each Clifford gate as one-qubit (x, z, e).
-CONJUGATION: dict[GateType, tuple[Pauli, Pauli]] = {
-    GateType.X: ((1, 0, 0), (0, 1, 2)),   # X -> X, Z -> -Z
-    GateType.H: ((0, 1, 0), (1, 0, 0)),   # X -> Z, Z -> X
-    GateType.R: ((1, 0, 0), (1, 1, 1)),   # R = HSH: X -> X, Z -> Y = iXZ
-}
-
-
-def pauli_product(a: Pauli, b: Pauli) -> Pauli:
-    """Product a b of bit-packed Paulis: Z^z X^x = (-1)^|z & x| X^x Z^z."""
-    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) & 3
 
 
 def _off_pi(angle: float) -> float:
@@ -125,13 +120,7 @@ class _Walk:
                 raise ValueError(f"{g.type.value} is not a single-qubit Clifford; lower it first")
             x_img, z_img = images
             xq, zq = xs[q], zs[q]
-            xs[q], zs[q] = self._image(xq, zq, x_img), self._image(xq, zq, z_img)
-
-    @staticmethod
-    def _image(xq: Pauli, zq: Pauli, img: Pauli) -> Pauli:
-        x, z, e = img
-        out = pauli_product(xq, zq) if x and z else xq if x else zq
-        return out[0], out[1], (out[2] + e) & 3
+            xs[q], zs[q] = pauli_image(xq, zq, x_img), pauli_image(xq, zq, z_img)
 
     def slots(self, angles) -> None:
         zs = self.zs

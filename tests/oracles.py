@@ -17,9 +17,11 @@ compare it against all of these.  An exhaustive
 search over layered swap networks bounds the layer count of the
 compiler's route from below at small L.
 
-The per-layer iSWAP lowering, two requests per layer, is the reference for
-the compiler's lowering, which merges the same-kind halves of
-consecutive layers.
+The per-layer iSWAP lowering, two requests per layer, each in its own
+basis sandwich, is the reference for the compiler's lowering, which merges
+the same-kind halves of consecutive layers and carries one Clifford frame
+from request to request; `single_qubit_frames` composes a circuit's x/h/r
+gates qubit by qubit, so a test can see that frame close.
 
 Next come the helpers that only tests need: complete graphs and edge sets,
 path covers and their weighted composition, permutations applied by swap
@@ -44,6 +46,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from daqcompile.circuits import (
+    CONJUGATION,
     AnalogRequest,
     Circuit,
     DigitalLayer,
@@ -51,6 +54,7 @@ from daqcompile.circuits import (
     GateType,
     ResourceBlock,
     ata_circuit_general,
+    pauli_product,
 )
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
@@ -438,6 +442,33 @@ def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list:
     h_layer, r_layer, x_layer = (DigitalLayer(tuple(map(gate, key))) for gate in (Gate.h, Gate.r, Gate.x))
     request = AnalogRequest(tuple(angles))
     return [h_layer, request, h_layer, r_layer, request, r_layer, x_layer]
+
+
+IDENTITY_FRAME = ((1, 0, 0), (0, 1, 0))
+
+
+def single_qubit_frames(circuit: Circuit) -> list:
+    """Per qubit, the images (C^dag X C, C^dag Z C) of the product C of its x, h and r gates.
+
+    Requests, blocks and rz gates are skipped.  Each image is a one-qubit
+    (x, z, e) = i^e X^x Z^z, composed gate by gate through the conjugation
+    table: the image of i^e X^x Z^z under C is i^e (C^dag X C)^x (C^dag Z C)^z.
+    """
+    frames = [IDENTITY_FRAME] * circuit.num_qubits
+    for instr in circuit.instructions:
+        if not isinstance(instr, DigitalLayer):
+            continue
+        for g in instr.gates:
+            if g.type not in CONJUGATION:
+                continue
+            q = g.qubits[0]
+            xq, zq = frames[q]
+            images = []
+            for x, z, e in CONJUGATION[g.type]:
+                p = pauli_product(xq, zq) if x and z else xq if x else zq
+                images.append((p[0], p[1], (p[2] + e) & 3))
+            frames[q] = tuple(images)
+    return frames
 
 
 def lower_per_layer(circuit: Circuit) -> Circuit:

@@ -24,6 +24,7 @@ from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
 from oracles import (
     I2,
+    IDENTITY_FRAME,
     X,
     Y,
     Z,
@@ -41,6 +42,7 @@ from oracles import (
     lower_per_layer,
     path_route_circuit,
     shortest_swap_network,
+    single_qubit_frames,
     slot_signs,
     zz_hamiltonian,
 )
@@ -85,7 +87,10 @@ def test_single_qubit_gates_are_shared():
         assert make(3) == fresh and hash(make(3)) == hash(fresh)
     # the lowering builds its rotation layers from these gates
     out = lowered_layer(DigitalLayer((Gate.iswap(1),)), 4)
-    assert all(g == Gate.x(g.qubits[0]) for g in out[-1].gates)
+    makers = {GateType.X: Gate.x, GateType.H: Gate.h, GateType.R: Gate.r}
+    layers = [i for i in out if isinstance(i, DigitalLayer)]
+    assert {la.gates[0].type for la in layers} == set(makers)
+    assert all(g == makers[g.type](g.qubits[0]) for la in layers for g in la.gates)
 
 
 def test_shared_gate_rejects_invalid_qubit_every_time():
@@ -374,23 +379,33 @@ def test_no_shorter_swap_network_covers_every_pair(L):
 
 # --- lowering ------------------------------------------------------------------
 
+def word(instrs):
+    """Each instruction as its gate kind (one kind per lowered layer), or "req" for a request."""
+    return [i.gates[0].type.value if isinstance(i, DigitalLayer) else "req" for i in instrs]
+
+
 def test_lower_single_iswap_l2():
-    out = lowered_layer(DigitalLayer((Gate.iswap(0),)), 2)
-    assert out == lower_iswap_layer(DigitalLayer((Gate.iswap(0),)), 2)
+    layer = DigitalLayer((Gate.iswap(0),))
+    out = lowered_layer(layer, 2)
+    # h opens the XX half, r turns it into the YY half, x r h returns to the identity
+    assert word(out) == ["h", "req", "r", "req", "x", "r", "h"]
     requests = [i for i in out if isinstance(i, AnalogRequest)]
-    assert len(requests) == 2
+    assert len(requests) == 2 and requests[0] is requests[1]
     assert all(r.slot_angles == (math.pi / 4,) for r in requests)
+    reference = Circuit(2, tuple(lower_iswap_layer(layer, 2)))
+    assert phase_distance(circuit_unitary(Circuit(2, tuple(out))), circuit_unitary(reference)).distance < 1e-12
 
 
 def test_lower_mixed_layer_l6():
     layer = DigitalLayer((Gate.iswap(1), Gate.iswap_dg(3)))
     out = lowered_layer(layer, 6)
-    assert out == lower_iswap_layer(layer, 6)
+    assert word(out) == ["h", "req", "r", "req", "x", "r", "h"]
     requests = [i for i in out if isinstance(i, AnalogRequest)]
-    assert len(requests) == 2
+    assert len(requests) == 2 and requests[0] is requests[1]
     assert requests[0].slot_angles == (0.0, math.pi / 4, 0.0, -math.pi / 4, 0.0)
-    touched = {g.qubits[0] for i in out if isinstance(i, DigitalLayer) for g in i.gates}
-    assert touched == {1, 2, 3, 4}
+    assert all(tuple(g.qubits[0] for g in i.gates) == (1, 2, 3, 4) for i in out if isinstance(i, DigitalLayer))
+    reference = Circuit(6, tuple(lower_iswap_layer(layer, 6)))
+    assert phase_distance(circuit_unitary(Circuit(6, tuple(out))), circuit_unitary(reference)).distance < 1e-12
 
 
 def test_lower_rejects_mixed_gate_kinds():
@@ -439,14 +454,10 @@ def test_merged_run_of_two_layers():
     assert [i.slot_angles for i in out if isinstance(i, AnalogRequest)] == [
         (q, 0.0, -q, 0.0), (q, -q, -q, 0.0), (0.0, -q, 0.0, 0.0),
     ]
-    # XX of a, then the YY halves of both on the union of their qubits, then XX of b
-    kinds = [(la.gates[0].type, tuple(g.qubits[0] for g in la.gates))
-             for la in out if isinstance(la, DigitalLayer)]
-    assert kinds == [
-        (GateType.H, (0, 1, 2, 3)), (GateType.H, (0, 1, 2, 3)),
-        (GateType.R, (0, 1, 2, 3)), (GateType.R, (0, 1, 2, 3)), (GateType.X, (0, 1, 2, 3)),
-        (GateType.H, (1, 2)), (GateType.H, (1, 2)),
-    ]
+    # XX of a, then the YY halves of both, then XX of b, one frame on every
+    # qubit the run touches: one layer moves it between requests
+    assert word(out) == ["h", "req", "r", "req", "r", "req", "x", "h"]
+    assert all(tuple(g.qubits[0] for g in la.gates) == (0, 1, 2, 3) for la in out if isinstance(la, DigitalLayer))
     assert phase_distance(circuit_unitary(Circuit(5, (a, b))),
                           circuit_unitary(Circuit(5, tuple(out)))).distance < 1e-12
 
@@ -474,6 +485,10 @@ def test_merged_lowering_equals_per_layer_lowering(circuit):
     u = circuit_unitary(merged)
     assert phase_distance(u, circuit_unitary(reference)).distance < 1e-12
     assert phase_distance(u, circuit_unitary(circuit)).distance < 1e-12
+    # the emitted layers are x, h and r only, and their product is the identity on every qubit
+    emitted = [i for i in merged.instructions if isinstance(i, DigitalLayer) and i not in circuit.instructions]
+    assert all(g.type in (GateType.X, GateType.H, GateType.R) for la in emitted for g in la.gates)
+    assert single_qubit_frames(merged) == [IDENTITY_FRAME] * circuit.num_qubits
     # a run of n layers costs n + 1 requests instead of 2n
     runs = [len(list(g)) for k, g in itertools.groupby(
         circuit.instructions, key=lambda i: i.has_iswaps) if k]

@@ -105,9 +105,9 @@ def test_schedule_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("L, digest", [
-    pytest.param(16, "42dd9a6ca5f993db4991d0104b0b0877b92fbd7cd102258811d6a3aacc134eee", id="L16"),
-    pytest.param(17, "bfdcc7bd1836681934398df9f5f0c51b0492881a2f5d122c1c6473b2b97f7e0f", id="L17"),
-    pytest.param(96, "c01d88a54bba987355b33345b6632e639d75551e1adabb5c8583b9a881c9b035", id="L96"),
+    pytest.param(16, "7b5a1dff696725bacb0047abc708bdf7bd024d39bad992c5e122a35350f9d02f", id="L16"),
+    pytest.param(17, "dcf76bd5f4fe47a7cba10e27d2581fd64b4f0f71d3329ffe8e597c8f0bde3c98", id="L17"),
+    pytest.param(96, "e11806e26629863c3520394948519a8b13dbae8502dc839361a06c27a5311f69", id="L96"),
 ])
 def test_compiled_file_digest_is_pinned(tmp_path, L, digest):
     # Dyadic weights, couplings and time: the compiler only adds, subtracts,

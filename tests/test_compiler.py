@@ -26,6 +26,8 @@ from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.scheduler import schedule
 from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
+from oracles import IDENTITY_FRAME, single_qubit_frames
+
 
 def random_problem(L, seed):
     rng = random.Random(seed)
@@ -70,8 +72,8 @@ def test_lowered_iswap_layers_share_layers_and_blocks():
     run = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(1), Gate.iswap(3))))
     split = DigitalLayer((Gate.h(4),))
     lowered = lower_swap_layers(Circuit(L, run + (split,) + run))
-    assert len(lowered.instructions) == 21
-    first, second = lowered.instructions[:10], lowered.instructions[11:]
+    assert len(lowered.instructions) == 17
+    first, second = lowered.instructions[:8], lowered.instructions[9:]
     assert all(a is b for a, b in zip(first, second, strict=True))
     assert len({id(i) for i in first if isinstance(i, AnalogRequest)}) == 3
     # so do their blocks once scheduled
@@ -91,19 +93,49 @@ def _distinct_layers(circuit):
 
 def test_compiled_schedules_hold_a_handful_of_distinct_layers(tmp_path):
     # All single-qubit work of a schedule sits in these few layer objects,
-    # however large L is: 0 at L = 2 (one request, no swaps), 3 at L = 3,
-    # 4 for even L >= 4 and 7 for odd L >= 5.  Compile, write and load all
-    # rely on that and do their per-gate work once per distinct layer.
+    # however large L is: 0 at L = 2 (one request, no swaps), 2 (h and r)
+    # for even L >= 4 and 3 (x as well) for odd L >= 3.  Compile, write and
+    # load all rely on that and do their per-gate work once per distinct
+    # layer.
     stats = {"analog_requests": 0, "resource_blocks": 0, "sqr_gates": 0, "total_analog_time": 0.0}
     path = tmp_path / "s.json"
     for L in [*range(2, 41), 64, 96, 97]:
         graph, resource = random_problem(L, L)
         circuit = compile_ata(graph, resource, 0.7).circuit
-        expected = 0 if L == 2 else 3 if L == 3 else 4 if L % 2 == 0 else 7
+        expected = 0 if L == 2 else 2 if L % 2 == 0 else 3
         assert _distinct_layers(circuit) == expected, L
         path.write_text(dumps_canonical(
             schedule_document(circuit, resource, 0.7, stats, "0.1.0", "ab" * 32)), encoding="utf-8")
         assert _distinct_layers(load_schedule(str(path))[0]) == expected, L
+
+
+# sqr_gates when every merged request had its own basis sandwich (h ... h for
+# XX, r ... r x for YY) instead of one frame carried between requests
+SANDWICH_SQR_GATES = {3: 20, 4: 48, 5: 96, 8: 288, 31: 5452, 33: 6200, 64: 23808, 96: 54144, 97: 55480}
+
+
+def test_compiled_sqr_gates_follow_the_closed_form(tmp_path, capsys):
+    # One x/h/r layer on all L qubits per analog request for even L, so
+    # L(3L - 4) gates; L(3L - 2) for odd L >= 5; 14 at L = 3.  The x/h/r
+    # gates of each qubit compose to the identity.
+    problem, out = tmp_path / "p.json", tmp_path / "s.json"
+    for L in [*range(2, 41), 64, 96, 97]:
+        graph, resource = random_problem(L, L)
+        circuit = compile_ata(graph, resource, 0.7).circuit
+        expected = 0 if L == 2 else 14 if L == 3 else L * (3 * L - 4) if L % 2 == 0 else L * (3 * L - 2)
+        assert circuit_stats(circuit).sqr_count == expected, L
+        assert expected <= SANDWICH_SQR_GATES.get(L, expected)
+        assert single_qubit_frames(circuit) == [IDENTITY_FRAME] * L, L
+        layers = {id(i): i for i in circuit.instructions if isinstance(i, DigitalLayer)}.values()
+        assert {g.type.value for la in layers for g in la.gates} <= {"x", "h", "r"}
+        problem.write_text(json.dumps({
+            "num_qubits": L, "resource_couplings": list(resource.couplings), "time": 0.7,
+            "target": {"type": "ata", "couplings": [{"i": i, "j": j, "value": w}
+                                                    for (i, j), w in graph.weights.items()]},
+        }), encoding="utf-8")
+        assert main(["compile", "--input", str(problem), "--output", str(out)]) == 0
+        assert main(["stats", "--input", str(problem), "--schedule", str(out)]) == 0
+        assert f"\nsqr_gates: {expected}\n" in capsys.readouterr().out, L
 
 
 def test_requests_differing_only_in_the_sign_of_zero_share_blocks():
