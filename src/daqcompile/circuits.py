@@ -18,8 +18,8 @@ requests for even L and 3L - 3 for odd L >= 3.  Every swap is the bare
 iSWAP, the member of the paper's Z-relaying family
 exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.  The
 lowering's basis changes are one Clifford frame carried from request to
-request, tracked with the conjugation table below (CONJUGATION, which the
-verifier in frames shares): one single-qubit layer per request for even L.
+request, S^p or H S^p, tracked as two values with a literal table of the
+words that undo it: one single-qubit layer per request for even L.
 
 Instructions are immutable, so one object may stand at many places of a
 circuit: the swap network repeats four iSWAP layer objects, lowering
@@ -276,73 +276,15 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     return Circuit(L, tuple(instrs))
 
 
-# --- single-qubit Clifford frames ----------------------------------------------
-
-Pauli = tuple[int, int, int]   # (x, z, e): i^e X^x Z^z with bit q of x and z on qubit q
-
-# g^dag X g and g^dag Z g of each Clifford gate as one-qubit (x, z, e).
-CONJUGATION: dict[GateType, tuple[Pauli, Pauli]] = {
-    GateType.X: ((1, 0, 0), (0, 1, 2)),   # X -> X, Z -> -Z
-    GateType.H: ((0, 1, 0), (1, 0, 0)),   # X -> Z, Z -> X
-    GateType.R: ((1, 0, 0), (1, 1, 1)),   # R = HSH: X -> X, Z -> Y = iXZ
-}
-
-
-def pauli_product(a: Pauli, b: Pauli) -> Pauli:
-    """Product a b of bit-packed Paulis: Z^z X^x = (-1)^|z & x| X^x Z^z."""
-    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) & 3
-
-
-def pauli_image(xq: Pauli, zq: Pauli, img: Pauli) -> Pauli:
-    """The one-qubit Pauli img = i^e X^x Z^z with X and Z replaced by the Paulis xq and zq.
-
-    With xq and zq the images C^dag X C and C^dag Z C of a Clifford C, and img
-    a gate's entry in CONJUGATION, this is the frame's image after the gate.
-    """
-    x, z, e = img
-    out = pauli_product(xq, zq) if x and z else xq if x else zq
-    return out[0], out[1], (out[2] + e) & 3
-
-
-Frame = tuple[Pauli, Pauli]    # images C^dag X C and C^dag Z C of one qubit's Clifford C
-
-_IDENTITY: Frame = ((1, 0, 0), (0, 1, 0))
-
-# What the frame must satisfy before an instruction: the identity, diagonal
-# (Z image +Z), or a Z image on the X axis, the Y axis, or either.
-_GOALS = {
-    "identity": lambda frame: frame == _IDENTITY,
-    "diagonal": lambda frame: frame[1] == (0, 1, 0),
-    "x": lambda frame: frame[1][:2] == (1, 0),
-    "y": lambda frame: frame[1][:2] == (1, 1),
-    "xy": lambda frame: frame[1][0] == 1,
-}
-
-
-def _word(frame: Frame, goal: str) -> tuple[tuple[GateType, ...], Frame]:
-    """Shortest x/h/r word taking `frame` to one that meets `goal`, and that frame.
-
-    Breadth-first over the 24 single-qubit Cliffords, ties broken in the order x, h, r.
-    """
-    reached = _GOALS[goal]
-    seen = {frame}
-    level = [((), frame)]
-    while not any(reached(f) for _, f in level):
-        following = []
-        for word, (xq, zq) in level:
-            for gate, (x_img, z_img) in CONJUGATION.items():
-                f = pauli_image(xq, zq, x_img), pauli_image(xq, zq, z_img)
-                if f not in seen:
-                    seen.add(f)
-                    following.append((word + (gate,), f))
-        level = following
-    return next((w, f) for w, f in level if reached(f))
-
-
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------
 
 def _is_iswap_layer(instr: Instruction) -> bool:
     return isinstance(instr, DigitalLayer) and instr.has_iswaps
+
+
+# Per [opened][quarter], the x/h/r word that returns the lowering's frame,
+# S^quarter or once opened H S^quarter, to the identity.
+_UNDO = (("", "rhr", "hxh", "hrh"), ("h", "xrh", "xh", "rh"))
 
 
 def lower_swap_layers(circuit: Circuit) -> Circuit:
@@ -358,25 +300,31 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
     each such meeting pair is one request whose slot angles add.  A run of n
     layers costs n + 1 requests.
 
-    The basis changes are not undone after each request.  One Clifford C,
-    the product of the x/h/r layers emitted so far, is tracked as its images
-    of X and Z (the (x, z, e) form of CONJUGATION) and is the same on every
-    qubit that an iSWAP layer of the circuit touches.  A request emitted
-    after C realises exp(i sum_j phi_j P_j P_j+1) with P = C^dag Z C on each
-    qubit; the sign of P squares away, because both ends of a slot share C.
-    So before each request of a run, the shortest x/h/r word moves C until P
-    is +-X or +-Y, on the other axis from the run's previous request: in
-    practice h opens a run and one r moves between its requests.  Before a
-    request or block that is not from a run, and before an all-rz layer,
-    C is only made diagonal, which commutes with them; before any other
-    instruction, and at the end, C returns to the identity.  A compiled
-    circuit then costs one single-qubit layer per request for even L.  The
-    layers hold x, h and r gates only.
+    The basis changes are not undone after each request.  The x/h/r layers
+    emitted so far compose to one Clifford C, the same on every qubit that
+    an iSWAP layer of the circuit touches.  A request emitted after C
+    realises exp(i sum_j phi_j P_j P_j+1) with P = C^dag Z C on each qubit;
+    the sign of P squares away, because both ends of a slot share C.  With
+    R = HSH, R H = H S, so C is always S^p or H S^p for some p = 0..3, and
+    two values track it: the quarter p and whether the frame is open.
+
+    * h before a run's first request opens S^p to H S^p, whose P is +-X or
+      +-Y by the parity of p;
+    * r between the requests of a run takes H S^p to H S^(p+1), which moves
+      P to the other axis;
+    * before a request or block that is not from a run, and before an
+      all-rz layer, h closes an open frame to the diagonal S^p, which
+      commutes with them;
+    * before any other instruction, and at the end, the word in _UNDO
+      returns C to the identity.
+
+    A compiled circuit then costs one single-qubit layer per request for
+    even L.  The layers hold x, h and r gates only.
 
     Requests with the same angles are one object, and each gate kind is one
     layer object on the touched qubits, so later passes can do their
-    per-object work once; a layer object's half, and the word for a frame
-    and goal, are worked out once per call however often they repeat.
+    per-object work once; a layer object's half is worked out once per call
+    however often it repeats.
     """
     L = circuit.num_qubits
     layer_halves: dict[int, list[float]] = {}
@@ -387,40 +335,34 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
             touched |= qubits
     # one layer object per gate kind; without iSWAPs the frame stays the identity
     qubits = sorted(touched)
-    basis = {gate: DigitalLayer(tuple(Gate(gate, (q,)) for q in qubits)) for gate in CONJUGATION if qubits}
+    basis = {gate: DigitalLayer(tuple(Gate(GateType(gate), (q,)) for q in qubits)) for gate in "xhr" if qubits}
     requests: dict[tuple[float, ...], AnalogRequest] = {}
     instrs: list[Instruction] = []
-    frame = _IDENTITY
-    words: dict[tuple[Frame, str], tuple[tuple[GateType, ...], Frame]] = {}
-
-    def move(goal: str) -> None:
-        nonlocal frame
-        found = words.get((frame, goal))
-        if found is None:
-            found = words[(frame, goal)] = _word(frame, goal)
-        word, frame = found
-        instrs.extend(basis[gate] for gate in word)
-
+    quarter, opened = 0, False
     for is_run, group in itertools.groupby(circuit.instructions, key=_is_iswap_layer):
         if not is_run:
             for instr in group:
                 # requests, blocks (X_m D X_m) and all-rz layers are diagonal
-                diagonal = not isinstance(instr, DigitalLayer) or all(g.type is GateType.RZ for g in instr.gates)
-                move("diagonal" if diagonal else "identity")
+                if not isinstance(instr, DigitalLayer) or all(g.type is GateType.RZ for g in instr.gates):
+                    if opened:
+                        instrs.append(basis["h"])
+                else:
+                    instrs.extend(basis[gate] for gate in _UNDO[opened][quarter])
+                    quarter = 0
+                opened = False
                 instrs.append(instr)
             continue
         halves = [layer_halves[id(layer)] for layer in group]
         zero = [0.0] * (L - 1)
-        axis = "xy"
         for before, after in zip([zero] + halves, halves + [zero]):
             key = tuple(map(operator.add, before, after))
             request = requests.get(key)
             if request is None:
                 request = requests[key] = AnalogRequest(key)
-            move(axis)
-            instrs.append(request)
-            axis = "y" if frame[1][1] == 0 else "x"
-    move("identity")
+            instrs += basis["r" if opened else "h"], request
+            quarter = (quarter + opened) & 3
+            opened = True
+    instrs.extend(basis[gate] for gate in _UNDO[opened][quarter])
     return Circuit(L, tuple(instrs))
 
 

@@ -6,7 +6,8 @@ time polynomial in L (stabilizer tableaux, Aaronson and Gottesman,
 quant-ph/0406196).  The walk keeps the frame of the Clifford part C seen so
 far: the images C^dag X_q C and C^dag Z_q C of every X_q and Z_q, each a
 Pauli i^e X^x Z^z held as bit-packed ints (x, z, e).  An x, h or r gate
-conjugates the frame.  A rotation exp(i phi P) after C equals C times
+conjugates the frame through CONJUGATION, the table of each gate's images
+of X and Z.  A rotation exp(i phi P) after C equals C times
 exp(i phi P') with P' = C^dag P C, its pull-back through the frame:
 
 * a run of resource blocks is the chain evolution with slot angles
@@ -52,19 +53,35 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .circuits import (
-    CONJUGATION,
-    Circuit,
-    DigitalLayer,
-    GateType,
-    Pauli,
-    ResourceBlock,
-    pauli_image,
-    pauli_product,
-)
+from .circuits import Circuit, DigitalLayer, GateType, ResourceBlock
 from .graphs import Edge, NNChain
 
 QUARTER = math.pi / 4.0
+
+Pauli = tuple[int, int, int]   # (x, z, e): i^e X^x Z^z with bit q of x and z on qubit q
+
+# g^dag X g and g^dag Z g of each Clifford gate as one-qubit (x, z, e).
+CONJUGATION: dict[GateType, tuple[Pauli, Pauli]] = {
+    GateType.X: ((1, 0, 0), (0, 1, 2)),   # X -> X, Z -> -Z
+    GateType.H: ((0, 1, 0), (1, 0, 0)),   # X -> Z, Z -> X
+    GateType.R: ((1, 0, 0), (1, 1, 1)),   # R = HSH: X -> X, Z -> Y = iXZ
+}
+
+
+def pauli_product(a: Pauli, b: Pauli) -> Pauli:
+    """Product a b of bit-packed Paulis: Z^z X^x = (-1)^|z & x| X^x Z^z."""
+    return a[0] ^ b[0], a[1] ^ b[1], (a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()) & 3
+
+
+def pauli_image(xq: Pauli, zq: Pauli, img: Pauli) -> Pauli:
+    """The one-qubit Pauli img = i^e X^x Z^z with X and Z replaced by the Paulis xq and zq.
+
+    With xq and zq the images C^dag X C and C^dag Z C of a Clifford C, and img
+    a gate's entry in CONJUGATION, this is the frame's image after the gate.
+    """
+    x, z, e = img
+    out = pauli_product(xq, zq) if x and z else xq if x else zq
+    return out[0], out[1], (out[2] + e) & 3
 
 
 def _off_pi(angle: float) -> float:

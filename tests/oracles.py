@@ -21,7 +21,9 @@ The per-layer iSWAP lowering, two requests per layer, each in its own
 basis sandwich, is the reference for the compiler's lowering, which merges
 the same-kind halves of consecutive layers and carries one Clifford frame
 from request to request; `single_qubit_frames` composes a circuit's x/h/r
-gates qubit by qubit, so a test can see that frame close.
+gates qubit by qubit, so a test can see that frame close, and
+`shortest_clifford_word` searches the 24 single-qubit Cliffords
+breadth-first for the words the lowering's undo table spells out.
 
 Next come the helpers that only tests need: complete graphs and edge sets,
 path covers and their weighted composition, permutations applied by swap
@@ -46,7 +48,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from daqcompile.circuits import (
-    CONJUGATION,
     AnalogRequest,
     Circuit,
     DigitalLayer,
@@ -54,7 +55,6 @@ from daqcompile.circuits import (
     GateType,
     ResourceBlock,
     ata_circuit_general,
-    pauli_product,
 )
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
@@ -68,6 +68,7 @@ from daqcompile.fileio import (
     _read_text,
     _require_keys,
 )
+from daqcompile.frames import CONJUGATION, pauli_image
 from daqcompile.graphs import CouplingGraph, NNChain, PathCover, canonical_edge, validate_permutation, walecki_cover
 from daqcompile.swaps import SwapSequence, sort_network_sequence
 from daqcompile.unitaries import gate_matrix
@@ -447,28 +448,49 @@ def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list:
 IDENTITY_FRAME = ((1, 0, 0), (0, 1, 0))
 
 
+def frame_after(frame: tuple, gate: GateType) -> tuple:
+    """The images (C^dag X C, C^dag Z C) after gate follows C, through the conjugation table."""
+    xq, zq = frame
+    x_img, z_img = CONJUGATION[gate]
+    return pauli_image(xq, zq, x_img), pauli_image(xq, zq, z_img)
+
+
 def single_qubit_frames(circuit: Circuit) -> list:
     """Per qubit, the images (C^dag X C, C^dag Z C) of the product C of its x, h and r gates.
 
     Requests, blocks and rz gates are skipped.  Each image is a one-qubit
-    (x, z, e) = i^e X^x Z^z, composed gate by gate through the conjugation
-    table: the image of i^e X^x Z^z under C is i^e (C^dag X C)^x (C^dag Z C)^z.
+    (x, z, e) = i^e X^x Z^z, composed gate by gate.
     """
     frames = [IDENTITY_FRAME] * circuit.num_qubits
     for instr in circuit.instructions:
         if not isinstance(instr, DigitalLayer):
             continue
         for g in instr.gates:
-            if g.type not in CONJUGATION:
-                continue
-            q = g.qubits[0]
-            xq, zq = frames[q]
-            images = []
-            for x, z, e in CONJUGATION[g.type]:
-                p = pauli_product(xq, zq) if x and z else xq if x else zq
-                images.append((p[0], p[1], (p[2] + e) & 3))
-            frames[q] = tuple(images)
+            if g.type in CONJUGATION:
+                frames[g.qubits[0]] = frame_after(frames[g.qubits[0]], g.type)
     return frames
+
+
+def shortest_clifford_word(frame: tuple) -> str:
+    """Shortest word of x, h and r gates taking `frame` to the identity, as a string of gate names.
+
+    Breadth-first over the 24 single-qubit Cliffords, ties broken in the
+    order x, h, r.
+    """
+    seen = {frame}
+    level = [("", frame)]
+    while True:
+        for word, f in level:
+            if f == IDENTITY_FRAME:
+                return word
+        following = []
+        for word, f in level:
+            for gate in (GateType.X, GateType.H, GateType.R):
+                nxt = frame_after(f, gate)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    following.append((word + gate.value, nxt))
+        level = following
 
 
 def lower_per_layer(circuit: Circuit) -> Circuit:

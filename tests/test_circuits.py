@@ -14,11 +14,12 @@ from daqcompile.circuits import (
     Gate,
     GateType,
     ResourceBlock,
+    _UNDO,
     ata_circuit_general,
     circuit_stats,
     lower_swap_layers,
 )
-from daqcompile.graphs import CouplingGraph
+from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.swaps import sort_network_sequence
 from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
@@ -35,12 +36,14 @@ from oracles import (
     bridges,
     complete_graph,
     evolution,
+    frame_after,
     general_swap,
     general_swap_unitary,
     ladder_sequence,
     lower_iswap_layer,
     lower_per_layer,
     path_route_circuit,
+    shortest_clifford_word,
     shortest_swap_network,
     single_qubit_frames,
     slot_signs,
@@ -462,37 +465,91 @@ def test_merged_run_of_two_layers():
                           circuit_unitary(Circuit(5, tuple(out)))).distance < 1e-12
 
 
+def _clifford_frame(c):
+    """(C^dag X C, C^dag Z C) of a one-qubit Clifford matrix, each as (x, z, e) = i^e X^x Z^z."""
+    paulis = {(x, z, e): 1j ** e * np.linalg.matrix_power(X, x) @ np.linalg.matrix_power(Z, z)
+              for x in (0, 1) for z in (0, 1) for e in range(4)}
+    return tuple(next(p for p, m in paulis.items() if np.allclose(c.conj().T @ pauli @ c, m)) for pauli in (X, Z))
+
+
+def test_undo_words_are_the_shortest_words_home():
+    # the lowering's frames, S^p and (once opened) H S^p, derived from the matrices
+    s, h = np.diag([1.0, 1j]), (X + Z) / math.sqrt(2.0)
+    frames = {(opened, p): _clifford_frame(np.linalg.matrix_power(h, opened) @ np.linalg.matrix_power(s, p))
+              for opened in (0, 1) for p in range(4)}
+    assert len(set(frames.values())) == 8
+    for (opened, p), frame in frames.items():
+        assert _UNDO[opened][p] == shortest_clifford_word(frame), (opened, p)
+        # h opens S^p to H S^p and closes it back; r takes H S^p to H S^(p+1)
+        assert frame_after(frame, GateType.H) == frames[1 - opened, p]
+        if opened:
+            assert frame_after(frame, GateType.R) == frames[1, (p + 1) % 4]
+    # from the identity, h, r on an open frame and the undo words reach no other frame
+    label = {frame: key for key, frame in frames.items()}
+    reached, todo = set(), [IDENTITY_FRAME]
+    while todo:
+        frame = todo.pop()
+        if frame in reached:
+            continue
+        reached.add(frame)
+        opened, p = label[frame]
+        for word in ("h", "r", _UNDO[1][p]) if opened else ("h", _UNDO[0][p]):
+            moved = frame
+            for gate in word:
+                moved = frame_after(moved, GateType(gate))
+            todo.append(moved)
+    assert reached == set(frames.values())
+
+
+@st.composite
+def _separator(draw, L):
+    """One instruction that splits iSWAP runs: an rz, x, h or r layer, a request or a block."""
+    kind = draw(st.sampled_from(("rz", "x", "h", "r", "request", "block")))
+    if kind == "request":
+        return AnalogRequest(tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=L - 1, max_size=L - 1))))
+    if kind == "block":
+        return ResourceBlock(draw(st.floats(0.0, 1.0)), bytes(draw(st.lists(st.integers(0, 1), min_size=L, max_size=L))))
+    qubits = sorted(draw(st.sets(st.integers(0, L - 1), min_size=1)))
+    return DigitalLayer(tuple(Gate(GateType(kind), (q,), 0.3 if kind == "rz" else 0.0) for q in qubits))
+
+
 @st.composite
 def _iswap_runs(draw):
-    """A circuit of iSWAP layers, random disjoint slots and gate kinds, split into runs by Rz gates."""
+    """iSWAP layers on random disjoint slots and gate kinds, split into runs by the other instructions."""
     L = draw(st.integers(2, 8))
     instrs = []
     for _ in range(draw(st.integers(1, 6))):
-        if instrs and draw(st.booleans()):
-            instrs.append(DigitalLayer((Gate(GateType.RZ, (draw(st.integers(0, L - 1)),), 0.3),)))
+        instrs += [draw(_separator(L)) for _ in range(draw(st.integers(0, 2)))]
         slots = sorted(draw(st.sets(st.integers(0, L - 2), min_size=1, max_size=L - 1)))
         starts = [j for k, j in enumerate(slots) if k == 0 or j > slots[k - 1] + 1]
         make = [draw(st.sampled_from((Gate.iswap, Gate.iswap_dg))) for _ in starts]
         instrs.append(DigitalLayer(tuple(m(j) for m, j in zip(make, starts))))
-    return Circuit(L, tuple(instrs))
+    instrs += [draw(_separator(L)) for _ in range(draw(st.integers(0, 2)))]
+    resource = NNChain(L, draw(st.lists(st.floats(0.5, 1.5), min_size=L - 1, max_size=L - 1)))
+    return Circuit(L, tuple(instrs)), resource
 
 
 @settings(max_examples=60, deadline=None)
 @given(_iswap_runs())
-def test_merged_lowering_equals_per_layer_lowering(circuit):
+def test_merged_lowering_equals_per_layer_lowering(case):
+    circuit, resource = case
     merged = lower_swap_layers(circuit)
     reference = lower_per_layer(circuit)
-    u = circuit_unitary(merged)
-    assert phase_distance(u, circuit_unitary(reference)).distance < 1e-12
-    assert phase_distance(u, circuit_unitary(circuit)).distance < 1e-12
-    # the emitted layers are x, h and r only, and their product is the identity on every qubit
-    emitted = [i for i in merged.instructions if isinstance(i, DigitalLayer) and i not in circuit.instructions]
+    u = circuit_unitary(merged, resource)
+    assert phase_distance(u, circuit_unitary(reference, resource)).distance < 1e-12
+    assert phase_distance(u, circuit_unitary(circuit, resource)).distance < 1e-12
+    # the emitted layers are x, h and r only, and their product is the identity
+    # on every qubit; they are told apart by identity, since an input h layer
+    # can equal an emitted one
+    inputs = set(map(id, circuit.instructions))
+    emitted = [i for i in merged.instructions if isinstance(i, DigitalLayer) and id(i) not in inputs]
     assert all(g.type in (GateType.X, GateType.H, GateType.R) for la in emitted for g in la.gates)
-    assert single_qubit_frames(merged) == [IDENTITY_FRAME] * circuit.num_qubits
-    # a run of n layers costs n + 1 requests instead of 2n
+    assert single_qubit_frames(Circuit(circuit.num_qubits, tuple(emitted))) == [IDENTITY_FRAME] * circuit.num_qubits
+    # a run of n layers costs n + 1 requests instead of 2n; other requests pass through
     runs = [len(list(g)) for k, g in itertools.groupby(
-        circuit.instructions, key=lambda i: i.has_iswaps) if k]
-    assert sum(isinstance(i, AnalogRequest) for i in merged.instructions) == sum(n + 1 for n in runs)
+        circuit.instructions, key=lambda i: isinstance(i, DigitalLayer) and i.has_iswaps) if k]
+    passed = sum(isinstance(i, AnalogRequest) for i in circuit.instructions)
+    assert sum(isinstance(i, AnalogRequest) for i in merged.instructions) == sum(n + 1 for n in runs) + passed
 
 
 # --- stats ---------------------------------------------------------------------

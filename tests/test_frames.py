@@ -9,17 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daqcompile.circuits import (
-    CONJUGATION,
     AnalogRequest,
     Circuit,
     DigitalLayer,
     Gate,
     GateType,
     ResourceBlock,
-    pauli_product,
 )
 from daqcompile.compiler import compile_ata, compile_chain
-from daqcompile.frames import check_schedule
+from daqcompile.frames import CONJUGATION, check_schedule, pauli_product
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.unitaries import circuit_unitary, gate_matrix, phase_distance, zz_evolution
 
