@@ -18,12 +18,13 @@ blocks, and never grows past TIE_THRESHOLD * t_f for a large one.
 Masks color qubits by prefix parity so that exactly the intended slots flip
 sign in each block.  `schedule` does all of this in plain Python, with no
 NumPy: one sort and L-1 differences per request, one prefix-parity pass for
-the first kept block's mask (the running XOR of its effective negative
-signs colors qubits 1..L-1; qubit 0 is never colored), and then one suffix
-flip per later block.  From block n-1 to block n only sorted slot n turns
-positive, so qubits order[n]+1..L-1 flip; a mask is an int holding one
-byte per qubit, each flip XORs in a cached suffix constant, and blocks
-dropped as ties fold their flips into the next kept one.
+the last block's mask, and then one suffix flip per earlier block.  The last
+block runs every slot positive, so its mask is the running XOR of the
+negative-ratio flips (qubit 0 is never colored).  From block n back to block
+n-1 sorted slot n turns negative, so qubits order[n]+1..L-1 flip; a mask is
+an int holding one byte per qubit, and each flip XORs in the suffix of ones
+past that qubit.  The walk passes every block, so a block dropped as a tie
+only skips its append.
 
 The sign matrix itself, its row-elimination inverse and the minimum-time
 formula are test oracles in tests/oracles.py; only the closed form runs here.
@@ -31,7 +32,6 @@ formula are test oracles in tests/oracles.py; only the closed form runs here.
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import accumulate
 from operator import xor
@@ -55,9 +55,10 @@ def schedule(
     """Resource blocks that reconstruct every slot angle exactly in the minimum total time.
 
     Zero-angle slots get ratio 0; a nonzero angle on a zero-coupling slot
-    raises UnschedulableError for the first such slot, and so does the first
-    slot whose ratio or block duration overflows the float range.  Ties in
-    |b| keep ascending slot order.
+    raises UnschedulableError for the first such slot.  An overflow raises it
+    for the first slot whose ratio leaves the float range, or else for the
+    smallest slot whose block duration does.  Ties in |b| keep ascending slot
+    order.
     """
     if not (math.isfinite(t_f) and t_f > 0):
         raise ValueError(f"reference time must be positive and finite, got {t_f}")
@@ -66,7 +67,6 @@ def schedule(
     if len(phi) != m:
         raise ValueError(f"expected {m} slot angles, got {len(target_angles)}")
     b = [0.0] * m
-    overflow = None  # the first slot whose ratio leaves the float range
     for j, (angle, g) in enumerate(zip(phi, resource.couplings)):
         if not math.isfinite(angle):
             raise ValueError(f"non-finite angle on slot {j}")
@@ -78,47 +78,31 @@ def schedule(
             b[j] = angle / (g * t_f)
         except ZeroDivisionError:  # g * t_f underflowed to zero
             b[j] = math.inf
-        if overflow is None and not math.isfinite(b[j]):
-            overflow = j
-    if overflow is None:
-        magnitudes = [abs(r) for r in b]
-        order = sorted(range(m), key=magnitudes.__getitem__, reverse=True)
-        b_sorted = [magnitudes[j] for j in order]
-        half = t_f / 2.0
-        times = [(hi - lo) * half for hi, lo in zip(b_sorted, b_sorted[1:])]
-        times.append((b_sorted[0] + b_sorted[-1]) * half)
-        if not all(map(math.isfinite, times)):
-            # Blame the first slot whose block (sorted position n belongs
-            # to slot order[n]) left the float range.
-            overflow = min(order[n] for n, t in enumerate(times) if not math.isfinite(t))
-    if overflow is not None:
-        raise UnschedulableError(overflow, phi[overflow], "its evolution time overflows the float range")
+    magnitudes = [abs(r) for r in b]
+    order = sorted(range(m), key=magnitudes.__getitem__, reverse=True)
+    b_sorted = [magnitudes[j] for j in order]
+    half = t_f / 2.0
+    times = [(hi - lo) * half for hi, lo in zip(b_sorted, b_sorted[1:])]
+    times.append((b_sorted[0] + b_sorted[-1]) * half)
+    if not all(map(math.isfinite, times)):
+        # Blame the first slot whose ratio left the float range, or else the
+        # smallest slot whose block (sorted position n is slot order[n]) did.
+        bad = [j for j, r in enumerate(b) if not math.isfinite(r)]
+        slot = bad[0] if bad else min(order[n] for n, t in enumerate(times) if not math.isfinite(t))
+        raise UnschedulableError(slot, phi[slot], "its evolution time overflows the float range")
     line = TIE_THRESHOLD * min(1.0, b_sorted[0]) * t_f
-    kept = [n for n, t in enumerate(times) if t > line]
-    if not kept:
-        return ()
-    # Block n runs sorted slot p negative iff n < p.  The first kept block's
-    # signs, with the permanent flips of negative ratios, color the qubits by
-    # prefix parity; from block n-1 to n slot order[n] turns positive, which
-    # flips the suffix of qubits past it.
-    first = kept[0]
-    negative = [r < 0.0 for r in b]
-    for j in order[first + 1:]:
-        negative[j] = not negative[j]
+    # Block n runs sorted slot p negative iff n < p, so the last block runs
+    # every slot positive but for the permanent flips of negative ratios, and
+    # its mask colors the qubits by their prefix parity.  Walking back from
+    # block n to n-1 turns slot order[n] negative, which flips every qubit
+    # past it.
     L = m + 1
-    first_mask = bytes(accumulate(negative, xor, initial=0))
-    blocks = [ResourceBlock(times[first], first_mask)]
-    mask = int.from_bytes(first_mask, "little")
-    suffix = _suffix_flips(L)
-    for n in range(first + 1, kept[-1] + 1):
-        mask ^= suffix[order[n] + 1]
+    ones = int.from_bytes(b"\1" * L, "little")
+    mask = int.from_bytes(bytes(accumulate((r < 0.0 for r in b), xor, initial=0)), "little")
+    blocks = []
+    for n in reversed(range(m)):
         if times[n] > line:
             blocks.append(ResourceBlock(times[n], mask.to_bytes(L, "little")))
-    return tuple(blocks)
-
-
-@functools.cache
-def _suffix_flips(num_qubits: int) -> tuple[int, ...]:
-    """Per qubit q, the little-endian mask int (one byte per qubit) of X on qubits q..L-1."""
-    ones = int.from_bytes(b"\1" * num_qubits, "little")
-    return tuple(ones >> (8 * q) << (8 * q) for q in range(num_qubits))
+        s = 8 * (order[n] + 1)
+        mask ^= ones >> s << s
+    return tuple(reversed(blocks))

@@ -4,7 +4,8 @@ Start from a valid L=4 problem and the schedule `compile` writes for it,
 change one node of one of the two files, and run `stats` and `verify` on
 the pair.  The only allowed outcomes are exit 0 (the change was harmless),
 1 (malformed input) and 3 (verification failed); an exception escaping
-`main` fails the property.
+`main` fails the property.  A mutated problem is also compiled, which may
+exit 0, 1 or 2 (unschedulable).
 """
 
 import contextlib
@@ -109,3 +110,7 @@ def test_mutated_documents_never_raise(kind, data):
             code = _quiet_main([command, "--input", str(paths["problem"]),
                                 "--schedule", str(paths["schedule"])])
             assert code in (0, 1, 3), (command, code)
+        if kind == "problem":
+            code = _quiet_main(["compile", "--input", str(paths["problem"]),
+                                "--output", str(Path(d, "compiled.json"))])
+            assert code in (0, 1, 2), ("compile", code)

@@ -95,6 +95,57 @@ def test_ratios_overflow_is_unschedulable(phi, g, t_f, slot):
     assert str(exc.value).endswith("but its evolution time overflows the float range")
 
 
+# magnitudes near both ends of the float range, and some ordinary ones
+EXTREME_MAGNITUDES = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(1.0, 9.99),
+    st.integers(-320, -290) | st.integers(-3, 3) | st.integers(290, 307),
+)
+SIGNS = st.sampled_from([-1.0, 1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_overflow_blames_first_nonfinite_ratio_else_smallest_overflowing_block(data):
+    """Which slot an overflow names, on ratios and durations at both ends of the float range.
+
+    Ratios overflow (huge angle over a tiny coupling), g * t_f underflows to
+    zero, and block durations overflow while every ratio is finite.  The
+    blame is the first slot whose ratio is not finite, or else the smallest
+    slot whose closed-form duration is not finite; when neither exists the
+    request schedules.  The durations are the module's formula
+    t_n = (b_n - b_{n+1}) t_f / 2, last t_f (b_0 + b_{m-1}) / 2, over the
+    stably sorted |b|.  `closed_form_rows` cannot stand in here: its matrix
+    product turns an infinite ratio into nan in every row (0 * inf), and it
+    halves before adding, so a last block whose sum passes the float maximum
+    stays finite there.
+    """
+    m = data.draw(st.integers(1, 6))
+    phi = [data.draw(SIGNS) * data.draw(st.just(0.0) | EXTREME_MAGNITUDES) for _ in range(m)]
+    g = [data.draw(SIGNS) * data.draw(EXTREME_MAGNITUDES) for _ in range(m)]
+    t_f = data.draw(EXTREME_MAGNITUDES)
+    with np.errstate(all="ignore"):
+        phi_a = np.asarray(phi)
+        b = np.where(phi_a == 0.0, 0.0, phi_a / (np.asarray(g) * t_f))
+        order = np.argsort(-np.abs(b), kind="stable")
+        b_sorted = np.abs(b)[order]
+        times = np.append(b_sorted[:-1] - b_sorted[1:], b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
+    bad_ratios = np.flatnonzero(~np.isfinite(b))
+    bad_blocks = order[~np.isfinite(times)]
+    if bad_ratios.size:
+        slot = int(bad_ratios[0])
+    elif bad_blocks.size:
+        slot = int(bad_blocks.min())
+    else:
+        blocks = schedule(phi, NNChain(m + 1, tuple(g)), t_f)
+        assert all(0.0 < blk.duration < math.inf for blk in blocks)
+        return
+    with pytest.raises(UnschedulableError) as exc:
+        schedule(phi, NNChain(m + 1, tuple(g)), t_f)
+    assert (exc.value.slot, exc.value.angle) == (slot, phi[slot])
+    assert str(exc.value).endswith("but its evolution time overflows the float range")
+
+
 def test_ratios_validation():
     resource = NNChain(3, (1.0, 1.0))
     with pytest.raises(ValueError):
@@ -282,8 +333,8 @@ def test_schedule_masks_match_row_oracle():
 def test_schedule_tie_heavy_requests_match_row_oracle(L, data):
     """Ratios from at most three magnitudes, zeros and both signs: most blocks are ties.
 
-    Every block dropped between two kept ones folds its suffix flip into the
-    next kept mask, so each mask must still equal the row oracle's.
+    The masks are built by walking back from the last block through every
+    dropped one, so each kept mask must still equal the row oracle's.
     """
     m = L - 1
     levels = data.draw(st.lists(st.sampled_from([0.25, 0.3, 0.1 * 3, 0.7, 1.1, 2.0]),
