@@ -1,6 +1,9 @@
-"""Problem and schedule files: strict JSON parsing and deterministic emission.
+"""Problem and schedule files: one strict JSON reader and deterministic emission.
 
-Both formats are UTF-8 JSON.  The writer keeps field order, puts each
+Both formats are UTF-8 JSON, and both files go through one reader: it reads
+the file once, decodes it as strict UTF-8, parses it with one walker and
+maps every read or parse fault to one FileFormatError text; one helper
+checks the chain header they share.  The writer keeps field order, puts each
 top-level field on its own line and each item of a top-level list (a
 schedule instruction) on its own compact line, and spells floats as
 Python's shortest repr, which round-trips binary64 exactly; identical
@@ -156,13 +159,13 @@ def _instruction_items(text: str, pos: int) -> tuple[list, int]:
     return items, pos + 1
 
 
-def _schedule_json(text: str) -> Any:
-    """json.loads with the duplicate-key hook, instruction lines shared.
+def _json_document(text: str) -> Any:
+    """The JSON value of `text`, repeated keys rejected, instruction lines shared.
 
     A top-level object is walked field by field, and an "instructions" array
     in it item by item (_instruction_items); every value is parsed by the
-    standard decoder, so the result equals json.loads's, except that equal
-    instruction lines give one shared object.
+    standard decoder, so the result is the standard decoder's value of the
+    whole text, except that equal instruction lines give one shared object.
     """
     if text.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -200,26 +203,29 @@ def _schedule_json(text: str) -> Any:
     return value
 
 
-def _read_text(path: str) -> str:
-    """The file read in one go and decoded as strict UTF-8, newlines as they are."""
+def _read_json(path: str) -> tuple[Any, str]:
+    """The file's JSON value and the text it was parsed from, read once as strict UTF-8."""
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("utf-8")
+            text = fh.read().decode("utf-8")
+        return _json_document(text), text
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _parse_json(text: str, path: str) -> Any:
-    try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
-        # malformed JSON, or an integer longer than the interpreter's
-        # int-to-str digit limit
+        # not UTF-8, malformed JSON, or an integer longer than the
+        # interpreter's int-to-str digit limit
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def _chain_header(data: dict) -> tuple[int, NNChain, float]:
+    """num_qubits, resource_couplings and time: the fields both files open with."""
+    L = _as_int(data["num_qubits"], "num_qubits")
+    if L < 2:
+        raise FileFormatError("num_qubits must be >= 2")
+    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
+    return L, resource, _as_number(data["time"], "time")
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -232,17 +238,13 @@ def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
     The file is read once, so a pipe (--input /dev/stdin) is hashed as read;
     strict UTF-8 decoding is one-to-one, so re-encoding gives those bytes back.
     """
-    text = _read_text(path)
-    return _problem(_parse_json(text, path)), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    data, text = _read_json(path)
+    return _problem(data), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _problem(data: Any) -> ProblemSpec:
     _require_keys(data, {"num_qubits", "resource_couplings", "target", "time"}, "problem")
-    L = _as_int(data["num_qubits"], "num_qubits")
-    if L < 2:
-        raise FileFormatError("num_qubits must be >= 2")
-    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
-    t_f = _as_number(data["time"], "time")
+    L, resource, t_f = _chain_header(data)
     if t_f <= 0:
         raise FileFormatError("time must be positive")
     target = data["target"]
@@ -352,17 +354,12 @@ def _collector_paused() -> Iterator[None]:
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata).
 
-    Each distinct instruction line is parsed once (_schedule_json) and each
+    Each distinct instruction line is parsed once (_json_document) and each
     distinct parsed entry is built into one instruction object, which every
     repeat shares.  The whole file is parsed before any entry is checked, and
     an error names the entry's first index.
     """
-    try:
-        data = _schedule_json(_read_text(path))
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
+    data = _read_json(path)[0]   # drops the text before any instruction is built
     _require_keys(
         data,
         {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},
@@ -370,11 +367,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L = _as_int(data["num_qubits"], "num_qubits")
-    if L < 2:
-        raise FileFormatError("num_qubits must be >= 2")
-    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
-    t_f = _as_number(data["time"], "time")
+    L, resource, t_f = _chain_header(data)
     entries = data["instructions"]
     if not isinstance(entries, list):
         raise FileFormatError("instructions: expected a list")

@@ -4,9 +4,9 @@ An all-to-all ZZ Ising Hamiltonian over L qubits is a weighted complete graph
 K_L, while the chip's native chain is the Hamiltonian path 0-1-...-(L-1).
 CouplingGraph and NNChain are the compiler's inputs.
 
-The zig-zag path family is the paper's construction, which the compiler no
-longer uses (it runs a linear swap network, see circuits); only the
-benchmark's tracer and the tests still call it.  It splits K_L into
+The zig-zag path family is the paper's construction; the compiler runs a
+linear swap network instead (see circuits), so only the benchmark's tracer
+and the tests call it.  It splits K_L into
 Hamiltonian paths so the chain can realise every target edge exactly once:
 path 1 walks forward one node, back two, forward three, ... around the
 cycle Z_L, and path k is path 1 rotated by k-1.  walecki_cover takes paths

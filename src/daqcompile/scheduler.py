@@ -7,11 +7,12 @@ block) and sorting them in descending order, the sign pattern "slot j runs
 positive during blocks n >= j" solves in closed form:
 
     t_n / t_f = (b_n - b_{n+1}) / 2   for n < L-1,
-    t_{L-1} / t_f = (b_1 + b_{L-1}) / 2,
+    t_{L-1} / t_f = b_1 / 2 + b_{L-1} / 2,
 
 giving non-negative durations, at most L-1 blocks (equal or zero ratios drop
 blocks), and total analog time sum|t_n| = max_j |b_j| * t_f, which is the
-minimum possible.  Blocks no longer than
+minimum possible.  The last block halves each ratio before adding, so two
+finite ratios cannot overflow its sum.  Blocks no longer than
 TIE_THRESHOLD * min(1, max_j |b_j|) * t_f are dropped: the threshold shrinks
 with a request whose ratios are all below 1, so a tiny request keeps its
 blocks, and never grows past TIE_THRESHOLD * t_f for a large one.
@@ -83,7 +84,7 @@ def schedule(
     b_sorted = [magnitudes[j] for j in order]
     half = t_f / 2.0
     times = [(hi - lo) * half for hi, lo in zip(b_sorted, b_sorted[1:])]
-    times.append((b_sorted[0] + b_sorted[-1]) * half)
+    times.append((b_sorted[0] * 0.5 + b_sorted[-1] * 0.5) * t_f)
     if not all(map(math.isfinite, times)):
         # Blame the first slot whose ratio left the float range, or else the
         # smallest slot whose block (sorted position n is slot order[n]) did.

@@ -8,9 +8,9 @@ synthesises.  Conjugating a chain evolution by the matching iSWAP layers
 relabels the chain's vertices into the synthesised path.
 
 `sort_network_sequence`, an odd-even transposition sort, synthesises the
-swap frame of every zig-zag path, for even and odd L alike.  That was the
-paper's path route; the compiler now runs a linear swap network instead
-(see circuits.ata_circuit_general), so only the benchmark's tracer and the
+swap frame of every zig-zag path, for even and odd L alike.  That is the
+paper's path route; the compiler runs a linear swap network instead (see
+circuits.ata_circuit_general), so only the benchmark's tracer and the
 tests call this module.
 """
 

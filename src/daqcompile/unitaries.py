@@ -1,6 +1,6 @@
 """Exact dense-matrix oracle for gates, analog blocks, and whole circuits.
 
-The command line no longer uses it: `verify` walks a Pauli frame
+The command line does not use it: `verify` walks a Pauli frame
 (`frames`).  Only the tests, which check the frame verdicts against it, and
 the benchmark's tracer call it; it is the one module that loads NumPy.
 

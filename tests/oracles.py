@@ -5,8 +5,8 @@ gates embed via explicit Kronecker chains, evolutions go through
 scipy.linalg.expm, and the zig-zag paths come from the literal walk
 construction instead of the closed form.
 
-The paper's path route lives here too, which the compiler no longer
-takes (it runs a linear swap network).  First its even-L closed forms: the
+The paper's path route lives here too, which the compiler does not take
+(it runs a linear swap network).  First its even-L closed forms: the
 swap ladders that synthesise each zig-zag path, the two mixed bridge
 layers left between consecutive paths after inverse gates cancel, the
 bridged circuit built from them, and the uncancelled per-path circuit.
@@ -35,11 +35,13 @@ Element-at-a-time references for the vectorised product code close the
 file: the scheduler's X-mask for one block, built bit by bit, the slot
 signs a mask's X conjugation gives the chain, the schedule file's JSON
 document, spelled one field at a time, which the writer renders as text
-straight from the masks' bytes, and the schedule reader that parses the
-whole file with json.loads and builds every instruction entry on its own,
+straight from the masks' bytes, json.loads over a whole input file, which
+the product's one walker must match on problems and schedules alike, and
+the schedule reader that builds every instruction entry from it on its own,
 which the product's line-shared reader must match.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,14 +61,11 @@ from daqcompile.circuits import (
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
     SCHEDULE_FORMAT,
-    _as_int,
-    _as_number,
-    _as_number_list,
+    _chain_header,
     _check_metadata,
     _instruction,
-    _parse_json,
-    _read_text,
     _require_keys,
+    _unique_keys,
 )
 from daqcompile.frames import CONJUGATION, pauli_image
 from daqcompile.graphs import CouplingGraph, NNChain, PathCover, canonical_edge, validate_permutation, walecki_cover
@@ -771,13 +770,32 @@ def same_document(a, b) -> bool:
     return a == b
 
 
+def reference_json(path: str):
+    """The file's value from json.loads over the whole strict-UTF-8 text.
+
+    The same duplicate-key hook as the product's walker; a read or parse
+    fault gives the product's FileFormatError texts, though the wording
+    after "invalid JSON: " is the standard decoder's and may differ between
+    Python versions.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
+
+
 def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
-    """fileio.load_schedule as it was before instruction lines were shared.
+    """fileio.load_schedule with no instruction line shared.
 
     json.loads parses the whole file, then every entry is built into its own
     instruction object, however often its line repeats.
     """
-    data = _parse_json(_read_text(path), path)
+    data = reference_json(path)
     _require_keys(
         data,
         {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},
@@ -785,11 +803,7 @@ def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L = _as_int(data["num_qubits"], "num_qubits")
-    if L < 2:
-        raise FileFormatError("num_qubits must be >= 2")
-    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
-    t_f = _as_number(data["time"], "time")
+    L, resource, t_f = _chain_header(data)
     if not isinstance(data["instructions"], list):
         raise FileFormatError("instructions: expected a list")
     instrs = []

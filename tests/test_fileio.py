@@ -1,10 +1,12 @@
-"""The canonical writer (standard JSON that parses back to the same document) and the strict schedule reader."""
+"""The canonical writer (standard JSON that parses back to the same document) and the one strict reader of both files."""
 
 import copy
 import gc
+import hashlib
 import json
 import math
 import os
+import random
 import tempfile
 import time
 
@@ -16,10 +18,17 @@ from daqcompile import fileio
 from daqcompile.cli import main
 from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock
 from daqcompile.errors import FileFormatError
-from daqcompile.fileio import dumps_canonical, iter_canonical, load_schedule, schedule_document
+from daqcompile.fileio import (
+    dumps_canonical,
+    iter_canonical,
+    load_problem,
+    load_problem_with_sha256,
+    load_schedule,
+    schedule_document,
+)
 from daqcompile.graphs import NNChain
 
-from oracles import reference_load_schedule, same_document, schedule_spelling
+from oracles import reference_json, reference_load_schedule, same_document, schedule_spelling
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
 _scalars = (
@@ -422,3 +431,63 @@ def test_reader_rejects_durations_summing_past_the_float_range(tmp_path):
     assert str(info.value) == "instructions: block durations sum beyond the float range"
     del doc["instructions"][1]
     assert load_schedule(_write_schedule(tmp_path, doc))[0].instructions[1].duration == 1e308
+
+
+# --- one reader for both files ---------------------------------------------------
+
+_PROBLEM_TEXT = json.dumps({"num_qubits": 3, "resource_couplings": [1.0, 1.0],
+                            "target": {"type": "nn", "angles": [0.5, 0.5]}, "time": 0.5})
+
+# Malformed bytes that fail before either file's schema is checked.
+_FAULTS = {
+    "byte-order-mark": b"\xef\xbb\xbf" + _PROBLEM_TEXT.encode(),
+    "non-utf-8-byte": b'{"num_qubits": 3, "time": "\xff"}',
+    "trailing-data": _PROBLEM_TEXT.encode() + b"{}",
+    "duplicate-key": b'{"time": 0.5, "num_qubits": 3, "time": 0.5}',
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "5000-digit-integer": b'{"num_qubits": 1' + b"0" * 4999 + b"}",
+    "missing-colon": b'{"num_qubits" 3}',
+    "trailing-comma-in-object": b'{"num_qubits": 3, "time": 0.5,}',
+    "trailing-comma-in-instructions": b'{"num_qubits": 3, "instructions": [{"sqr": []},]}',
+}
+
+
+@pytest.mark.parametrize("name", _FAULTS)
+def test_one_fault_gives_one_message_in_either_file(tmp_path, name):
+    path = tmp_path / "in.json"
+    path.write_bytes(_FAULTS[name])
+    messages = []
+    for load in (load_problem, load_schedule):
+        with pytest.raises(FileFormatError) as info:
+            load(str(path))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"{path}: invalid JSON: ") or name == "duplicate-key"
+
+
+def _random_problem(rng: random.Random, L: int, kind: str) -> dict:
+    """A problem like the benchmark's: g ~ U(0.5, 1.5), N(0, 1) weights or angles."""
+    resource = [rng.uniform(0.5, 1.5) for _ in range(L - 1)]
+    if kind == "nn":
+        target = {"type": "nn", "angles": [rng.gauss(0.0, 1.0) for _ in range(L - 1)]}
+    else:
+        density = 1.0 if kind == "dense" else 0.3
+        target = {"type": "ata", "couplings": [
+            {"i": i, "j": j, "value": rng.gauss(0.0, 1.0)}
+            for i in range(L) for j in range(i + 1, L) if density >= 1.0 or rng.random() < density]}
+    return {"num_qubits": L, "resource_couplings": resource, "target": target, "time": 0.7}
+
+
+@pytest.mark.parametrize("L", [5, 33, 96])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "nn"])
+def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
+    doc = _random_problem(random.Random(f"{kind}/{L}"), L, kind)
+    path = tmp_path / "p.json"
+    indented = json.dumps(doc, indent=2)
+    for text in (json.dumps(doc), indented, indented.replace("\n", "\r\n")):
+        path.write_bytes(text.encode("utf-8"))
+        expected = reference_json(str(path))
+        assert same_document(fileio._read_json(str(path))[0], expected)
+        problem, digest = load_problem_with_sha256(str(path))
+        assert problem == fileio._problem(expected)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daqcompile.circuits import Circuit
+from daqcompile.circuits import Circuit, ResourceBlock
 from daqcompile.errors import UnschedulableError
 from daqcompile.graphs import NNChain
 from daqcompile.scheduler import TIE_THRESHOLD, schedule
@@ -84,7 +84,7 @@ def test_ratios_zero_resource_slot():
     ((0.1, 1e300, 0.2), (0.8, 1e-300, 1.2), 1e-10, 1),     # the ratio overflows
     ((1e300, 1e300), (1e-300, 1e-300), 1e-10, 0),          # two infinite ratios: inf - inf is nan
     ((0.1, 1.0, 1e300), (1.0, 1.0, 1e-10), 1.0, 2),        # so does this one, past a finite one
-    ((1e308, 1e308), (1.0, 1.0), 1.0, 1),                  # finite ratios, the last block's sum overflows
+    ((1e308, 1e308), (0.25, 0.25), 4.0, 1),                # finite ratios, the last block times t_f overflows
     ((1e300,), (1e-10,), 1e10, 0),                         # a finite ratio, times t_f overflows
     ((1e-300, 1.0), (1e-300, 1.0), 1e-300, 0),             # g * t_f underflows to zero
 ])
@@ -93,6 +93,11 @@ def test_ratios_overflow_is_unschedulable(phi, g, t_f, slot):
         schedule(phi, NNChain(len(phi) + 1, g), t_f)
     assert (exc.value.slot, exc.value.angle) == (slot, phi[slot])
     assert str(exc.value).endswith("but its evolution time overflows the float range")
+
+
+def test_ratios_at_the_float_maximum_schedule_one_block():
+    # The last block halves each ratio before adding: 1e308 / 2 + 1e308 / 2 is finite.
+    assert schedule((1e308, 1e308), NNChain(3, (1.0, 1.0)), 1.0) == (ResourceBlock(1e308, b"\0\0\0"),)
 
 
 # magnitudes near both ends of the float range, and some ordinary ones
@@ -114,11 +119,9 @@ def test_overflow_blames_first_nonfinite_ratio_else_smallest_overflowing_block(d
     blame is the first slot whose ratio is not finite, or else the smallest
     slot whose closed-form duration is not finite; when neither exists the
     request schedules.  The durations are the module's formula
-    t_n = (b_n - b_{n+1}) t_f / 2, last t_f (b_0 + b_{m-1}) / 2, over the
+    t_n = (b_n - b_{n+1}) t_f / 2, last t_f (b_0 / 2 + b_{m-1} / 2), over the
     stably sorted |b|.  `closed_form_rows` cannot stand in here: its matrix
-    product turns an infinite ratio into nan in every row (0 * inf), and it
-    halves before adding, so a last block whose sum passes the float maximum
-    stays finite there.
+    product turns an infinite ratio into nan in every row (0 * inf).
     """
     m = data.draw(st.integers(1, 6))
     phi = [data.draw(SIGNS) * data.draw(st.just(0.0) | EXTREME_MAGNITUDES) for _ in range(m)]
@@ -129,7 +132,8 @@ def test_overflow_blames_first_nonfinite_ratio_else_smallest_overflowing_block(d
         b = np.where(phi_a == 0.0, 0.0, phi_a / (np.asarray(g) * t_f))
         order = np.argsort(-np.abs(b), kind="stable")
         b_sorted = np.abs(b)[order]
-        times = np.append(b_sorted[:-1] - b_sorted[1:], b_sorted[0] + b_sorted[-1]) * (t_f / 2.0)
+        times = np.append((b_sorted[:-1] - b_sorted[1:]) * (t_f / 2.0),
+                          (b_sorted[0] * 0.5 + b_sorted[-1] * 0.5) * t_f)
     bad_ratios = np.flatnonzero(~np.isfinite(b))
     bad_blocks = order[~np.isfinite(times)]
     if bad_ratios.size:
