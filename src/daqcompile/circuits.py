@@ -24,8 +24,9 @@ words that undo it: one single-qubit layer per request for even L.
 Instructions are immutable, so one object may stand at many places of a
 circuit: the swap network repeats four iSWAP layer objects, lowering
 shares its requests by value and emits one layer object per gate kind,
-and the compiler shares the blocks of repeated requests.  Validation and
-circuit_stats walk a layer's gates once per distinct layer object.
+and the compiler shares the blocks of repeated requests.  A layer keeps
+its highest qubit and single-qubit gate count, so a Circuit checks and
+counts every occurrence in one walk that never revisits a layer's gates.
 
 Requested analog angles are scheduled as given, never reduced mod pi/2 or
 mod 2*pi, so each request's time is minimal only for the angles it was
@@ -39,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -109,20 +110,27 @@ class DigitalLayer:
     """Gates applying in parallel; no qubit may appear twice."""
 
     gates: tuple[Gate, ...]
+    # derived from the gates, so left out of repr, == and the hash
+    max_qubit: int = field(init=False, repr=False, compare=False)
+    sqr_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gates:
             raise ValueError("empty digital layer")
         touched: set[int] = set()
+        sqr = 0
         for g in self.gates:
             for q in g.qubits:
                 if q in touched:
                     raise ValueError(f"qubit {q} used twice in one layer")
                 touched.add(q)
+            sqr += not g.is_two_qubit
+        object.__setattr__(self, "max_qubit", max(touched))
+        object.__setattr__(self, "sqr_count", sqr)
 
     @property
     def has_iswaps(self) -> bool:
-        return any(g.is_two_qubit for g in self.gates)
+        return self.sqr_count < len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -163,65 +171,58 @@ Instruction = Union[DigitalLayer, AnalogRequest, ResourceBlock]
 
 
 @dataclass(frozen=True)
-class Circuit:
-    num_qubits: int
-    instructions: tuple[Instruction, ...]
-
-    def __post_init__(self):
-        L = self.num_qubits
-        if L < 2:
-            raise ValueError("a circuit needs at least 2 qubits")
-        checked: set[int] = set()
-        for instr in self.instructions:
-            if isinstance(instr, DigitalLayer):
-                # A layer's gates are checked once per layer object, however
-                # often it repeats; the other checks cost less than the lookup.
-                if id(instr) in checked:
-                    continue
-                checked.add(id(instr))
-                for g in instr.gates:
-                    if max(g.qubits) >= L:
-                        raise ValueError(f"gate on qubit {max(g.qubits)} exceeds L={L}")
-            elif isinstance(instr, AnalogRequest):
-                if len(instr.slot_angles) != L - 1:
-                    raise ValueError(f"analog request needs {L - 1} slot angles")
-            elif isinstance(instr, ResourceBlock):
-                if len(instr.x_mask) != L:
-                    raise ValueError(f"x_mask needs length {L}")
-            else:
-                raise TypeError(f"unknown instruction {instr!r}")
-
-
-@dataclass(frozen=True)
 class ScheduleStats:
     analog_block_count: int
     total_analog_time: float
     sqr_count: int
 
 
-def circuit_stats(circuit: Circuit) -> ScheduleStats:
-    """Counts over every occurrence of every instruction.
+@dataclass(frozen=True)
+class Circuit:
+    """Instructions checked and counted per occurrence, in program order, in one walk.
 
-    A layer object that repeats has its gates counted once and that count
-    added at each occurrence; block durations are summed one occurrence at
-    a time, in program order.
+    The block durations must sum to a finite total.  circuit_stats returns
+    the counts, which repr, == and the hash leave out.
     """
-    analog = 0
-    total_time = 0.0
-    sqr = 0
-    layer_sqr: dict[int, int] = {}
-    for instr in circuit.instructions:
-        if isinstance(instr, AnalogRequest):
-            analog += 1
-        elif isinstance(instr, ResourceBlock):
-            analog += 1
-            total_time += instr.duration
-        elif isinstance(instr, DigitalLayer):
-            count = layer_sqr.get(id(instr))
-            if count is None:
-                count = layer_sqr[id(instr)] = sum(1 for g in instr.gates if not g.is_two_qubit)
-            sqr += count
-    return ScheduleStats(analog, total_time, sqr)
+
+    num_qubits: int
+    instructions: tuple[Instruction, ...]
+    _stats: ScheduleStats = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        L = self.num_qubits
+        if L < 2:
+            raise ValueError("a circuit needs at least 2 qubits")
+        analog = sqr = 0
+        total = 0.0
+        for instr in self.instructions:
+            if isinstance(instr, ResourceBlock):
+                if len(instr.x_mask) != L:
+                    raise ValueError(f"x_mask needs length {L}")
+                analog += 1
+                total += instr.duration
+            elif isinstance(instr, DigitalLayer):
+                if instr.max_qubit >= L:
+                    raise ValueError(f"gate on qubit {instr.max_qubit} exceeds L={L}")
+                sqr += instr.sqr_count
+            elif isinstance(instr, AnalogRequest):
+                if len(instr.slot_angles) != L - 1:
+                    raise ValueError(f"analog request needs {L - 1} slot angles")
+                analog += 1
+            else:
+                raise TypeError(f"unknown instruction {instr!r}")
+        if not math.isfinite(total):
+            raise ValueError("block durations sum beyond the float range")
+        object.__setattr__(self, "_stats", ScheduleStats(analog, total, sqr))
+
+
+def circuit_stats(circuit: Circuit) -> ScheduleStats:
+    """Counts over every occurrence of every instruction, as the Circuit took them.
+
+    Requests and blocks are analog instructions; block durations are summed
+    one occurrence at a time, in program order.
+    """
+    return circuit._stats
 
 
 # --- the swap-network circuit -----------------------------------------------
@@ -368,7 +369,7 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
 
 def _layer_half(layer: DigitalLayer, num_qubits: int) -> tuple[list[float], set[int]]:
     """Slot angles (+-pi/4 per gate) and touched qubits of one half of an iSWAP layer."""
-    if not all(g.is_two_qubit for g in layer.gates):
+    if layer.sqr_count:
         raise ValueError("layer mixes iSWAPs with single-qubit gates")
     angles = [0.0] * (num_qubits - 1)
     touched: set[int] = set()

@@ -26,6 +26,7 @@ from .circuits import (
     Instruction,
     ResourceBlock,
     ata_circuit_general,
+    circuit_stats,
     lower_swap_layers,
 )
 from .errors import UnschedulableError
@@ -48,8 +49,8 @@ def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circui
     that repeats it gets the same block objects.  The key is the tuple's
     value, so 0.0 and -0.0 angles meet in it; schedule treats them alike.
     The blocks' durations must also sum, occurrence by occurrence in
-    program order as circuit_stats sums them, to a finite total; the
-    request that overflows it, repeated or not, raises UnschedulableError
+    program order, to the finite total that Circuit requires; the request
+    whose blocks overflow it, repeated or not, raises UnschedulableError
     for its slot of largest ratio, which needs the request's longest
     evolution.
     """
@@ -81,9 +82,8 @@ def compile_ata(target: CouplingGraph, resource: NNChain, t_f: float) -> Compile
         raise ValueError("resource chain size does not match the target")
     high_level = ata_circuit_general(target, t_f)
     lowered = lower_swap_layers(high_level)
-    requests = sum(
-        1 for i in lowered.instructions if isinstance(i, AnalogRequest)
-    )
+    # the lowered circuit's analog instructions are all requests
+    requests = circuit_stats(lowered).analog_block_count
     return CompileResult(schedule_requests(lowered, resource, t_f), requests)
 
 

@@ -357,7 +357,8 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     Each distinct instruction line is parsed once (_json_document) and each
     distinct parsed entry is built into one instruction object, which every
     repeat shares.  The whole file is parsed before any entry is checked, and
-    an error names the entry's first index.
+    an error names the entry's first index.  The block durations must sum to
+    a finite total, which Circuit checks before the metadata is.
     """
     data = _read_json(path)[0]   # drops the text before any instruction is built
     _require_keys(
@@ -381,20 +382,13 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
             except ValueError as exc:
                 raise FileFormatError(f"instructions[{idx}]: {exc}") from exc
         instrs.append(instr)
-    # Summed in program order, as circuit_stats sums them for `stats`.
-    total = 0.0
-    for instr in instrs:
-        if isinstance(instr, ResourceBlock):
-            total += instr.duration
-    if not math.isfinite(total):
-        raise FileFormatError("instructions: block durations sum beyond the float range")
     metadata = data["metadata"]
-    _check_metadata(metadata)
     del data, entries, built
     try:
         circuit = Circuit(L, tuple(instrs))
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"schedule instructions invalid: {exc}") from exc
+    except ValueError as exc:   # block durations summing past the float range
+        raise FileFormatError(f"instructions: {exc}") from exc
+    _check_metadata(metadata)
     return circuit, resource, t_f, metadata
 
 

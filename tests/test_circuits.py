@@ -121,6 +121,13 @@ def test_circuit_validation():
         ResourceBlock(-0.1, b"\0\0")
 
 
+def test_circuit_refuses_block_durations_summing_past_the_float_range():
+    block = ResourceBlock(1e308, b"\0\1")
+    assert circuit_stats(Circuit(2, (block,))).total_analog_time == 1e308
+    with pytest.raises(ValueError, match="block durations sum beyond the float range"):
+        Circuit(2, (block, block))
+
+
 # --- general swap family -----------------------------------------------------
 
 def test_general_swap_collapses_to_iswap():
@@ -553,6 +560,57 @@ def test_merged_lowering_equals_per_layer_lowering(case):
 
 
 # --- stats ---------------------------------------------------------------------
+
+@st.composite
+def _mixed_layer(draw, L):
+    """One layer: iSWAP or iSWAP-dagger gates on some slots, x/h/r/rz gates on some qubits left free."""
+    gates = []
+    q = 0
+    while q < L:
+        kind = draw(st.sampled_from(("none", "x", "h", "r", "rz", "iswap", "iswap_dg")))
+        if kind in ("iswap", "iswap_dg") and q + 1 < L:
+            gates.append(Gate(GateType(kind), (q, q + 1)))
+            q += 1
+        elif kind in ("x", "h", "r", "rz"):
+            gates.append(Gate(GateType(kind), (q,), draw(st.floats(-1.0, 1.0)) if kind == "rz" else 0.0))
+        q += 1
+    return DigitalLayer(tuple(gates) or (Gate.h(L - 1),))
+
+
+@st.composite
+def _repeating_circuit(draw):
+    """A circuit whose instructions repeat a few objects: mixed layers, other layers, requests and blocks."""
+    L = draw(st.integers(2, 6))
+    pool = [draw(_mixed_layer(L)) for _ in range(draw(st.integers(1, 3)))]
+    pool += [draw(_separator(L)) for _ in range(draw(st.integers(0, 4)))]
+    return Circuit(L, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(_mixed_layer))
+def test_layer_records_its_highest_qubit_and_single_qubit_gates(layer):
+    assert layer.max_qubit == max(q for g in layer.gates for q in g.qubits)
+    assert layer.sqr_count == sum(len(g.qubits) == 1 for g in layer.gates)
+    assert layer.has_iswaps == any(len(g.qubits) == 2 for g in layer.gates)
+    # derived from the gates, so left out of repr, == and the hash
+    assert repr(layer) == f"DigitalLayer(gates={layer.gates!r})"
+    assert DigitalLayer(layer.gates) == layer and hash(DigitalLayer(layer.gates)) == hash(layer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeating_circuit())
+def test_stats_equal_a_recount_of_every_occurrence(circuit):
+    analog, total, sqr = 0, 0.0, 0
+    for instr in circuit.instructions:
+        if isinstance(instr, DigitalLayer):
+            sqr += sum(len(g.qubits) == 1 for g in instr.gates)
+        else:
+            analog += 1
+            if isinstance(instr, ResourceBlock):
+                total += instr.duration
+    stats = circuit_stats(circuit)
+    assert (stats.analog_block_count, stats.total_analog_time, stats.sqr_count) == (analog, total, sqr)
+
 
 def test_stats_trivial_homogeneous():
     circuit = ata_circuit(2, 0.5)

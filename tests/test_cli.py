@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +611,44 @@ def test_malformed_bytes_exit_1(tmp_path, capsys, file, command, flaw):
     assert captured.out == ""
 
 
+_NAN_BLOCK = {"resource_block": {"duration": math.nan, "x_mask": [False, False, False]}}
+
+
+@pytest.mark.parametrize("file, fields, message", [
+    ("problem", {"time": math.nan}, "time: non-finite number"),
+    ("problem", {"resource_couplings": [math.inf, 1.0]}, "resource_couplings[0]: non-finite number"),
+    ("problem", {"resource_couplings": [1.0]}, "resource_couplings: expected a list of 2 numbers"),
+    ("problem", {"num_qubits": 1}, "num_qubits must be >= 2"),
+    ("problem", None, None),
+    ("schedule", {"instructions": {}}, "instructions: expected a list"),
+    ("schedule", {"instructions": [{"barrier": {}}]}, "instructions[0]: expected 'sqr' or 'resource_block'"),
+    ("schedule", {"instructions": [_NAN_BLOCK]}, "instructions[0].duration: non-finite number"),
+], ids=["nan-time", "infinite-coupling", "short-couplings", "one-qubit", "missing-input",
+        "instructions-object", "unknown-instruction", "nan-duration"])
+def test_malformed_fields_exit_1(tmp_path, capsys, file, fields, message):
+    # A problem is compiled, a schedule is read by stats and verify; fields=None
+    # names a file that does not exist.
+    problem = nn_problem(tmp_path, L=3, angles=[0.3, -0.2])
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    inputs = {"problem": problem, "schedule": str(out)}
+    if fields is None:
+        inputs[file] = str(tmp_path / "missing.json")
+    else:
+        doc = json.loads(Path(inputs[file]).read_text(encoding="utf-8"))
+        inputs[file] = write_json(tmp_path / "bad.json", {**doc, **fields})
+    capsys.readouterr()
+    for command in ["compile"] if file == "problem" else ["stats", "verify"]:
+        flag, target = ("--output", str(tmp_path / "o.json")) if command == "compile" else ("--schedule", inputs["schedule"])
+        assert main([command, "--input", inputs["problem"], flag, target]) == 1
+        captured = capsys.readouterr()
+        if message is None:
+            assert captured.err.startswith(f"error: cannot read {inputs['problem']}: "), captured.err
+        else:
+            assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("file, command", [
     ("problem", "compile"), ("problem", "stats"), ("problem", "verify"),
     ("schedule", "stats"), ("schedule", "verify"),
@@ -621,7 +660,7 @@ def test_integer_past_digit_limit_exits_1(tmp_path, file, command):
     out = tmp_path / "s.json"
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
     inputs = {"problem": problem, "schedule": str(out)}
-    text = open(inputs[file], encoding="utf-8").read()
+    text = Path(inputs[file]).read_text(encoding="utf-8")
     assert text.count('"time": 0.7') == 1
     bad = tmp_path / "bad.json"
     bad.write_text(text.replace('"time": 0.7', '"time": ' + "9" * 5000), encoding="utf-8")
@@ -640,7 +679,7 @@ def test_integer_past_digit_limit_exits_1(tmp_path, file, command):
 @pytest.mark.skipif(STDIN_PATH is None, reason="neither /dev/stdin nor /dev/fd exists")
 def test_compile_from_pipe_hashes_bytes_read(tmp_path):
     problem = ata_problem(tmp_path, L=5, t_f=0.7)
-    data = open(problem, "rb").read()
+    data = Path(problem).read_bytes()
     out = tmp_path / "s.json"
     run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "compile", "--input", STDIN_PATH, "--output", str(out)],
