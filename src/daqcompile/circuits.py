@@ -323,19 +323,18 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
     even L.  The layers hold x, h and r gates only.
 
     Requests with the same angles are one object, and each gate kind is one
-    layer object on the touched qubits, so later passes can do their
-    per-object work once; a layer object's half is worked out once per call
-    however often it repeats.
+    layer object on the qubits of every slot some half uses, so later passes
+    can do their per-object work once; a layer object's half is worked out
+    once per call however often it repeats.
     """
     L = circuit.num_qubits
     layer_halves: dict[int, list[float]] = {}
-    touched: set[int] = set()
     for instr in circuit.instructions:
         if _is_iswap_layer(instr) and id(instr) not in layer_halves:
-            layer_halves[id(instr)], qubits = _layer_half(instr, L)
-            touched |= qubits
-    # one layer object per gate kind; without iSWAPs the frame stays the identity
-    qubits = sorted(touched)
+            layer_halves[id(instr)] = _layer_half(instr, L)
+    # one layer object per gate kind on every iSWAP's qubits; none without iSWAPs
+    slots = {j for half in layer_halves.values() for j, phi in enumerate(half) if phi}
+    qubits = sorted(slots | {j + 1 for j in slots})
     basis = {gate: DigitalLayer(tuple(Gate(GateType(gate), (q,)) for q in qubits)) for gate in "xhr" if qubits}
     requests: dict[tuple[float, ...], AnalogRequest] = {}
     instrs: list[Instruction] = []
@@ -367,13 +366,11 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
     return Circuit(L, tuple(instrs))
 
 
-def _layer_half(layer: DigitalLayer, num_qubits: int) -> tuple[list[float], set[int]]:
-    """Slot angles (+-pi/4 per gate) and touched qubits of one half of an iSWAP layer."""
+def _layer_half(layer: DigitalLayer, num_qubits: int) -> list[float]:
+    """Slot angles of one half of an iSWAP layer: +-pi/4 on each gate's slot, 0 elsewhere."""
     if layer.sqr_count:
         raise ValueError("layer mixes iSWAPs with single-qubit gates")
     angles = [0.0] * (num_qubits - 1)
-    touched: set[int] = set()
     for g in layer.gates:
         angles[g.qubits[0]] = -math.pi / 4.0 if g.type is GateType.ISWAP_DG else math.pi / 4.0
-        touched.update(g.qubits)
-    return angles, touched
+    return angles

@@ -53,6 +53,13 @@ def _reference_request_count(problem: ProblemSpec) -> int | None:
     return 5 * L - 12 if problem.target_type == "ata" and L % 2 == 0 and L >= 4 else None
 
 
+def _schedule_counts(circuit: Circuit) -> dict:
+    """The counts that `compile` and `stats` both report, in their printed order."""
+    st = circuit_stats(circuit)
+    return {"resource_blocks": st.analog_block_count, "sqr_gates": st.sqr_count,
+            "total_analog_time": st.total_analog_time}
+
+
 def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
     """The problem and its schedule, which must agree on qubits, couplings and time."""
     problem = load_problem(args.input)
@@ -74,13 +81,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         result = compile_ata(problem.target_graph, problem.resource, problem.t_f)
     else:
         result = compile_chain(problem.target_angles, problem.resource, problem.t_f)
-    st = circuit_stats(result.circuit)
-    stats = {
-        "analog_requests": result.analog_requests,
-        "resource_blocks": st.analog_block_count,
-        "sqr_gates": st.sqr_count,
-        "total_analog_time": st.total_analog_time,
-    }
+    stats = {"analog_requests": result.analog_requests, **_schedule_counts(result.circuit)}
     doc = schedule_document(
         result.circuit, problem.resource, problem.t_f, stats,
         tool_version=__version__, input_sha256=input_sha256,
@@ -124,14 +125,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     problem, circuit, metadata = _load_pair(args)
-    st = circuit_stats(circuit)
     reference = _reference_request_count(problem)
     lines = {
         "num_qubits": problem.num_qubits,
         "target_type": problem.target_type,
-        "resource_blocks": st.analog_block_count,
-        "sqr_gates": st.sqr_count,
-        "total_analog_time": st.total_analog_time,
+        **_schedule_counts(circuit),
         "analog_requests": metadata["stats"]["analog_requests"],
         "reference_request_count": reference,
     }

@@ -15,8 +15,8 @@ exp(i phi P') with P' = C^dag P C, its pull-back through the frame:
   across slot j, so it is one rotation by Z_j Z_{j+1} per slot; rz(theta)
   rotates Z_q by theta / 2;
 * a pull-back that is a Z string (x = 0) commutes with every other one, so
-  its angle goes to a ledger: per edge when the string holds two qubits,
-  per qubit when it holds one, per string otherwise;
+  its angle goes to one ledger keyed by the string's bits, split at the end
+  into edges (two bits), single qubits (one bit) and longer strings;
 * any other pull-back has its angle rounded to the nearest k pi/4, and the
   Clifford exp(i k pi/4 P') is folded into the frame; the rounding
   |phi - k pi/4| is added to the bound.
@@ -120,9 +120,7 @@ class _Walk:
     def __init__(self, num_qubits: int):
         self.xs = [(1 << q, 0, 0) for q in range(num_qubits)]
         self.zs = [(0, 1 << q, 0) for q in range(num_qubits)]
-        self.edges: dict[Edge, float] = {}
-        self.singles = [0.0] * num_qubits
-        self.strings: dict[int, float] = {}
+        self.ledger: dict[int, float] = {}     # Z string bits -> summed angle
         self.rounding = 0.0
 
     def layer(self, layer: DigitalLayer) -> None:
@@ -149,14 +147,7 @@ class _Walk:
         """Apply exp(i phi P) whose pull-back is `pulled`; only the X_q of `anticommuting` anticommute with P."""
         x, z, e = pulled
         if not x:
-            v = -phi if e else phi          # a Hermitian Z string has e = 0 or 2
-            if z.bit_count() == 2:
-                edge = ((z & -z).bit_length() - 1, z.bit_length() - 1)
-                self.edges[edge] = self.edges.get(edge, 0.0) + v
-            elif z.bit_count() == 1:
-                self.singles[z.bit_length() - 1] += v
-            else:
-                self.strings[z] = self.strings.get(z, 0.0) + v
+            self.ledger[z] = self.ledger.get(z, 0.0) + (-phi if e else phi)   # Hermitian: e is 0 or 2
             return
         ratio = phi / QUARTER
         if not math.isfinite(ratio):
@@ -232,12 +223,22 @@ def check_schedule(circuit: Circuit, resource: NNChain, target: Mapping[Edge, fl
             walk.layer(instr)
     if run:
         flush()
+    realised = dict.fromkeys(target, 0.0)
+    singles = [0.0] * L
+    others = []                         # longer strings, in first-seen order
+    for z, angle in walk.ledger.items():
+        if z.bit_count() == 2:
+            realised[(z & -z).bit_length() - 1, z.bit_length() - 1] = angle
+        elif z.bit_count() == 1:
+            singles[z.bit_length() - 1] = angle
+        else:
+            others.append(angle)
     couplings = []
-    for edge in target.keys() | walk.edges.keys():
-        realised, want = walk.edges.get(edge, 0.0), target.get(edge, 0.0)
-        couplings.append(CouplingCheck(edge, realised, want, _off_pi(realised - want)))
+    for edge, got in realised.items():
+        want = target.get(edge, 0.0)
+        couplings.append(CouplingCheck(edge, got, want, _off_pi(got - want)))
     couplings.sort(key=lambda c: (-c.off, c.edge))
-    single_z = sum(map(_off_pi, walk.singles))
-    other_z = sum(map(_off_pi, walk.strings.values()))
+    single_z = sum(map(_off_pi, singles))
+    other_z = sum(map(_off_pi, others))
     bound = sum(c.off for c in couplings) + single_z + other_z + walk.rounding
     return FrameReport(bound, tuple(couplings), single_z, other_z, walk.rounding, walk.frame_off())

@@ -98,6 +98,21 @@ def test_frame_left_off_fails_at_any_tolerance():
     assert not report.passed(1.0)
 
 
+def test_z_string_residuals_are_split_by_length():
+    chain = NNChain(3, (1.0, 1.0))
+    # rz(0.6) rotates Z_1 by 0.3: a one-qubit string
+    single = check_schedule(Circuit(3, (DigitalLayer((Gate(GateType.RZ, (1,), 0.6),)),)), chain, {})
+    assert (single.couplings, single.single_z, single.other_z, single.bound) == ((), 0.3, 0, 0.3)
+    # the first run folds pi/4 rotations into the frame; in the second, slot
+    # 0's term pulls back through h and r to Z_0 Z_1 Z_2: a three-qubit string
+    first, second = ResourceBlock(math.pi / 4, b"\1\1\1"), ResourceBlock(math.pi / 4, b"\1\0\0")
+    circuit = Circuit(3, (DigitalLayer((Gate.h(0), Gate.h(1))), first,
+                          DigitalLayer((Gate.h(0), Gate.r(1))), second))
+    longer = check_schedule(circuit, chain, {})
+    assert (longer.couplings, longer.single_z, longer.rounding) == ((), 0.0, 0.0)
+    assert longer.other_z == longer.bound == math.pi / 4
+
+
 # --- agreement with the dense engine ------------------------------------------
 #
 # Weights, times and couplings are dyadic grids: ratios that tie do so
