@@ -231,16 +231,19 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     """High-level circuit whose unitary is exp(i t_f H) for the target graph.
 
     The linear swap network (Kivlichan et al., arXiv:1711.04789): layer
-    k = 0, 1, ... puts a plain iSWAP on every slot j = k (mod 2), which moves
-    the logical qubits along the chain until every pair has been adjacent.
-    Before layer k, the still-unassigned pairs adjacent at that point share
-    one analog request, slot j carrying t_f * g' of the pair it holds and 0
-    elsewhere.  A swapped pair stays adjacent for one more layer while every
-    other pair separates, so the request is emitted only when some of those
-    pairs would separate, or when they finish the cover; then the network
-    stops.  Its layers are undone in reverse order with iSWAP-daggers, so
-    the digital part is the identity and needs no compensation.  Even and
-    odd L take this one route, with 2L - 4 iSWAP layers.  The four distinct
+    k = 0, 1, ... puts a plain iSWAP on every slot j = k (mod 2).  Its
+    first L layers reverse the chain and swap every pair once, layer L - 1
+    the pairs that start on the odd slots.  Before layer k, the pairs on
+    slots of k's parity are about to swap in it, and those on the other
+    parity swapped in layer k - 1 (at k = 0: start there) and separate in
+    layer k.  So one analog request before every even layer k <= L - 2
+    takes the current pair on every slot, and for odd L one last request
+    before layer L - 2 takes the odd slots only: between them they take
+    the pairs that swap in layers L - 1 and 0 to L - 2, each pair once.
+    Slot j carries t_f * g' of the pair it holds and 0 elsewhere.  The
+    network stops after L - 2 layers and is undone in reverse order with
+    iSWAP-daggers, so the digital part is the identity and needs no
+    compensation: 2L - 4 iSWAP layers for every L.  The four distinct
     layers, plain and daggered on each slot parity, are built once and
     shared.  Analog requests are ideal and still need scheduling onto a
     resource chain.
@@ -252,28 +255,22 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     forward = [DigitalLayer(tuple(map(Gate.iswap, range(p, L - 1, 2)))) for p in parities]
     undo = [DigitalLayer(tuple(map(Gate.iswap_dg, range(p, L - 1, 2)))) for p in parities]
     order = list(range(L))         # order[j]: the logical qubit at position j
-    done = bytearray(L * L)        # done[a * L + b]: pair (a, b) is in a request
-    left = L * (L - 1) // 2
     instrs: list[Instruction] = []
-    k = 0
-    while True:
-        pending = [j for j in range(L - 1) if not done[order[j] * L + order[j + 1]]]
-        # A pending pair off layer k's parity separates in it (for L >= 3).
-        if len(pending) == left or any((j ^ k) & 1 for j in pending):
-            angles = [0.0] * (L - 1)
-            for j in pending:
-                a, b = order[j], order[j + 1]
-                angles[j] = t_f * target.weight(a, b)
-                done[a * L + b] = done[b * L + a] = 1
-            instrs.append(AnalogRequest(tuple(angles)))
-            left -= len(pending)
-            if not left:
-                break
+
+    def request(slots: range) -> None:
+        angles = [0.0] * (L - 1)
+        for j in slots:
+            angles[j] = t_f * target.weight(order[j], order[j + 1])
+        instrs.append(AnalogRequest(tuple(angles)))
+
+    for k in range(L - 2):
+        if not k & 1:
+            request(range(L - 1))
         for j in range(k & 1, L - 1, 2):
             order[j], order[j + 1] = order[j + 1], order[j]
         instrs.append(forward[k & 1])
-        k += 1
-    instrs.extend(undo[i & 1] for i in reversed(range(k)))
+    request(range(1, L - 1, 2) if L & 1 else range(L - 1))
+    instrs.extend(undo[k & 1] for k in reversed(range(L - 2)))
     return Circuit(L, tuple(instrs))
 
 

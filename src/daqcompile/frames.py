@@ -239,6 +239,6 @@ def check_schedule(circuit: Circuit, resource: NNChain, target: Mapping[Edge, fl
         couplings.append(CouplingCheck(edge, got, want, _off_pi(got - want)))
     couplings.sort(key=lambda c: (-c.off, c.edge))
     single_z = sum(map(_off_pi, singles))
-    other_z = sum(map(_off_pi, others))
+    other_z = sum(map(_off_pi, others), 0.0)
     bound = sum(c.off for c in couplings) + single_z + other_z + walk.rounding
     return FrameReport(bound, tuple(couplings), single_z, other_z, walk.rounding, walk.frame_off())

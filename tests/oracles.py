@@ -15,7 +15,9 @@ frames whose seams go through an inverse-gate cancellation pass and ASAP
 re-layering.  `path_route_circuit` writes the bridges directly; tests
 compare it against all of these.  An exhaustive
 search over layered swap networks bounds the layer count of the
-compiler's route from below at small L.
+compiler's route from below at small L, and the route's generic rule,
+which places each request by tracking the pairs that have met, checks
+the closed rule the compiler uses.
 
 The per-layer iSWAP lowering, two requests per layer, each in its own
 basis sandwich, is the reference for the compiler's lowering, which merges
@@ -425,6 +427,51 @@ def shortest_swap_network(num_qubits: int, limit: int) -> int | None:
                     nxt.add(state)
         frontier = nxt
     return None
+
+
+# --- the swap network's generic rule ------------------------------------------
+
+def ata_circuit_pending_pairs(target: CouplingGraph, t_f: float) -> Circuit:
+    """The compiler's swap-network route, placing its requests by tracking which pairs have met.
+
+    Before layer k, the still-unassigned pairs adjacent at that point share
+    one analog request, slot j carrying t_f * g' of the pair it holds and 0
+    elsewhere.  A swapped pair stays adjacent for one more layer while every
+    other pair separates, so the request is emitted only when some of those
+    pairs would separate, or when they finish the cover; then the network
+    stops and is undone in reverse order with iSWAP-daggers.
+    `ata_circuit_general` places the same requests by a closed rule.
+    """
+    if not math.isfinite(t_f):
+        raise ValueError("non-finite evolution time")
+    L = target.num_qubits
+    parities = range(min(2, L - 1))
+    forward = [DigitalLayer(tuple(map(Gate.iswap, range(p, L - 1, 2)))) for p in parities]
+    undo = [DigitalLayer(tuple(map(Gate.iswap_dg, range(p, L - 1, 2)))) for p in parities]
+    order = list(range(L))         # order[j]: the logical qubit at position j
+    done = bytearray(L * L)        # done[a * L + b]: pair (a, b) is in a request
+    left = L * (L - 1) // 2
+    instrs = []
+    k = 0
+    while True:
+        pending = [j for j in range(L - 1) if not done[order[j] * L + order[j + 1]]]
+        # A pending pair off layer k's parity separates in it (for L >= 3).
+        if len(pending) == left or any((j ^ k) & 1 for j in pending):
+            angles = [0.0] * (L - 1)
+            for j in pending:
+                a, b = order[j], order[j + 1]
+                angles[j] = t_f * target.weight(a, b)
+                done[a * L + b] = done[b * L + a] = 1
+            instrs.append(AnalogRequest(tuple(angles)))
+            left -= len(pending)
+            if not left:
+                break
+        for j in range(k & 1, L - 1, 2):
+            order[j], order[j + 1] = order[j + 1], order[j]
+        instrs.append(forward[k & 1])
+        k += 1
+    instrs.extend(undo[i & 1] for i in reversed(range(k)))
+    return Circuit(L, tuple(instrs))
 
 
 # --- the per-layer iSWAP lowering ---------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -57,6 +58,12 @@ def random_graph(L, rng, lo=-1.0, hi=1.0):
 
 def iswap_layer_count(circuit):
     return sum(1 for i in circuit.instructions if isinstance(i, DigitalLayer) and i.has_iswaps)
+
+
+def layer_sharing(circuit):
+    """Each digital layer as its object's number in order of first appearance: the circuit's object sharing."""
+    first = {}
+    return [first.setdefault(id(i), len(first)) for i in circuit.instructions if isinstance(i, DigitalLayer)]
 
 
 def path_route(L, t_f):
@@ -357,9 +364,11 @@ def test_swap_network_layer_and_request_counts(L):
 
 @pytest.mark.parametrize("L", [*range(2, 34), 96, 97])
 def test_swap_network_assigns_every_pair_once(L):
-    # Walk the logical qubits through the iSWAP layers (above L=8 this is the
-    # only check of the route): each pair meets its t*w on exactly one slot
-    # of one request, and the qubits end where they began.
+    # Walk the logical qubits through the iSWAP layers (above L=8 the dense
+    # unitary cannot check the route; this walk and the generic rule in
+    # test_swap_network_matches_its_generic_rule do): each pair meets its
+    # t*w on exactly one slot of one request, and the qubits end where they
+    # began.
     weights = {(i, j): 1.0 + i + L * j for i in range(L) for j in range(i + 1, L)}
     c = ata_circuit_general(CouplingGraph(L, weights), 0.5)
     order = list(range(L))
@@ -377,6 +386,25 @@ def test_swap_network_assigns_every_pair_once(L):
                 order[a], order[b] = order[b], order[a]
     assert order == list(range(L))
     assert seen == {e: 0.5 * w for e, w in weights.items()}
+
+
+@pytest.mark.parametrize("L", [*range(2, 65), 96, 97, 128, 129])
+def test_swap_network_matches_its_generic_rule(L):
+    # The closed rule places every request where tracking the pairs that
+    # have met places it: instructions with equal reprs, so the same sign on
+    # every zero angle (a negative time turns an absent edge's 0.0
+    # into -0.0, while slots a request leaves out stay 0.0), and the same
+    # layer objects at the same places.
+    rng = random.Random(L)
+    dense = random_graph(L, rng)
+    sparse = CouplingGraph(L, {(i, j): rng.gauss(0.0, 1.0) for i in range(L) for j in range(i + 1, L)
+                               if rng.random() < 0.3})
+    for target in (dense, sparse, CouplingGraph(L, {})):
+        for t_f in (0.7, -0.7):
+            got = ata_circuit_general(target, t_f)
+            want = oracles.ata_circuit_pending_pairs(target, t_f)
+            assert list(map(repr, got.instructions)) == list(map(repr, want.instructions))
+            assert layer_sharing(got) == layer_sharing(want)
 
 
 @pytest.mark.parametrize("L", range(2, 7))

@@ -668,7 +668,7 @@ def test_integer_past_digit_limit_exits_1(tmp_path, file, command):
     flag, target = ("--output", str(tmp_path / "o.json")) if command == "compile" else ("--schedule", inputs["schedule"])
     run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", command, "--input", inputs["problem"], flag, target],
-        capture_output=True, text=True, env=child_env(),
+        capture_output=True, text=True, encoding="utf-8", env=child_env(),
     )
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
@@ -802,12 +802,12 @@ def test_console_entry_point(tmp_path):
     env = child_env()
     compile_run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "compile", "--input", problem, "--output", out],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, encoding="utf-8", env=env,
     )
     assert compile_run.returncode == 0, compile_run.stderr
     verify_run = subprocess.run(
         [sys.executable, "-m", "daqcompile.cli", "verify", "--input", problem, "--schedule", out],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, encoding="utf-8", env=env,
     )
     assert verify_run.returncode == 0, verify_run.stderr
     assert "PASS" in verify_run.stdout
@@ -824,7 +824,7 @@ def test_closed_stdout_exits_1_quietly(tmp_path, command):
     try:
         run = subprocess.run(
             [sys.executable, "-m", "daqcompile.cli", command, "--input", problem, "--schedule", out],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env(),
+            stdout=write_end, stderr=subprocess.PIPE, text=True, encoding="utf-8", env=child_env(),
         )
     finally:
         os.close(write_end)
@@ -856,7 +856,7 @@ def test_compile_and_stats_run_without_numpy(tmp_path):
         "loaded = [name for name in sys.modules if name.split('.')[0] == 'numpy']\n"
         "assert not loaded, loaded\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8", env=child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.count("resource_blocks: ") == 4
     assert run.stdout.count("\nPASS\n") == 2
@@ -873,5 +873,5 @@ def test_package_import_loads_no_submodule():
         "loaded = sorted(name for name in sys.modules if name.startswith('daqcompile.'))\n"
         "assert not loaded, f'import daqcompile loaded {loaded}'\n"
     )
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8", env=child_env())
     assert run.returncode == 0, run.stderr

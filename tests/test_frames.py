@@ -102,7 +102,7 @@ def test_z_string_residuals_are_split_by_length():
     chain = NNChain(3, (1.0, 1.0))
     # rz(0.6) rotates Z_1 by 0.3: a one-qubit string
     single = check_schedule(Circuit(3, (DigitalLayer((Gate(GateType.RZ, (1,), 0.6),)),)), chain, {})
-    assert (single.couplings, single.single_z, single.other_z, single.bound) == ((), 0.3, 0, 0.3)
+    assert (single.couplings, single.single_z, single.other_z, single.bound) == ((), 0.3, 0.0, 0.3)
     # the first run folds pi/4 rotations into the frame; in the second, slot
     # 0's term pulls back through h and r to Z_0 Z_1 Z_2: a three-qubit string
     first, second = ResourceBlock(math.pi / 4, b"\1\1\1"), ResourceBlock(math.pi / 4, b"\1\0\0")
@@ -111,6 +111,17 @@ def test_z_string_residuals_are_split_by_length():
     longer = check_schedule(circuit, chain, {})
     assert (longer.couplings, longer.single_z, longer.rounding) == ((), 0.0, 0.0)
     assert longer.other_z == longer.bound == math.pi / 4
+
+
+def test_report_parts_are_floats_without_longer_z_strings():
+    # a compiled schedule leaves no Z string of three or more qubits in the ledger
+    L, t_f = 5, 0.7
+    resource = NNChain(L, (1.0, 0.5, 1.5, 0.75))
+    weights = {(i, j): 0.1 * (i + j) for i in range(L) for j in range(i + 1, L)}
+    circuit = compile_ata(CouplingGraph(L, weights), resource, t_f).circuit
+    report = check_schedule(circuit, resource, {e: w * t_f for e, w in weights.items()})
+    assert report.passed(TOL) and report.other_z == 0.0
+    assert type(report.other_z) is float and type(report.single_z) is float
 
 
 # --- agreement with the dense engine ------------------------------------------
