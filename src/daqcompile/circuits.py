@@ -81,18 +81,6 @@ class Gate:
             raise ValueError(f"{self.type.value} takes no angle")
 
     @classmethod
-    def x(cls, q: int) -> "Gate":
-        return cls(GateType.X, (q,))
-
-    @classmethod
-    def h(cls, q: int) -> "Gate":
-        return cls(GateType.H, (q,))
-
-    @classmethod
-    def r(cls, q: int) -> "Gate":
-        return cls(GateType.R, (q,))
-
-    @classmethod
     def iswap(cls, left: int) -> "Gate":
         return cls(GateType.ISWAP, (left, left + 1))
 

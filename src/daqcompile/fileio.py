@@ -1,23 +1,21 @@
 """Problem and schedule files: one strict JSON reader and deterministic emission.
 
-Both formats are UTF-8 JSON, and both files go through one reader: it reads
-the file once, decodes it as strict UTF-8, parses it with one walker and
-maps every read or parse fault to one FileFormatError text; one helper
-checks the chain header they share.  The writer keeps field order, puts each
-top-level field on its own line and each item of a top-level list (a
-schedule instruction) on its own compact line, and spells floats as
-Python's shortest repr, which round-trips binary64 exactly; identical
-inputs produce byte-identical outputs.  schedule_document renders each
-instruction's line itself, a block's x_mask list straight from the mask's
-bytes, and renders a repeated instruction object only once per call (the
-compiler shares them); the file still spells every instruction at each of
-its places.  iter_canonical writes those lines as they are and encodes
-everything else with the standard library's encoder.  Unknown and repeated
-fields are rejected on parse, and a block's boolean list becomes the mask's
-bytes.  load_schedule parses each distinct instruction line once, with the
-standard library's decoder, and builds one instruction from it that every
-repeat of the line shares; this holds for any layout, and an item that is
-not alone on its line is simply parsed on its own.
+Both formats are UTF-8 JSON.  Both files go through one reader: it reads the
+file once, decodes it as strict UTF-8, parses it with one walker and maps
+every read or parse fault to one FileFormatError text; one helper checks the
+chain header they share.  The walker takes the document and each value
+directly in it, the two levels the writer lays out one item per line, item
+by item, and gives the equal lines of an array one parsed value; every
+deeper value is one call of the standard library's decoder.  Unknown and
+repeated fields are rejected, a block's boolean list becomes the mask's
+bytes, and load_schedule builds one instruction per distinct parsed entry.
+The writer keeps field order, puts each top-level field on its own line and
+each item of a top-level list (a schedule instruction) on its own compact
+line, and spells floats as Python's shortest repr, which round-trips
+binary64 exactly; identical inputs produce byte-identical outputs.
+schedule_document renders each distinct instruction object's line once (the
+compiler shares them), a block's x_mask list straight from the mask's bytes,
+and iter_canonical writes those lines as they are.
 """
 
 from __future__ import annotations
@@ -114,101 +112,77 @@ def _skip(text: str, pos: int) -> int:
     return _whitespace(text, pos).end()
 
 
-def _instruction_items(text: str, pos: int) -> tuple[list, int]:
-    """The JSON array starting at text[pos] ('[') and the index past its ']'.
+def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
+    """The JSON value at text[pos], `depth` containers deep, and the index past it.
 
-    An item that begins a line is looked up before it is parsed: if the rest
-    of its line, less trailing commas and carriage returns, is the exact text
-    of an earlier item that began a line, the item is that item's parsed
-    value, the same object.  This holds for any layout.  An object, array or
-    string ends at its own closing character, and a number or literal ends
-    at the comma or whitespace after it, so equal text parses to an equal
-    value that ends at the same place; a raw newline can only be whitespace.
-    Only items that begin a line and hold no newline, the ones a line can
-    equal, are recorded, and no line much longer than the longest of them is
-    searched or sliced, so a one-line or indented file costs one parse per
-    item and keeps no second copy of its text.
+    An object or array at depth 0 or 1 whose first item begins a new line is
+    walked item by item; anything else is one standard decoder call.  An
+    array item that begins a line is looked up first: if the rest of its
+    line, less trailing commas and carriage returns, is the exact text of an
+    earlier item of the array that began a line, the item is that item's
+    parsed value, the same object.  Equal text parses to an equal value that
+    ends at the same place (an object, array or string ends at its closing
+    character, a number or literal at the comma or whitespace after it), and
+    a raw newline can only be whitespace.  Only items that begin a line and
+    hold no newline are recorded, and no line much longer than the longest of
+    them is searched or sliced, so any layout costs one parse per item and
+    keeps no second copy of its text.
     """
+    close = {"{": "}", "[": "]"}.get(text[pos:pos + 1]) if depth < 2 else None
+    after = pos + 1               # where the whitespace before an item starts
+    if close is None or text.find("\n", after, _skip(text, after)) < 0:
+        return _decode(text, pos)
+    pos = _skip(text, after)
     items: list = []
     parsed: dict[str, Any] = {}   # exact item text -> its parsed value
     longest = 0
-    after = pos + 1               # where the whitespace before an item starts
-    pos = _skip(text, after)
-    more = not text.startswith("]", pos)
+    more = not text.startswith(close, pos)
     while more:
-        begins_line = text.find("\n", after, pos) >= 0
-        end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
-        line = text[pos:end].rstrip(",\r") if end >= 0 else None
-        if line is not None and line in parsed:
-            value = parsed[line]
-            pos += len(line)
-        else:
-            value, end = _decode(text, pos)
-            if begins_line and text.find("\n", pos, end) < 0:
-                parsed[text[pos:end]] = value
-                longest = max(longest, end - pos)
-            pos = end
-        items.append(value)
-        pos = _skip(text, pos)
-        more = text.startswith(",", pos)
-        if more:
-            after = pos + 1
-            pos = _skip(text, after)
-        elif not text.startswith("]", pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-    return items, pos + 1
-
-
-def _json_document(text: str) -> Any:
-    """The JSON value of `text`, repeated keys rejected, instruction lines shared.
-
-    A top-level object is walked field by field, and an "instructions" array
-    in it item by item (_instruction_items); every value is parsed by the
-    standard decoder, so the result is the standard decoder's value of the
-    whole text, except that equal instruction lines give one shared object.
-    """
-    if text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    pos = _skip(text, 0)
-    if not text.startswith("{", pos):
-        value, pos = _decode(text, pos)
-    else:
-        pairs = []
-        pos = _skip(text, pos + 1)
-        more = not text.startswith("}", pos)
-        while more:
+        if close == "}":
             if not text.startswith('"', pos):
                 raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
             key, pos = _decode(text, pos)
             pos = _skip(text, pos)
             if not text.startswith(":", pos):
                 raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-            pos = _skip(text, pos + 1)
-            if key == "instructions" and text.startswith("[", pos):
-                value, pos = _instruction_items(text, pos)
+            value, pos = _value(text, _skip(text, pos + 1), depth + 1)
+            items.append((key, value))
+        else:
+            begins_line = text.find("\n", after, pos) >= 0
+            end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
+            line = text[pos:end].rstrip(",\r") if end >= 0 else None
+            if line is not None and line in parsed:
+                value = parsed[line]
+                pos += len(line)
             else:
-                value, pos = _decode(text, pos)
-            pairs.append((key, value))
-            pos = _skip(text, pos)
-            more = text.startswith(",", pos)
-            if more:
-                pos = _skip(text, pos + 1)
-            elif not text.startswith("}", pos):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-        pos += 1
-        value = _unique_keys(pairs)
-    pos = _skip(text, pos)
-    if pos != len(text):
-        raise json.JSONDecodeError("Extra data", text, pos)
-    return value
+                value, end = _value(text, pos, depth + 1)
+                if begins_line and text.find("\n", pos, end) < 0:
+                    parsed[text[pos:end]] = value
+                    longest = max(longest, end - pos)
+                pos = end
+            items.append(value)
+        pos = _skip(text, pos)
+        more = text.startswith(",", pos)
+        if more:
+            after = pos + 1
+            pos = _skip(text, after)
+        elif not text.startswith(close, pos):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return _unique_keys(items) if close == "}" else items, pos + 1
 
 
 def _read_json(path: str) -> tuple[Any, str]:
-    """The file's JSON value and the text it was parsed from, read once as strict UTF-8."""
+    """The file's JSON value (_value) and the text it was parsed from, read once as strict UTF-8."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-        return _json_document(text), text
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        value, pos = _value(text, _skip(text, 0), 0)
+        pos = _skip(text, pos)
+        if pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
+        return value, text
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -354,7 +328,7 @@ def _collector_paused() -> Iterator[None]:
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata).
 
-    Each distinct instruction line is parsed once (_json_document) and each
+    Each distinct instruction line is parsed once (_value) and each
     distinct parsed entry is built into one instruction object, which every
     repeat shares.  The whole file is parsed before any entry is checked, and
     an error names the entry's first index.  The block durations must sum to

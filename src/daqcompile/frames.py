@@ -32,8 +32,10 @@ operator-norm distance from the target, up to global phase, is at most
 because exp(i(a + pi) P) = -exp(i a P) and ||e^{iA} - e^{iB}|| <= ||A - B||
 for commuting Hermitian A and B.  That norm is at least sqrt(2) times the
 dense oracle's unitaries.phase_distance, so `B < tol` is never a looser
-check than the dense one.  Like the dense check, B is evaluated in binary64
-and leaves out the rounding of its own sums, about 1e-16 of each angle.
+check than the dense one.  B leaves out the rounding of its own arithmetic:
+each slot angle is its slot's exact sum of durations, rounded once and then
+multiplied by g_j (two roundings, about 1e-16 of the angle), and the ledger
+and B itself are summed in binary64.
 
 A run ends at the first layer that is not all rz: such layers are diagonal
 like the blocks, so they commute with the run and stay inside it.  The
@@ -173,19 +175,38 @@ class _Walk:
 
 
 def _run_angles(run: list[ResourceBlock], couplings: tuple[float, ...]) -> list[float]:
-    """Slot angles g_j sum_n d_n s_nj of a run of blocks."""
+    """Slot angles g_j sum_n d_n s_nj of a run of blocks, each sum exact and rounded once.
+
+    The durations are summed as integers over their largest denominator, a
+    power of two, and a slot's negative time from the blocks where its sign
+    flips (the prefix sums there), so a run takes O(L + flips) Python steps.
+    """
     m = len(couplings)
-    total = 0.0
-    negative = [0.0] * m
-    for block in run:
-        d = block.duration
-        total += d
+    ratios = [block.duration.as_integer_ratio() for block in run]
+    den = max(d for _, d in ratios)
+    prefix = 0
+    negative = [0] * m
+    sign = [-1] * m               # -1 while slot j is positive: its next flip turns it negative
+    before = 0
+    for block, (n, d) in zip(run, ratios):
         mask = int.from_bytes(block.x_mask, "little")
         # byte j is 1 where the mask differs across slot j (the last byte is ignored)
-        differs = (mask ^ (mask >> 8)).to_bytes(m + 1, "little")
-        for j in itertools.compress(range(m), differs):
-            negative[j] += d
-    return [g * (total - 2.0 * neg) for g, neg in zip(couplings, negative)]
+        differs = mask ^ (mask >> 8)
+        for j in itertools.compress(range(m), (differs ^ before).to_bytes(m + 1, "little")):
+            negative[j] += sign[j] * prefix
+            sign[j] = -sign[j]
+        prefix += n * (den // d)
+        before = differs
+    for j in itertools.compress(range(m), before.to_bytes(m + 1, "little")):
+        negative[j] += prefix
+    angles = []
+    for g, neg in zip(couplings, negative):
+        exact = prefix - 2 * neg
+        try:
+            angles.append(g * (exact / den))
+        except OverflowError:     # beyond the float range, as a float sum would be
+            angles.append(g * (math.inf if exact > 0 else -math.inf))
+    return angles
 
 
 def check_schedule(circuit: Circuit, resource: NNChain, target: Mapping[Edge, float]) -> FrameReport:

@@ -35,17 +35,19 @@ Z-relaying swap family, of which the compiler uses only the bare iSWAP.
 
 Element-at-a-time references for the vectorised product code close the
 file: the scheduler's X-mask for one block, built bit by bit, the slot
-signs a mask's X conjugation gives the chain, the schedule file's JSON
-document, spelled one field at a time, which the writer renders as text
-straight from the masks' bytes, json.loads over a whole input file, which
-the product's one walker must match on problems and schedules alike, and
-the schedule reader that builds every instruction entry from it on its own,
-which the product's line-shared reader must match.
+signs a mask's X conjugation gives the chain, a block run's slot angles
+summed in Fractions, which the verifier's integer sums must match bit for
+bit, the schedule file's JSON document, spelled one field at a time, which
+the writer renders as text straight from the masks' bytes, json.loads over
+a whole input file, which the product's one walker must match on problems
+and schedules alike, and the schedule reader that builds every instruction
+entry from it on its own, which the product's line-shared reader must match.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -486,7 +488,8 @@ def lower_iswap_layer(layer: DigitalLayer, num_qubits: int) -> list:
         angles[g.qubits[0]] = (-1.0 if g.type is GateType.ISWAP_DG else 1.0) * math.pi / 4.0
         touched.extend(g.qubits)
     key = tuple(sorted(touched))
-    h_layer, r_layer, x_layer = (DigitalLayer(tuple(map(gate, key))) for gate in (Gate.h, Gate.r, Gate.x))
+    h_layer, r_layer, x_layer = (DigitalLayer(tuple(Gate(kind, (q,)) for q in key))
+                                 for kind in (GateType.H, GateType.R, GateType.X))
     request = AnalogRequest(tuple(angles))
     return [h_layer, request, h_layer, r_layer, request, r_layer, x_layer]
 
@@ -776,6 +779,22 @@ def mask_from_row(row: Sequence[int], order: Sequence[int], flips: Sequence[bool
 def slot_signs(mask: bytes) -> tuple[int, ...]:
     """Coupling sign per chain slot under X conjugation by `mask`: -1 where the slot's qubits differ."""
     return tuple(-1 if mask[j] != mask[j + 1] else 1 for j in range(len(mask) - 1))
+
+
+def run_angles(run, couplings) -> list[float]:
+    """frames._run_angles in Fractions: g_j times slot j's exact signed sum, rounded once.
+
+    A sum beyond the float range rounds to an infinity of its sign.
+    """
+    angles = []
+    for j, g in enumerate(couplings):
+        exact = sum((Fraction(block.duration) * slot_signs(block.x_mask)[j] for block in run), Fraction(0))
+        try:
+            rounded = float(exact)
+        except OverflowError:
+            rounded = math.inf if exact > 0 else -math.inf
+        angles.append(g * rounded)
+    return angles
 
 
 def instruction_spelling(instr) -> dict:

@@ -90,29 +90,27 @@ def test_gate_validation():
 
 
 def test_single_qubit_gates_are_shared():
-    assert Gate.x(3) == Gate.x(3)
-    assert Gate.h(3) != Gate.x(3) and Gate.r(0) != Gate.r(1)
-    for make, gate_type in ((Gate.x, GateType.X), (Gate.h, GateType.H), (Gate.r, GateType.R)):
-        fresh = Gate(gate_type, (3,))
-        assert make(3) == fresh and hash(make(3)) == hash(fresh)
-    # the lowering builds its rotation layers from these gates
+    for gate_type in (GateType.X, GateType.H, GateType.R):
+        gate, fresh = Gate(gate_type, (3,)), Gate(gate_type, (3,))
+        assert gate == fresh and hash(gate) == hash(fresh)
+    assert Gate(GateType.H, (3,)) != Gate(GateType.X, (3,)) and Gate(GateType.R, (0,)) != Gate(GateType.R, (1,))
+    # the lowering builds its rotation layers from these gates, with no angle
     out = lowered_layer(DigitalLayer((Gate.iswap(1),)), 4)
-    makers = {GateType.X: Gate.x, GateType.H: Gate.h, GateType.R: Gate.r}
     layers = [i for i in out if isinstance(i, DigitalLayer)]
-    assert {la.gates[0].type for la in layers} == set(makers)
-    assert all(g == makers[g.type](g.qubits[0]) for la in layers for g in la.gates)
+    assert {la.gates[0].type for la in layers} == {GateType.X, GateType.H, GateType.R}
+    assert all(g == Gate(g.type, g.qubits) for la in layers for g in la.gates)
 
 
 def test_shared_gate_rejects_invalid_qubit_every_time():
     for _ in range(3):
         with pytest.raises(ValueError, match="negative qubit index"):
-            Gate.h(-1)
-    assert Gate.h(1).qubits == (1,)
+            Gate(GateType.H, (-1,))
+    assert Gate(GateType.H, (1,)).qubits == (1,)
 
 
 def test_digital_layer_disjointness():
     with pytest.raises(ValueError):
-        DigitalLayer((Gate.h(0), Gate.r(0)))
+        DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (0,))))
     with pytest.raises(ValueError):
         DigitalLayer((Gate.iswap(0), Gate.iswap(1)))
     with pytest.raises(ValueError):
@@ -448,7 +446,7 @@ def test_lower_mixed_layer_l6():
 
 def test_lower_rejects_mixed_gate_kinds():
     with pytest.raises(ValueError, match="mixes iSWAPs with single-qubit gates"):
-        lowered_layer(DigitalLayer((Gate.iswap(0), Gate.h(2))), 3)
+        lowered_layer(DigitalLayer((Gate.iswap(0), Gate(GateType.H, (2,)))), 3)
 
 
 def test_lower_swap_layers_passthrough():
@@ -602,7 +600,7 @@ def _mixed_layer(draw, L):
         elif kind in ("x", "h", "r", "rz"):
             gates.append(Gate(GateType(kind), (q,), draw(st.floats(-1.0, 1.0)) if kind == "rz" else 0.0))
         q += 1
-    return DigitalLayer(tuple(gates) or (Gate.h(L - 1),))
+    return DigitalLayer(tuple(gates) or (Gate(GateType.H, (L - 1,)),))
 
 
 @st.composite

@@ -13,6 +13,7 @@ from daqcompile.circuits import (
     Circuit,
     DigitalLayer,
     Gate,
+    GateType,
     ResourceBlock,
     ata_circuit_general,
     circuit_stats,
@@ -70,7 +71,7 @@ def test_lowered_iswap_layers_share_layers_and_blocks():
     # The same run of two iSWAP layers twice, split by a rotation: the second
     # lowering repeats the first one's layer and request objects.
     run = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(1), Gate.iswap(3))))
-    split = DigitalLayer((Gate.h(4),))
+    split = DigitalLayer((Gate(GateType.H, (4,)),))
     lowered = lower_swap_layers(Circuit(L, run + (split,) + run))
     assert len(lowered.instructions) == 17
     first, second = lowered.instructions[:8], lowered.instructions[9:]
@@ -142,7 +143,7 @@ def test_requests_differing_only_in_the_sign_of_zero_share_blocks():
     L = 4
     resource = NNChain(L, (0.9, 1.3, 0.6))
     plus, minus = AnalogRequest((0.3, 0.0, -0.5)), AnalogRequest((0.3, -0.0, -0.5))
-    executable = schedule_requests(Circuit(L, (plus, DigitalLayer((Gate.h(1),)), minus)), resource, 0.7)
+    executable = schedule_requests(Circuit(L, (plus, DigitalLayer((Gate(GateType.H, (1,)),)), minus)), resource, 0.7)
     first, second = block_runs(executable)
     assert first == second == list(schedule(minus.slot_angles, resource, 0.7))
     assert all(a is b for a, b in zip(first, second, strict=True))

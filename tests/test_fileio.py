@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 import time
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from daqcompile import fileio
 from daqcompile.cli import main
 from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceBlock
+from daqcompile.compiler import compile_ata
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
     dumps_canonical,
@@ -26,7 +28,7 @@ from daqcompile.fileio import (
     load_schedule,
     schedule_document,
 )
-from daqcompile.graphs import NNChain
+from daqcompile.graphs import CouplingGraph, NNChain
 
 from oracles import reference_json, reference_load_schedule, same_document, schedule_spelling
 
@@ -157,7 +159,8 @@ def test_reader_matches_the_reference_in_every_layout(schedule):
 def test_equal_values_in_distinct_objects_keep_their_own_spelling():
     # The writer shares work by object, never by value: 0.0 and -0.0 are equal but spelled apart.
     L = 3
-    layers = [DigitalLayer((Gate(GateType.RZ, (q,), angle), Gate.h(2))) for q in (0, 1) for angle in (0.0, -0.0)]
+    layers = [DigitalLayer((Gate(GateType.RZ, (q,), angle), Gate(GateType.H, (2,))))
+              for q in (0, 1) for angle in (0.0, -0.0)]
     blocks = [ResourceBlock(duration, b"\0\1\0") for duration in (0.0, -0.0, 0.0)]
     circuit = Circuit(L, (layers[0], blocks[0], layers[1], blocks[1], layers[2], blocks[2], layers[3]))
     assert layers[0] == layers[1] and blocks[0] == blocks[1]
@@ -168,8 +171,8 @@ def test_equal_values_in_distinct_objects_keep_their_own_spelling():
 
 def test_repeated_objects_are_rendered_once(monkeypatch):
     L = 4
-    layer = DigitalLayer((Gate.h(0), Gate.r(1), Gate(GateType.RZ, (3,), 0.25)))
-    other = DigitalLayer((Gate.h(0), Gate.r(1)))   # a distinct layer of equal gates
+    layer = DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (1,)), Gate(GateType.RZ, (3,), 0.25)))
+    other = DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (1,))))   # a distinct layer of equal gates
     block = ResourceBlock(0.5, b"\0\1\1\0")
     circuit = Circuit(L, (layer, block, layer, other, block, layer))
     expected = schedule_document(circuit, NNChain(L, (1.0,) * 3), 0.5, {}, "0.1.0", "ab" * 32)["instructions"]
@@ -323,8 +326,8 @@ def test_reader_stays_linear_after_a_long_item(tmp_path, layout):
 def test_loaded_gates_are_shared_except_rz(tmp_path):
     circuit = load_schedule(_write_schedule(tmp_path, _SCHEDULE))[0]
     first, block, last = circuit.instructions
-    assert first.gates[0] == last.gates[0] == Gate.h(0)
-    assert last.gates[1] == Gate.x(1)
+    assert first.gates[0] == last.gates[0] == Gate(GateType.H, (0,))
+    assert last.gates[1] == Gate(GateType.X, (1,))
     assert first.gates[1] == last.gates[2] == Gate(GateType.RZ, (2,), 0.25)
     assert block.x_mask == b"\0\1\1"
     # a repeated line is one layer object, and so are all of its gates
@@ -491,3 +494,70 @@ def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
         problem, digest = load_problem_with_sha256(str(path))
         assert problem == fileio._problem(expected)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# --- the walker's depth rule ------------------------------------------------------
+#
+# Only the document and the values directly in it are walked item by item; a
+# container at depth 2 or deeper is one standard decoder call, however it is
+# laid out.
+
+def _spread_lists(text: str) -> str:
+    """A canonical schedule text with every x_mask and sqr list spread one element per line."""
+    def spread(match):
+        items = (json.dumps(item, separators=(",", ":")) for item in json.loads(match[2]))
+        return f'"{match[1]}":[\n' + ",\n".join(items) + "\n]"
+    return re.sub(r'"(x_mask|sqr)":(\[[^\]]*\])', spread, text)
+
+
+def _recording_decoder(monkeypatch) -> list:
+    """Every value the reader's standard decoder calls return, in order."""
+    decoded = []
+    decode = fileio._decode
+
+    def recording(text, pos):
+        value, end = decode(text, pos)
+        decoded.append(value)
+        return value, end
+
+    monkeypatch.setattr(fileio, "_decode", recording)
+    return decoded
+
+
+def test_containers_spread_below_depth_one_load_as_the_reference(tmp_path, monkeypatch):
+    L, t_f = 7, 0.7
+    resource = NNChain(L, tuple(0.5 + k / 8 for k in range(L - 1)))
+    weights = {(i, j): 0.1 * (j - i) - 0.3 for i in range(L) for j in range(i + 1, L)}
+    circuit = compile_ata(CouplingGraph(L, weights), resource, t_f).circuit
+    stats = {"analog_requests": 1, "resource_blocks": 2, "sqr_gates": 3, "total_analog_time": 0.5}
+    path = tmp_path / "s.json"
+    decoded = _recording_decoder(monkeypatch)
+    for doc in (_repeating(_SCHEDULE), schedule_document(circuit, resource, t_f, stats, "0.1.0", "ab" * 32)):
+        canonical = dumps_canonical(doc)
+        for text in (_spread_lists(canonical), json.dumps(json.loads(canonical), indent=1)):
+            assert text.count("\n") > 2 * canonical.count("\n")
+            path.write_text(text, encoding="utf-8")
+            assert same_document(fileio._read_json(str(path))[0], reference_json(str(path)))
+            assert load_schedule(str(path)) == reference_load_schedule(str(path))
+    # a mask's booleans are only ever decoded inside their instruction
+    assert decoded and bool not in set(map(type, decoded))
+
+
+def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
+    # the field's value is walked (depth 1), and its one item, 899 arrays
+    # deep across as many lines, is decoded in one call
+    nested = "[\n" * 900 + "]\n" * 900
+    text = ('{\n"num_qubits": 3,\n"resource_couplings": [1.0, 1.0],\n'
+            '"target": {"type": "nn", "angles": [0.5, 0.5]},\n"time": 0.5,\n"extra": ' + nested + "}\n")
+    path = tmp_path / "p.json"
+    path.write_text(text, encoding="utf-8")
+    value = reference_json(str(path))
+    decoded = _recording_decoder(monkeypatch)
+    assert fileio._read_json(str(path))[0] == value   # no floats, and too deep for same_document
+    assert len(decoded) == 10                          # each of the five keys, then its value
+    messages = []
+    for load in (load_problem, lambda p: fileio._problem(reference_json(p))):
+        with pytest.raises(FileFormatError) as info:
+            load(str(path))
+        messages.append(str(info.value))
+    assert messages == ["problem: unknown fields ['extra']"] * 2

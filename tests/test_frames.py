@@ -17,11 +17,11 @@ from daqcompile.circuits import (
     ResourceBlock,
 )
 from daqcompile.compiler import compile_ata, compile_chain
-from daqcompile.frames import CONJUGATION, check_schedule, pauli_product
+from daqcompile.frames import CONJUGATION, _run_angles, check_schedule, pauli_product
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.unitaries import circuit_unitary, gate_matrix, phase_distance, zz_evolution
 
-from oracles import X
+from oracles import X, run_angles
 
 Z = np.diag([1.0 + 0j, -1.0])
 TOL = 1e-9
@@ -65,13 +65,45 @@ def test_non_finite_angles_fail_without_raising():
     # g * d overflows: on the Z frame it reaches the ledger, after an h the rounding
     resource = NNChain(2, (1e300,))
     block = ResourceBlock(1e300, b"\0\0")
-    h = DigitalLayer((Gate.h(0),))
+    h = DigitalLayer((Gate(GateType.H, (0,)),))
     for instrs in [(block,), (h, block, h)]:
         report = check_schedule(Circuit(2, instrs), resource, {(0, 1): 0.5})
         assert report.bound == math.inf and not report.passed(1e300)
     # a finite angle whose ratio to pi/4 overflows
     report = check_schedule(Circuit(2, (h, ResourceBlock(1.0, b"\0\0"), h)), NNChain(2, (1.7e308,)), {})
     assert report.rounding == math.inf and not report.passed(TOL)
+
+
+_EXTREMES = [0.0, 5e-324, 1e308]
+
+
+@st.composite
+def _block_runs(draw):
+    """A run of blocks at L <= 12 with random masks, and couplings; some runs hold all of _EXTREMES."""
+    L = draw(st.integers(2, 12))
+    durations = draw(st.lists(st.sampled_from(_EXTREMES) | st.floats(0.0, 10.0) | st.floats(0.0, 1e308),
+                              min_size=1, max_size=12))
+    if draw(st.booleans()):
+        durations = draw(st.permutations(durations + _EXTREMES))
+    masks = st.lists(st.sampled_from([0, 1]), min_size=L, max_size=L).map(bytes)
+    run = [ResourceBlock(d, draw(masks)) for d in durations]
+    return run, tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=L - 1, max_size=L - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_runs())
+def test_slot_angles_are_exact_sums_rounded_once(run_and_couplings):
+    # g_j times slot j's exact signed sum rounded once, bit for bit: signs of
+    # zero, sums past the float range and 0 * inf included
+    run, couplings = run_and_couplings
+    assert list(map(float.hex, _run_angles(run, couplings))) == list(map(float.hex, run_angles(run, couplings)))
+
+
+def test_durations_from_the_least_to_a_huge_one_sum_without_raising():
+    # over 2^-1074 the sum is an integer of about 2100 bits, beyond the float range
+    blocks = (ResourceBlock(5e-324, b"\0\1"), ResourceBlock(1e308, b"\0\0"))
+    report = check_schedule(Circuit(2, blocks), NNChain(2, (1.0,)), {})
+    assert report.couplings[0].realised == 1e308 and math.isfinite(report.bound)
 
 
 def test_iswaps_and_requests_are_refused():
@@ -85,7 +117,7 @@ def test_rz_layers_stay_inside_a_block_run():
     # eight pi/8 blocks between two h are exp(i pi X_0 Z_1) = -1; rz(2 pi) = -1
     # splits no run, where the blocks on each side of it would be
     # non-Clifford rotations off the Z frame
-    h, block = DigitalLayer((Gate.h(0),)), ResourceBlock(math.pi / 8, b"\0\0")
+    h, block = DigitalLayer((Gate(GateType.H, (0,)),)), ResourceBlock(math.pi / 8, b"\0\0")
     rz = DigitalLayer((Gate(GateType.RZ, (1,), 2 * math.pi),))
     circuit = Circuit(2, (h, block, rz) + (block,) * 7 + (h,))
     report = check_schedule(circuit, NNChain(2, (1.0,)), {})
@@ -93,7 +125,7 @@ def test_rz_layers_stay_inside_a_block_run():
 
 
 def test_frame_left_off_fails_at_any_tolerance():
-    report = check_schedule(Circuit(3, (DigitalLayer((Gate.r(1),)),)), NNChain(3, (1.0, 1.0)), {})
+    report = check_schedule(Circuit(3, (DigitalLayer((Gate(GateType.R, (1,)),)),)), NNChain(3, (1.0, 1.0)), {})
     assert (report.bound, report.frame_off) == (0.0, 1)
     assert not report.passed(1.0)
 
@@ -106,8 +138,8 @@ def test_z_string_residuals_are_split_by_length():
     # the first run folds pi/4 rotations into the frame; in the second, slot
     # 0's term pulls back through h and r to Z_0 Z_1 Z_2: a three-qubit string
     first, second = ResourceBlock(math.pi / 4, b"\1\1\1"), ResourceBlock(math.pi / 4, b"\1\0\0")
-    circuit = Circuit(3, (DigitalLayer((Gate.h(0), Gate.h(1))), first,
-                          DigitalLayer((Gate.h(0), Gate.r(1))), second))
+    circuit = Circuit(3, (DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.H, (1,)))), first,
+                          DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (1,)))), second))
     longer = check_schedule(circuit, chain, {})
     assert (longer.couplings, longer.single_z, longer.rounding) == ((), 0.0, 0.0)
     assert longer.other_z == longer.bound == math.pi / 4

@@ -37,7 +37,8 @@ REFUSALS = {
     "gate-angle": (lambda: Gate(GateType.RZ, (0,), math.nan), ValueError, "non-finite gate angle"),
     "request-angle": (lambda: AnalogRequest((math.inf,)), ValueError, "non-finite slot angle"),
     "circuit-size": (lambda: Circuit(1, ()), ValueError, "a circuit needs at least 2 qubits"),
-    "circuit-qubit": (lambda: Circuit(2, (DigitalLayer((Gate.x(2),)),)), ValueError, "gate on qubit 2 exceeds L=2"),
+    "circuit-qubit": (lambda: Circuit(2, (DigitalLayer((Gate(GateType.X, (2,)),)),)), ValueError,
+                      "gate on qubit 2 exceeds L=2"),
     "circuit-instruction": (lambda: Circuit(2, ("x",)), TypeError, "unknown instruction 'x'"),
     "swap-network-time": (
         lambda: ata_circuit_general(CouplingGraph(2, {}), math.nan), ValueError, "non-finite evolution time"),

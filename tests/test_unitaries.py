@@ -38,7 +38,7 @@ def frame_circuit(seq: SwapSequence, slot_angles) -> Circuit:
 # --- gate embeddings ----------------------------------------------------------
 
 def test_x_gate_l1_matrix():
-    assert np.array_equal(gate_unitary(Gate.x(0), 1), X)
+    assert np.array_equal(gate_unitary(Gate(GateType.X, (0,)), 1), X)
 
 
 def test_single_qubit_embedding_matches_kron_oracle():
@@ -48,9 +48,9 @@ def test_single_qubit_embedding_matches_kron_oracle():
     for _ in range(20):
         L = int(rng.integers(1, 6))
         q = int(rng.integers(0, L))
-        gate = [Gate.x(q), Gate.h(q), Gate.r(q), Gate(GateType.RZ, (q,), float(rng.uniform(-3, 3)))][
-            int(rng.integers(0, 4))
-        ]
+        angle = float(rng.uniform(-3, 3))
+        kind = [GateType.X, GateType.H, GateType.R, GateType.RZ][int(rng.integers(0, 4))]
+        gate = Gate(kind, (q,), angle if kind is GateType.RZ else 0.0)
         mine = gate_unitary(gate, L)
         oracle = kron_embed(np.asarray(gate_matrix(gate)), q, L)
         assert np.allclose(mine, oracle, atol=1e-15)
@@ -61,7 +61,7 @@ def test_circuit_application_matches_full_matrices():
     rng = np.random.default_rng(6)
     L = 4
     layers = (
-        DigitalLayer((Gate.h(0), Gate.r(2))),
+        DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (2,)))),
         DigitalLayer((Gate.iswap(1),)),
         DigitalLayer((Gate(GateType.RZ, (3,), 0.7),)),
         DigitalLayer((Gate.iswap_dg(2),)),
@@ -75,18 +75,18 @@ def test_circuit_application_matches_full_matrices():
 
 
 @pytest.mark.parametrize("layer", [
-    DigitalLayer((Gate.x(0), Gate.x(2), Gate.x(3))),  # all x: one row permutation
-    DigitalLayer((Gate.x(1), Gate.h(0), Gate.x(3))),  # mixed: gate by gate
-    DigitalLayer((Gate.x(2),)),
+    DigitalLayer((Gate(GateType.X, (0,)), Gate(GateType.X, (2,)), Gate(GateType.X, (3,)))),  # all x: one row permutation
+    DigitalLayer((Gate(GateType.X, (1,)), Gate(GateType.H, (0,)), Gate(GateType.X, (3,)))),  # mixed: gate by gate
+    DigitalLayer((Gate(GateType.X, (2,)),)),
 ])
 def test_x_layers_match_full_matrices(layer):
     L = 4
     before = (
-        DigitalLayer((Gate.h(0), Gate.r(1), Gate.h(3))),
+        DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.R, (1,)), Gate(GateType.H, (3,)))),
         DigitalLayer((Gate.iswap(1),)),
         AnalogRequest((0.3, -0.8, 1.1)),
     )
-    after = (DigitalLayer((Gate.iswap_dg(2), Gate.r(0))),)
+    after = (DigitalLayer((Gate.iswap_dg(2), Gate(GateType.R, (0,)))),)
     u = circuit_unitary(Circuit(L, before + (layer,) + after))
     oracle = np.eye(1 << L, dtype=complex)
     for instr in before + (layer,) + after:
@@ -110,8 +110,13 @@ def test_single_qubit_layers_match_gate_by_gate_products(qubits):
     # Layers without iSWAPs are applied up to four adjacent qubits at a time.
     L = 9
     rng = np.random.default_rng(len(qubits))
-    kinds = [Gate.h, Gate.r, Gate.x, lambda q: Gate(GateType.RZ, (q,), float(rng.uniform(-3, 3)))]
-    layer = DigitalLayer(tuple(kinds[(q + len(qubits)) % 4](q) for q in qubits))
+    kinds = [GateType.H, GateType.R, GateType.X, GateType.RZ]
+
+    def gate(q):
+        kind = kinds[(q + len(qubits)) % 4]
+        return Gate(kind, (q,), float(rng.uniform(-3, 3)) if kind is GateType.RZ else 0.0)
+
+    layer = DigitalLayer(tuple(map(gate, qubits)))
     oracle = np.eye(1 << L, dtype=complex)
     for g in layer.gates:
         oracle = np.asarray(gate_unitary(g, L)) @ oracle
@@ -244,7 +249,7 @@ def test_resource_block_equals_explicit_x_conjugation(bits):
     mask = bytes(map(int, bits))
     direct = circuit_unitary(Circuit(L, (ResourceBlock(d, mask),)), resource)
     plain = AnalogRequest(tuple(g * d for g in resource.couplings))
-    flipped = tuple(Gate.x(q) for q in range(L) if mask[q])
+    flipped = tuple(Gate(GateType.X, (q,)) for q in range(L) if mask[q])
     instrs = (DigitalLayer(flipped), plain, DigitalLayer(flipped)) if flipped else (plain,)
     conjugated = circuit_unitary(Circuit(L, instrs))
     assert phase_distance(direct, conjugated).distance < 1e-12
@@ -254,7 +259,7 @@ def test_resource_block_equals_explicit_x_conjugation(bits):
 
 
 def test_circuit_unitary_requires_resource_for_blocks():
-    c = Circuit(2, (DigitalLayer((Gate.h(0),)), ResourceBlock(0.1, b"\0\0")))
+    c = Circuit(2, (DigitalLayer((Gate(GateType.H, (0,)),)), ResourceBlock(0.1, b"\0\0")))
     with pytest.raises(ValueError, match="circuit contains resource blocks: pass the chain"):
         circuit_unitary(c)
     with pytest.raises(ValueError, match="resource chain size does not match the circuit"):
