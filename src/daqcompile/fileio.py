@@ -1,12 +1,13 @@
 """Problem and schedule files: one strict JSON reader and deterministic emission.
 
 Both formats are UTF-8 JSON.  Both files go through one reader: it reads the
-file once, decodes it as strict UTF-8, parses it with one walker and maps
-every read or parse fault to one FileFormatError text; one helper checks the
-chain header they share.  The walker takes the document and each value
-directly in it, the two levels the writer lays out one item per line, item
-by item, and gives the equal lines of an array one parsed value; every
-deeper value is one call of the standard library's decoder.  Unknown and
+file once, decodes it as strict UTF-8, parses it with json.loads and maps
+every read or parse fault to one FileFormatError text, whose JSON part is
+the running Python's own; one helper checks the chain header they share.
+The standard library's object and array parsers walk the document object
+and each array directly in it, and the reader adds only line sharing: the
+equal lines of such an array (a schedule's instructions) share one parsed
+value.  Every other value is one call of the standard scanner.  Unknown and
 repeated fields are rejected, a block's boolean list becomes the mask's
 bytes, and load_schedule builds one instruction per distinct parsed entry.
 The writer keeps field order, puts each top-level field on its own line and
@@ -30,7 +31,7 @@ import re
 import stat
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .circuits import (
     Circuit,
@@ -104,21 +105,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-_decode = json.JSONDecoder(object_pairs_hook=_unique_keys).raw_decode
-_whitespace = re.compile(r"[ \t\n\r]*").match
+# The C scanner, and the pure-Python scanner's object and array parsers
+# (hooks whose signatures are the same on 3.10 to 3.13).
+_decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_scan = _decoder.scan_once
 
 
-def _skip(text: str, pos: int) -> int:
-    return _whitespace(text, pos).end()
+def _shared_lines(start: int) -> Callable[[str, int], tuple[Any, int]]:
+    """The scan_once for the items of the array that opens at text[start].
 
-
-def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
-    """The JSON value at text[pos], `depth` containers deep, and the index past it.
-
-    An object or array at depth 0 or 1 whose first item begins a new line is
-    walked item by item; anything else is one standard decoder call.  An
-    array item that begins a line is looked up first: if the rest of its
-    line, less trailing commas and carriage returns, is the exact text of an
+    An item that begins a line is looked up first: if the rest of its line,
+    less trailing commas and carriage returns, is the exact text of an
     earlier item of the array that began a line, the item is that item's
     parsed value, the same object.  Equal text parses to an equal value that
     ends at the same place (an object, array or string ends at its closing
@@ -128,61 +125,56 @@ def _value(text: str, pos: int, depth: int) -> tuple[Any, int]:
     them is searched or sliced, so any layout costs one parse per item and
     keeps no second copy of its text.
     """
-    close = {"{": "}", "[": "]"}.get(text[pos:pos + 1]) if depth < 2 else None
-    after = pos + 1               # where the whitespace before an item starts
-    if close is None or text.find("\n", after, _skip(text, after)) < 0:
-        return _decode(text, pos)
-    pos = _skip(text, after)
-    items: list = []
     parsed: dict[str, Any] = {}   # exact item text -> its parsed value
     longest = 0
-    more = not text.startswith(close, pos)
-    while more:
-        if close == "}":
-            if not text.startswith('"', pos):
-                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
-            key, pos = _decode(text, pos)
-            pos = _skip(text, pos)
-            if not text.startswith(":", pos):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-            value, pos = _value(text, _skip(text, pos + 1), depth + 1)
-            items.append((key, value))
+    after = start + 1             # where the whitespace before the next item starts
+
+    def scan(text: str, pos: int) -> tuple[Any, int]:
+        nonlocal longest, after
+        begins_line = text.find("\n", after, pos) >= 0
+        end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
+        line = text[pos:end].rstrip(",\r") if end >= 0 else None
+        if line is not None and line in parsed:
+            value, end = parsed[line], pos + len(line)
         else:
-            begins_line = text.find("\n", after, pos) >= 0
-            end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
-            line = text[pos:end].rstrip(",\r") if end >= 0 else None
-            if line is not None and line in parsed:
-                value = parsed[line]
-                pos += len(line)
-            else:
-                value, end = _value(text, pos, depth + 1)
-                if begins_line and text.find("\n", pos, end) < 0:
-                    parsed[text[pos:end]] = value
-                    longest = max(longest, end - pos)
-                pos = end
-            items.append(value)
-        pos = _skip(text, pos)
-        more = text.startswith(",", pos)
-        if more:
-            after = pos + 1
-            pos = _skip(text, after)
-        elif not text.startswith(close, pos):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-    return _unique_keys(items) if close == "}" else items, pos + 1
+            value, end = _scan(text, pos)
+            if begins_line and text.find("\n", pos, end) < 0:
+                parsed[text[pos:end]] = value
+                longest = max(longest, end - pos)
+        after = end
+        return value, end
+
+    return scan
+
+
+def _member(text: str, pos: int) -> tuple[Any, int]:
+    """A value directly in the document: an array item by item (_shared_lines), anything else whole."""
+    if text.startswith("[", pos):
+        return _decoder.parse_array((text, pos + 1), _shared_lines(pos))
+    return _scan(text, pos)
+
+
+def _document(text: str, pos: int) -> tuple[Any, int]:
+    """The document at text[pos]: an object member by member (_member), anything else whole."""
+    if text.startswith("{", pos):
+        return _decoder.parse_object((text, pos + 1), _decoder.strict, _member, None, _unique_keys)
+    return _scan(text, pos)
+
+
+class _Reader(json.JSONDecoder):
+    """json.loads's decoder, with _document as the scanner its raw_decode calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scan_once = _document
 
 
 def _read_json(path: str) -> tuple[Any, str]:
-    """The file's JSON value (_value) and the text it was parsed from, read once as strict UTF-8."""
+    """The file's JSON value (_Reader) and the text it was parsed from, read once as strict UTF-8."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-        if text.startswith("\ufeff"):
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        value, pos = _value(text, _skip(text, 0), 0)
-        pos = _skip(text, pos)
-        if pos != len(text):
-            raise json.JSONDecodeError("Extra data", text, pos)
-        return value, text
+        return json.loads(text, cls=_Reader), text
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
@@ -328,7 +320,7 @@ def _collector_paused() -> Iterator[None]:
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata).
 
-    Each distinct instruction line is parsed once (_value) and each
+    Each distinct instruction line is parsed once (_shared_lines) and each
     distinct parsed entry is built into one instruction object, which every
     repeat shares.  The whole file is parsed before any entry is checked, and
     an error names the entry's first index.  The block durations must sum to

@@ -39,7 +39,7 @@ signs a mask's X conjugation gives the chain, a block run's slot angles
 summed in Fractions, which the verifier's integer sums must match bit for
 bit, the schedule file's JSON document, spelled one field at a time, which
 the writer renders as text straight from the masks' bytes, json.loads over
-a whole input file, which the product's one walker must match on problems
+a whole input file, which the product's one reader must match on problems
 and schedules alike, and the schedule reader that builds every instruction
 entry from it on its own, which the product's line-shared reader must match.
 """
@@ -839,10 +839,9 @@ def same_document(a, b) -> bool:
 def reference_json(path: str):
     """The file's value from json.loads over the whole strict-UTF-8 text.
 
-    The same duplicate-key hook as the product's walker; a read or parse
-    fault gives the product's FileFormatError texts, though the wording
-    after "invalid JSON: " is the standard decoder's and may differ between
-    Python versions.
+    The same duplicate-key hook as the product's reader, and no line
+    sharing; a read or parse fault gives the product's FileFormatError
+    texts, the wording after "invalid JSON: " the running Python's own.
     """
     try:
         with open(path, "rb") as fh:

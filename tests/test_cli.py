@@ -813,6 +813,35 @@ def test_console_entry_point(tmp_path):
     assert "PASS" in verify_run.stdout
 
 
+@pytest.mark.parametrize("kind", ["ata", "nn"])
+def test_output_is_the_same_under_any_hash_seed(tmp_path, kind):
+    # no set or dict order that str hashing decides may reach a file or a report:
+    # children with two hash seeds write the same schedule and print the same text
+    rng = random.Random(kind)
+    L = 9
+    resource = [rng.uniform(0.5, 1.5) for _ in range(L - 1)]
+    if kind == "ata":
+        problem = ata_problem(tmp_path, L=L, t_f=0.7, resource=resource, couplings=[
+            {"i": i, "j": j, "value": rng.gauss(0.0, 1.0)} for i in range(L) for j in range(i + 1, L)])
+    else:
+        problem = nn_problem(tmp_path, L=L, couplings=resource, angles=[rng.gauss(0.0, 1.0) for _ in range(L - 1)],
+                             t_f=0.7)
+    outputs = []
+    for seed in ("0", "12345"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        stdouts = []
+        for command, flag in (("compile", "--output"), ("stats", "--schedule"), ("verify", "--schedule")):
+            run = subprocess.run(
+                [sys.executable, "-m", "daqcompile.cli", command, "--input", problem, flag, "s.json"],
+                capture_output=True, cwd=cwd, env=dict(child_env(), PYTHONHASHSEED=seed),
+            )
+            assert run.returncode == 0, run.stderr
+            stdouts.append(run.stdout)
+        outputs.append(((cwd / "s.json").read_bytes(), stdouts))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", ["stats", "verify"])
 def test_closed_stdout_exits_1_quietly(tmp_path, command):
     # as in `daqcompile stats ... | head -0`: the reader has gone before any output

@@ -257,22 +257,26 @@ def _canonical_text(instructions=None) -> str:
 _BLOCK_LINE = '{"resource_block":{"duration":0.5,"x_mask":[false,true,true]}}'
 _TWICE_KEYED = '{"resource_block":{"duration":0.5,"duration":0.5,"x_mask":[false,true,true]}}'
 
-# Each edit of the canonical _SCHEDULE text, and whether the reference rejects
-# it as invalid JSON (whose wording differs between Python versions).
+# Each edit of the canonical _SCHEDULE text.  The reference parses on the same
+# Python, so even the invalid-JSON wording, which differs between versions, must match.
 _MALFORMED = {
-    "trailing-data": (lambda text: text + "{}\n", True),
-    "duplicate-top-level-key": (lambda text: text.replace('{\n  "format"', '{\n  "time": 0.5,\n  "format"'), False),
-    "duplicate-key-in-a-repeated-line": (
-        lambda text: text.replace(_BLOCK_LINE, _TWICE_KEYED + ",\n    " + _TWICE_KEYED), False),
-    "missing-comma": (lambda text: text.replace("},\n    {", "}\n    {", 1), True),
-    "trailing-comma": (lambda text: text.replace("}\n  ],", "},\n  ],"), True),
-    "empty-instructions-with-space": (lambda text: _canonical_text([]).replace('"instructions": []', '"instructions": [ ]'),
-                                      False),
-    "top-level-array": (lambda text: "[" + text + "]", False),
-    "byte-order-mark": (lambda text: "\ufeff" + text, True),
-    "deep-nesting": (lambda text: "[" * 200000 + "]" * 200000, False),
-    "bad-entry-then-syntax-error": (lambda text: _canonical_text([{"sqr": []}] + _SCHEDULE["instructions"])[:-2], True),
-    "repeated-bad-line": (lambda text: _canonical_text([_SCHEDULE["instructions"][0], {"sqr": []}] * 2), False),
+    "trailing-data": lambda text: text + "{}\n",
+    "duplicate-top-level-key": lambda text: text.replace('{\n  "format"', '{\n  "time": 0.5,\n  "format"'),
+    "duplicate-key-in-a-repeated-line": lambda text: text.replace(_BLOCK_LINE, _TWICE_KEYED + ",\n    " + _TWICE_KEYED),
+    "missing-comma": lambda text: text.replace("},\n    {", "}\n    {", 1),
+    "trailing-comma": lambda text: text.replace("}\n  ],", "},\n  ],"),
+    "trailing-comma-after-a-shared-line": lambda text: _canonical_text(
+        _repeating(_SCHEDULE)["instructions"]).replace("}\n  ],", "},\n  ],"),
+    "trailing-comma-in-the-document": lambda text: text.replace("}}\n}\n", "}},\n}\n"),
+    "trailing-comma-in-an-x-mask": lambda text: text.replace("[false,true,true]", "[false,true,true,]"),
+    "missing-colon": lambda text: text.replace('"time": ', '"time" '),
+    "bare-key": lambda text: text.replace('"time": ', "time: "),
+    "empty-instructions-with-space": lambda text: _canonical_text([]).replace('"instructions": []', '"instructions": [ ]'),
+    "top-level-array": lambda text: "[" + text + "]",
+    "byte-order-mark": lambda text: "\ufeff" + text,
+    "deep-nesting": lambda text: "[" * 200000 + "]" * 200000,
+    "bad-entry-then-syntax-error": lambda text: _canonical_text([{"sqr": []}] + _SCHEDULE["instructions"])[:-2],
+    "repeated-bad-line": lambda text: _canonical_text([_SCHEDULE["instructions"][0], {"sqr": []}] * 2),
 }
 
 
@@ -285,17 +289,12 @@ def _outcome(load, path):
 
 @pytest.mark.parametrize("name", _MALFORMED)
 def test_malformed_schedules_fail_as_the_reference_does(tmp_path, capsys, name):
-    edit, invalid_json = _MALFORMED[name]
-    text = edit(_canonical_text())
+    text = _MALFORMED[name](_canonical_text())
     assert text != _canonical_text()
     path = tmp_path / "s.json"
     path.write_text(text, encoding="utf-8")
     got, expected = _outcome(load_schedule, str(path)), _outcome(reference_load_schedule, str(path))
-    if invalid_json:
-        prefix = f"{path}: invalid JSON: "
-        assert isinstance(got, str) and got.startswith(prefix) and expected.startswith(prefix)
-    else:
-        assert got == expected
+    assert got == expected
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps({"num_qubits": 3, "resource_couplings": [1.0, 1.0],
                                    "target": {"type": "nn", "angles": [0.5, 0.5]}, "time": 0.5}), encoding="utf-8")
@@ -460,11 +459,11 @@ def test_one_fault_gives_one_message_in_either_file(tmp_path, name):
     path = tmp_path / "in.json"
     path.write_bytes(_FAULTS[name])
     messages = []
-    for load in (load_problem, load_schedule):
+    for load in (load_problem, load_schedule, reference_json):
         with pytest.raises(FileFormatError) as info:
             load(str(path))
         messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
     assert messages[0].startswith(f"{path}: invalid JSON: ") or name == "duplicate-key"
 
 
@@ -496,11 +495,11 @@ def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# --- the walker's depth rule ------------------------------------------------------
+# --- where the reader shares lines -------------------------------------------------
 #
-# Only the document and the values directly in it are walked item by item; a
-# container at depth 2 or deeper is one standard decoder call, however it is
-# laid out.
+# Only the document object and the arrays directly in it are walked item by
+# item; every other value is one call of the standard library's scanner,
+# however it is laid out.
 
 def _spread_lists(text: str) -> str:
     """A canonical schedule text with every x_mask and sqr list spread one element per line."""
@@ -510,17 +509,17 @@ def _spread_lists(text: str) -> str:
     return re.sub(r'"(x_mask|sqr)":(\[[^\]]*\])', spread, text)
 
 
-def _recording_decoder(monkeypatch) -> list:
-    """Every value the reader's standard decoder calls return, in order."""
+def _recording_scanner(monkeypatch) -> list:
+    """Every value the reader's standard scanner calls return, in order."""
     decoded = []
-    decode = fileio._decode
+    scan = fileio._scan
 
     def recording(text, pos):
-        value, end = decode(text, pos)
+        value, end = scan(text, pos)
         decoded.append(value)
         return value, end
 
-    monkeypatch.setattr(fileio, "_decode", recording)
+    monkeypatch.setattr(fileio, "_scan", recording)
     return decoded
 
 
@@ -531,7 +530,7 @@ def test_containers_spread_below_depth_one_load_as_the_reference(tmp_path, monke
     circuit = compile_ata(CouplingGraph(L, weights), resource, t_f).circuit
     stats = {"analog_requests": 1, "resource_blocks": 2, "sqr_gates": 3, "total_analog_time": 0.5}
     path = tmp_path / "s.json"
-    decoded = _recording_decoder(monkeypatch)
+    decoded = _recording_scanner(monkeypatch)
     for doc in (_repeating(_SCHEDULE), schedule_document(circuit, resource, t_f, stats, "0.1.0", "ab" * 32)):
         canonical = dumps_canonical(doc)
         for text in (_spread_lists(canonical), json.dumps(json.loads(canonical), indent=1)):
@@ -544,17 +543,17 @@ def test_containers_spread_below_depth_one_load_as_the_reference(tmp_path, monke
 
 
 def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
-    # the field's value is walked (depth 1), and its one item, 899 arrays
-    # deep across as many lines, is decoded in one call
+    # the field's array is walked, and its one item, 899 arrays deep across
+    # as many lines, is scanned in one call
     nested = "[\n" * 900 + "]\n" * 900
     text = ('{\n"num_qubits": 3,\n"resource_couplings": [1.0, 1.0],\n'
             '"target": {"type": "nn", "angles": [0.5, 0.5]},\n"time": 0.5,\n"extra": ' + nested + "}\n")
     path = tmp_path / "p.json"
     path.write_text(text, encoding="utf-8")
     value = reference_json(str(path))
-    decoded = _recording_decoder(monkeypatch)
+    decoded = _recording_scanner(monkeypatch)
     assert fileio._read_json(str(path))[0] == value   # no floats, and too deep for same_document
-    assert len(decoded) == 10                          # each of the five keys, then its value
+    assert len(decoded) == 6   # 3, each of the two couplings, the target, 0.5 and the item
     messages = []
     for load in (load_problem, lambda p: fileio._problem(reference_json(p))):
         with pytest.raises(FileFormatError) as info:
