@@ -4,26 +4,27 @@ Both formats are UTF-8 JSON.  Both files go through one reader: it reads the
 file once, decodes it as strict UTF-8, parses it with json.loads and maps
 every read or parse fault to one FileFormatError text, whose JSON part is
 the running Python's own; one helper checks the chain header they share.
-The standard library's object and array parsers walk the document object
-and each array directly in it, and the reader adds only line sharing: the
-equal lines of such an array (a schedule's instructions) share one parsed
-value.  Every other value is one call of the standard scanner.  Unknown and
-repeated fields are rejected, a block's boolean list becomes the mask's
-bytes, and load_schedule builds one instruction per distinct parsed entry.
-The writer keeps field order, puts each top-level field on its own line and
-each item of a top-level list (a schedule instruction) on its own compact
-line, and spells floats as Python's shortest repr, which round-trips
-binary64 exactly; identical inputs produce byte-identical outputs.
-schedule_document renders each distinct instruction object's line once (the
-compiler shares them), a block's x_mask list straight from the mask's bytes,
-and iter_canonical writes those lines as they are.
+The standard library's object parser walks the document object.  An array
+directly in it that is in the writer's layout, one item per line (a
+schedule's instructions), is read by one loop over its lines: each distinct
+line is parsed once, alone, by the standard C scanner, and its repeats
+share that value.  Every other value, and any such array in another layout,
+is one call of the C scanner.  Unknown and repeated fields are rejected, a
+block's boolean list becomes the mask's bytes, and load_schedule builds one
+instruction per distinct parsed entry.  The writer keeps field order, puts
+each top-level field on its own line and each item of a top-level list (a
+schedule instruction) on its own compact line, and spells floats as
+Python's shortest repr, which round-trips binary64 exactly; identical
+inputs produce byte-identical outputs.  schedule_document renders each
+distinct instruction object's line once (the compiler shares them), a
+block's x_mask list straight from the mask's bytes, and iter_canonical
+writes those lines as they are, a fixed number of lines to a piece.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import json
 import math
 import os
@@ -31,7 +32,7 @@ import re
 import stat
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .circuits import (
     Circuit,
@@ -105,52 +106,59 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-# The C scanner, and the pure-Python scanner's object and array parsers
-# (hooks whose signatures are the same on 3.10 to 3.13).
+# The C scanner, and the pure-Python scanner's object parser (a hook whose
+# signature is the same on 3.10 to 3.13).
 _decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _scan = _decoder.scan_once
 
-
-def _shared_lines(start: int) -> Callable[[str, int], tuple[Any, int]]:
-    """The scan_once for the items of the array that opens at text[start].
-
-    An item that begins a line is looked up first: if the rest of its line,
-    less trailing commas and carriage returns, is the exact text of an
-    earlier item of the array that began a line, the item is that item's
-    parsed value, the same object.  Equal text parses to an equal value that
-    ends at the same place (an object, array or string ends at its closing
-    character, a number or literal at the comma or whitespace after it), and
-    a raw newline can only be whitespace.  Only items that begin a line and
-    hold no newline are recorded, and no line much longer than the longest of
-    them is searched or sliced, so any layout costs one parse per item and
-    keeps no second copy of its text.
-    """
-    parsed: dict[str, Any] = {}   # exact item text -> its parsed value
-    longest = 0
-    after = start + 1             # where the whitespace before the next item starts
-
-    def scan(text: str, pos: int) -> tuple[Any, int]:
-        nonlocal longest, after
-        begins_line = text.find("\n", after, pos) >= 0
-        end = text.find("\n", pos, pos + longest + 3) if begins_line else -1
-        line = text[pos:end].rstrip(",\r") if end >= 0 else None
-        if line is not None and line in parsed:
-            value, end = parsed[line], pos + len(line)
-        else:
-            value, end = _scan(text, pos)
-            if begins_line and text.find("\n", pos, end) < 0:
-                parsed[text[pos:end]] = value
-                longest = max(longest, end - pos)
-        after = end
-        return value, end
-
-    return scan
+_BLANK = " \t\r"   # JSON whitespace, less the newline that ends a line
+_WHITESPACE = json.decoder.WHITESPACE.match
 
 
 def _member(text: str, pos: int) -> tuple[Any, int]:
-    """A value directly in the document: an array item by item (_shared_lines), anything else whole."""
-    if text.startswith("[", pos):
-        return _decoder.parse_array((text, pos + 1), _shared_lines(pos))
+    """A value directly in the document: an array in the writer's layout line by line, anything else whole.
+
+    The layout: `[` ends its line, each line after it holds one whole item
+    and a comma but the last, which has none, and `]` comes next.  Each
+    distinct line is scanned once, alone, and its repeats share that value:
+    an item that parses alone to its line's end ends there in place too,
+    with the same value (a raw newline can only be whitespace).  The last
+    item shares the value of an earlier line that differs only by its comma.
+    Items are scanned inside brackets of their own, from this frame, so they
+    nest exactly as deep as in place.  On anything else the whole array is
+    one call of the C scanner, so values and error texts are the standard
+    library's.  Each line is searched, sliced and hashed once, so the time
+    stays linear in the text.
+    """
+    start = text.find("\n", pos) + 1 if text.startswith("[", pos) else 0
+    if start and not text[pos + 1:start].strip(_BLANK + "\n"):
+        parsed: dict[str, Any] = {}   # an item's line, comma and all -> its parsed value
+        items: list = []
+        while (end := text.find("\n", start)) >= 0:
+            line = text[start:end]
+            if line in parsed:
+                items.append(parsed[line])
+                start = end + 1
+                continue
+            head = line.rstrip(_BLANK)
+            comma = head.endswith(",")
+            key = line if comma else f"{head},{line[len(head):]}"
+            if key not in parsed:
+                item = f"[{(head[:-1] if comma else head).strip(_BLANK)}]"
+                try:
+                    value, item_end = _scan(item, 0)
+                except (StopIteration, ValueError):
+                    break
+                if item_end != len(item) or len(value) != 1:
+                    break
+                parsed[key] = value[0]
+            items.append(parsed[key])
+            start = end + 1
+            if not comma:
+                close = _WHITESPACE(text, start).end()
+                if text.startswith("]", close):
+                    return items, close + 1
+                break
     return _scan(text, pos)
 
 
@@ -195,7 +203,7 @@ def _chain_header(data: dict) -> tuple[int, NNChain, float]:
 
 
 def load_problem(path: str) -> ProblemSpec:
-    return load_problem_with_sha256(path)[0]
+    return _problem(_read_json(path)[0])
 
 
 def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
@@ -204,8 +212,13 @@ def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
     The file is read once, so a pipe (--input /dev/stdin) is hashed as read;
     strict UTF-8 decoding is one-to-one, so re-encoding gives those bytes back.
     """
+    import hashlib   # here, so that `stats` and `verify` never load OpenSSL
+
     data, text = _read_json(path)
     return _problem(data), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+_COUPLING_FIELDS = {"i", "j", "value"}
 
 
 def _problem(data: Any) -> ProblemSpec:
@@ -221,18 +234,24 @@ def _problem(data: Any) -> ProblemSpec:
         if not isinstance(target["couplings"], list):
             raise FileFormatError("target.couplings: expected a list")
         weights: dict[tuple[int, int], float] = {}
+        # Inline checks for the common case; the helpers, and the `where`
+        # text, only for an entry that fails one, so the messages are theirs.
         for idx, entry in enumerate(target["couplings"]):
-            where = f"target.couplings[{idx}]"
-            _require_keys(entry, {"i", "j", "value"}, where)
-            i = _as_int(entry["i"], f"{where}.i")
-            j = _as_int(entry["j"], f"{where}.j")
+            if type(entry) is not dict or entry.keys() != _COUPLING_FIELDS:
+                _require_keys(entry, _COUPLING_FIELDS, f"target.couplings[{idx}]")
+            i, j, value = entry["i"], entry["j"], entry["value"]
+            if type(i) is not int:
+                i = _as_int(i, f"target.couplings[{idx}].i")
+            if type(j) is not int:
+                j = _as_int(j, f"target.couplings[{idx}].j")
             if not (0 <= i < j < L):
-                raise FileFormatError(f"{where}: need 0 <= i < j < {L}")
+                raise FileFormatError(f"target.couplings[{idx}]: need 0 <= i < j < {L}")
             if (i, j) in weights:
-                raise FileFormatError(f"{where}: duplicate edge ({i}, {j})")
-            value = _as_number(entry["value"], f"{where}.value")
+                raise FileFormatError(f"target.couplings[{idx}]: duplicate edge ({i}, {j})")
+            if type(value) is not float or not math.isfinite(value):
+                value = _as_number(value, f"target.couplings[{idx}].value")
             if not math.isfinite(t_f * value):
-                raise FileFormatError(f"{where}: time * value is beyond the float range")
+                raise FileFormatError(f"target.couplings[{idx}]: time * value is beyond the float range")
             weights[(i, j)] = value
         graph = CouplingGraph(L, weights)
         return ProblemSpec(L, resource, "ata", graph, None, t_f)
@@ -320,7 +339,7 @@ def _collector_paused() -> Iterator[None]:
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata).
 
-    Each distinct instruction line is parsed once (_shared_lines) and each
+    Each distinct instruction line is parsed once (_member) and each
     distinct parsed entry is built into one instruction object, which every
     repeat shares.  The whole file is parsed before any entry is checked, and
     an error names the entry's first index.  The block durations must sum to
@@ -364,15 +383,18 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
 # and a ValueError on nan/inf, which strict JSON cannot carry.
 _encode = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
 
+# iter_canonical joins this many of a list's lines into one piece.
+_LINES_PER_PIECE = 256
+
 
 def iter_canonical(obj: Any) -> Iterator[str]:
     """The canonical text of `obj` in pieces.
 
     A top-level object comes one field per line, and a non-empty list
-    directly under it one compact item per line, so a schedule's
-    instructions are never held as one string.  The items of a list that
-    schedule_document rendered are already compact JSON and are written as
-    they are.
+    directly under it one compact item per line, at most _LINES_PER_PIECE
+    lines to a piece, so a schedule's instructions are never held as one
+    string.  The items of a list that schedule_document rendered are
+    already compact JSON and are written as they are.
     """
     if not (isinstance(obj, dict) and obj):
         yield _encode(obj) + "\n"
@@ -381,9 +403,11 @@ def iter_canonical(obj: Any) -> Iterator[str]:
     for key, value in obj.items():
         yield f"{sep}{_encode(key)}: "
         if isinstance(value, list) and value:
+            rendered = type(value) is _Lines
             item_sep = "[\n    "
-            for item in value if type(value) is _Lines else map(_encode, value):
-                yield item_sep + item
+            for k in range(0, len(value), _LINES_PER_PIECE):
+                piece = value[k:k + _LINES_PER_PIECE]
+                yield item_sep + ",\n    ".join(piece if rendered else map(_encode, piece))
                 item_sep = ",\n    "
             yield "\n  ]"
         else:
@@ -502,6 +526,8 @@ def schedule_document(
 
 
 def sha256_of_file(path: str) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         digest.update(fh.read())

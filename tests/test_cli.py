@@ -895,6 +895,29 @@ def test_compile_and_stats_run_without_numpy(tmp_path):
         assert (tmp_path / f"child{k}.json").read_bytes() == out.read_bytes()
 
 
+def test_only_compile_imports_hashlib(tmp_path):
+    # `stats` and `verify` never hash, so they skip the OpenSSL import; -S
+    # keeps site hooks from loading hashlib before the command runs
+    problem = ata_problem(tmp_path, L=6, t_f=0.7)
+    schedule = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", schedule]) == 0
+    calls = [["stats", "--input", problem, "--schedule", schedule],
+             ["verify", "--input", problem, "--schedule", schedule],
+             ["compile", "--input", problem, "--output", str(tmp_path / "again.json")]]
+    script = (
+        "import sys\n"
+        "import daqcompile.cli\n"
+        "loaded = []\n"
+        f"for argv in {calls!r}:\n"
+        "    assert daqcompile.cli.main(argv) == 0, argv\n"
+        "    loaded.append('hashlib' in sys.modules)\n"
+        "assert loaded == [False, False, True], loaded\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, encoding="utf-8",
+                         env=child_env())
+    assert run.returncode == 0, run.stderr
+
+
 def test_package_import_loads_no_submodule():
     script = (
         "import sys\n"

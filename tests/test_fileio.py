@@ -75,10 +75,19 @@ def test_non_finite_float_raises(value):
         dumps_canonical(value)
 
 
-def test_iter_canonical_yields_instructions_one_at_a_time():
-    instructions = [{"resource_block": {"duration": 0.5, "x_mask": [False, True]}}] * 3
-    pieces = list(iter_canonical({"format": "f", "instructions": instructions}))
-    assert [p.count('"resource_block"') for p in pieces if '"resource_block"' in p] == [1, 1, 1]
+@pytest.mark.parametrize("rendered", [False, True], ids=["values", "lines"])
+def test_iter_canonical_yields_instructions_in_bounded_pieces(rendered):
+    # the list is never held as one string: no piece holds more than a fixed number of its lines
+    n = 2 * fileio._LINES_PER_PIECE + 3
+    circuit = Circuit(2, tuple(ResourceBlock(0.5 + k, b"\0\1") for k in range(n)))
+    document = schedule_document(circuit, NNChain(2, (1.0,)), 0.5, {}, "0.1.0", "ab" * 32)
+    text = dumps_canonical(document)
+    if not rendered:
+        document = json.loads(text)
+    pieces = list(iter_canonical(document))
+    counts = [p.count('"resource_block"') for p in pieces if '"resource_block"' in p]
+    assert counts == [fileio._LINES_PER_PIECE] * 2 + [3]
+    assert "".join(pieces) == text
 
 
 # --- whole schedules: load(emit(circuit)) == circuit ------------------------------
@@ -497,9 +506,91 @@ def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
 
 # --- where the reader shares lines -------------------------------------------------
 #
-# Only the document object and the arrays directly in it are walked item by
-# item; every other value is one call of the standard library's scanner,
-# however it is laid out.
+# Only an array directly in the document object, and only in the writer's
+# layout, is read line by line; every other value is one call of the
+# standard library's scanner, however it is laid out.
+
+_SEP = ",\n    "   # between two instruction lines of the canonical text
+
+# Each edit of the canonical text of _repeating(_SCHEDULE), around or inside
+# its instruction lines.  Some keep the writer's layout, most hand the array
+# to the scanner whole; either way the value or the error is json.loads's.
+_LAYOUTS = {
+    "blank-line": lambda text: text.replace(_SEP, ",\n\n    ", 1),
+    "blank-line-before-the-bracket": lambda text: text.replace("}\n  ],", "}\n\n  ],"),
+    "trailing-comma": lambda text: text.replace("}\n  ],", "},\n  ],"),
+    "two-items-on-a-line": lambda text: text.replace(_SEP, ", ", 1),
+    "item-over-two-lines": lambda text: text.replace('{"sqr":[', '{"sqr":\n[', 1),
+    "item-over-two-lines-after-a-comma": lambda text: text.replace('{"q":2,', '{"q":2,\n', 1),
+    "space-before-a-comma": lambda text: text.replace(_SEP, " ,\n    "),
+    "bracket-then-data": lambda text: text.replace("}\n  ],", "}\n  ]x,"),
+    "bracket-on-the-last-item-line": lambda text: text.replace("}\n  ],", "}],"),
+    "comma-first": lambda text: text.replace(_SEP, "\n    , "),
+    "close-and-reopen-on-a-line": lambda text: text.replace(_SEP, "], [", 1),
+    "double-comma": lambda text: text.replace(_SEP, ",," + _SEP[1:], 1),
+    "tabs-and-crlf": lambda text: text.replace("\n    ", "\n\t\t").replace("\n", "\r\n"),
+    "no-indent": lambda text: text.replace("\n    ", "\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "ends-inside-the-array": lambda text: text[:text.index("}\n  ],") + 1],
+    "ends-after-a-comma": lambda text: text[:text.index(_SEP) + 1],
+    "empty-array": lambda text: _canonical_text([]).replace('"instructions": []', '"instructions": [\n  ]'),
+    "literal-items": lambda text: text.replace(_BLOCK_LINE, "null,\n    true,\n    -0.0,\n    \"a,b\""),
+    "bracket-after-a-space": lambda text: text.replace('"instructions": [\n', '"instructions": [ \t\r\n'),
+    "item-after-the-bracket": lambda text: text.replace('"instructions": [\n    ', '"instructions": ['),
+    "non-json-space": lambda text: text.replace('"instructions": [\n', '"instructions": [\x0b\n'),
+}
+
+
+@pytest.mark.parametrize("name", _LAYOUTS)
+def test_line_layouts_read_as_the_reference(tmp_path, name):
+    canonical = _canonical_text(_repeating(_SCHEDULE)["instructions"])
+    text = _LAYOUTS[name](canonical)
+    assert text != canonical
+    path = tmp_path / "s.json"
+    path.write_bytes(text.encode("utf-8"))
+    got = _outcome(lambda p: fileio._read_json(p)[0], str(path))
+    expected = _outcome(reference_json, str(path))
+    assert got == expected if isinstance(expected, str) else same_document(got, expected)
+    assert _outcome(load_schedule, str(path)) == _outcome(reference_load_schedule, str(path))
+
+
+def _deepest(read, make) -> int:
+    """The largest n at which read(make(n)) does not fail as nested too deeply."""
+    def reads(n):
+        try:
+            read(make(n))
+        except FileFormatError as exc:
+            if "nested too deeply" not in str(exc):
+                raise
+            return False
+        return True
+
+    low, high = 1, 200_000   # reads at low, fails at high
+    assert not reads(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if reads(mid) else (low, mid)
+    return low
+
+
+def test_nesting_limit_does_not_depend_on_the_layout(tmp_path):
+    # an item of an array directly in the document, read line by line or
+    # on one line, may nest exactly as deep either way
+    path = tmp_path / "s.json"
+
+    def read(text):
+        path.write_text(text, encoding="utf-8")
+        return fileio._read_json(str(path))
+
+    def nested(n, layout):
+        item = "[" * n + "]" * n
+        return {"line": '{\n  "a": [\n    1,\n    ' + item + '\n  ]\n}\n',
+                "one-line": '{"a": [1, ' + item + "]}"}[layout]
+
+    deepest = _deepest(read, lambda n: nested(n, "line"))
+    assert _deepest(read, lambda n: nested(n, "one-line")) == deepest
+    assert read(nested(deepest, "line"))[0] == read(nested(deepest, "one-line"))[0]
+
 
 def _spread_lists(text: str) -> str:
     """A canonical schedule text with every x_mask and sqr list spread one element per line."""
@@ -543,8 +634,9 @@ def test_containers_spread_below_depth_one_load_as_the_reference(tmp_path, monke
 
 
 def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
-    # the field's array is walked, and its one item, 899 arrays deep across
-    # as many lines, is scanned in one call
+    # the field's array, 900 arrays deep across as many lines, is not in the
+    # writer's layout (its first item does not parse alone), so it is scanned
+    # in one call; so is resource_couplings, an array on one line
     nested = "[\n" * 900 + "]\n" * 900
     text = ('{\n"num_qubits": 3,\n"resource_couplings": [1.0, 1.0],\n'
             '"target": {"type": "nn", "angles": [0.5, 0.5]},\n"time": 0.5,\n"extra": ' + nested + "}\n")
@@ -553,7 +645,7 @@ def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
     value = reference_json(str(path))
     decoded = _recording_scanner(monkeypatch)
     assert fileio._read_json(str(path))[0] == value   # no floats, and too deep for same_document
-    assert len(decoded) == 6   # 3, each of the two couplings, the target, 0.5 and the item
+    assert len(decoded) == 5   # 3, the couplings, the target, 0.5 and the field
     messages = []
     for load in (load_problem, lambda p: fileio._problem(reference_json(p))):
         with pytest.raises(FileFormatError) as info:
