@@ -19,7 +19,9 @@ iSWAP, the member of the paper's Z-relaying family
 exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.  The
 lowering's basis changes are one Clifford frame carried from request to
 request, S^p or H S^p, tracked as two values with a literal table of the
-words that undo it: one single-qubit layer per request for even L.
+words that undo it: one single-qubit layer per request for even L.  The
+lowering takes only what a route builds (iSWAP layers, requests and
+blocks), so Z-correction layers (ROADMAP items 3 and 13) go after it.
 
 Instructions are immutable, so one object may stand at many places of a
 circuit: the swap network repeats four iSWAP layer objects, lowering
@@ -264,17 +266,13 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
 
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------
 
-def _is_iswap_layer(instr: Instruction) -> bool:
-    return isinstance(instr, DigitalLayer) and instr.has_iswaps
-
-
 # Per [opened][quarter], the x/h/r word that returns the lowering's frame,
 # S^quarter or once opened H S^quarter, to the identity.
 _UNDO = (("", "rhr", "hxh", "hrh"), ("h", "xrh", "xh", "rh"))
 
 
 def lower_swap_layers(circuit: Circuit) -> Circuit:
-    """Lower every run of consecutive iSWAP layers; other instructions pass through.
+    """Lower a route's iSWAP layers to requests and x/h/r layers; its requests and blocks pass through.
 
     exp(+-i pi/4 (XX+YY)) splits into commuting XX and YY halves, each a chain
     ZZ evolution seen through a single-qubit Clifford frame.  Daggered gates
@@ -298,14 +296,13 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
       +-Y by the parity of p;
     * r between the requests of a run takes H S^p to H S^(p+1), which moves
       P to the other axis;
-    * before a request or block that is not from a run, and before an
-      all-rz layer, h closes an open frame to the diagonal S^p, which
-      commutes with them;
-    * before any other instruction, and at the end, the word in _UNDO
-      returns C to the identity.
+    * before a request or block of the input, h closes an open frame to
+      the diagonal S^p, which commutes with it;
+    * at the end, the word in _UNDO returns C to the identity.
 
-    A compiled circuit then costs one single-qubit layer per request for
-    even L.  The layers hold x, h and r gates only.
+    A layer with a single-qubit gate is a ValueError, raised before any
+    output is built.  A compiled circuit costs one single-qubit layer per
+    request for even L, and the layers hold x, h and r gates only.
 
     Requests with the same angles are one object, and each gate kind is one
     layer object on the qubits of every slot some half uses, so later passes
@@ -315,7 +312,7 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
     L = circuit.num_qubits
     layer_halves: dict[int, list[float]] = {}
     for instr in circuit.instructions:
-        if _is_iswap_layer(instr) and id(instr) not in layer_halves:
+        if isinstance(instr, DigitalLayer) and id(instr) not in layer_halves:
             layer_halves[id(instr)] = _layer_half(instr, L)
     # one layer object per gate kind on every iSWAP's qubits; none without iSWAPs
     slots = {j for half in layer_halves.values() for j, phi in enumerate(half) if phi}
@@ -324,18 +321,13 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
     requests: dict[tuple[float, ...], AnalogRequest] = {}
     instrs: list[Instruction] = []
     quarter, opened = 0, False
-    for is_run, group in itertools.groupby(circuit.instructions, key=_is_iswap_layer):
+    for is_run, group in itertools.groupby(circuit.instructions, key=lambda i: isinstance(i, DigitalLayer)):
         if not is_run:
-            for instr in group:
-                # requests, blocks (X_m D X_m) and all-rz layers are diagonal
-                if not isinstance(instr, DigitalLayer) or all(g.type is GateType.RZ for g in instr.gates):
-                    if opened:
-                        instrs.append(basis["h"])
-                else:
-                    instrs.extend(basis[gate] for gate in _UNDO[opened][quarter])
-                    quarter = 0
-                opened = False
-                instrs.append(instr)
+            # requests and blocks (X_m D X_m) are diagonal
+            if opened:
+                instrs.append(basis["h"])
+            opened = False
+            instrs.extend(group)
             continue
         halves = [layer_halves[id(layer)] for layer in group]
         zero = [0.0] * (L - 1)
@@ -354,7 +346,8 @@ def lower_swap_layers(circuit: Circuit) -> Circuit:
 def _layer_half(layer: DigitalLayer, num_qubits: int) -> list[float]:
     """Slot angles of one half of an iSWAP layer: +-pi/4 on each gate's slot, 0 elsewhere."""
     if layer.sqr_count:
-        raise ValueError("layer mixes iSWAPs with single-qubit gates")
+        raise ValueError("lower_swap_layers takes iSWAP layers, requests and blocks; "
+                         "a layer holds a single-qubit gate")
     angles = [0.0] * (num_qubits - 1)
     for g in layer.gates:
         angles[g.qubits[0]] = -math.pi / 4.0 if g.type is GateType.ISWAP_DG else math.pi / 4.0

@@ -9,7 +9,10 @@ directly in it that is in the writer's layout, one item per line (a
 schedule's instructions), is read by one loop over its lines: each distinct
 line is parsed once, alone, by the standard C scanner, and its repeats
 share that value.  Every other value, and any such array in another layout,
-is one call of the C scanner.  Unknown and repeated fields are rejected, a
+is one call of the C scanner.  On Python 3.10 and 3.11 the Python frames of
+_document, parse_object and _member share the C scanner's recursion limit,
+so a few values nested just short of it that json.loads reads are refused;
+3.12 counts C recursion apart.  Unknown and repeated fields are rejected, a
 block's boolean list becomes the mask's bytes, and load_schedule builds one
 instruction per distinct parsed entry.  The writer keeps field order, puts
 each top-level field on its own line and each item of a top-level list (a

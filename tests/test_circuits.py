@@ -444,9 +444,18 @@ def test_lower_mixed_layer_l6():
     assert phase_distance(circuit_unitary(Circuit(6, tuple(out))), circuit_unitary(reference)).distance < 1e-12
 
 
-def test_lower_rejects_mixed_gate_kinds():
-    with pytest.raises(ValueError, match="mixes iSWAPs with single-qubit gates"):
-        lowered_layer(DigitalLayer((Gate.iswap(0), Gate(GateType.H, (2,)))), 3)
+@pytest.mark.parametrize("layer", [
+    DigitalLayer((Gate.iswap(0), Gate(GateType.H, (2,)))),
+    DigitalLayer((Gate(GateType.X, (0,)), Gate(GateType.X, (2,)))),
+    DigitalLayer((Gate(GateType.H, (1,)),)),
+    DigitalLayer((Gate(GateType.R, (0,)), Gate(GateType.R, (1,)), Gate(GateType.R, (2,)))),
+    DigitalLayer((Gate(GateType.RZ, (1,), 0.3),)),
+], ids=["mixed", "x", "h", "r", "rz"])
+def test_lower_rejects_mixed_gate_kinds(layer):
+    # the lowering takes what a route builds: iSWAP layers, requests and blocks
+    run = DigitalLayer((Gate.iswap(0),))
+    with pytest.raises(ValueError, match="takes iSWAP layers, requests and blocks; a layer holds a single-qubit gate"):
+        lower_swap_layers(Circuit(3, (run, AnalogRequest((0.1, 0.2)), layer, run)))
 
 
 def test_lower_swap_layers_passthrough():
@@ -535,9 +544,9 @@ def test_undo_words_are_the_shortest_words_home():
 
 
 @st.composite
-def _separator(draw, L):
-    """One instruction that splits iSWAP runs: an rz, x, h or r layer, a request or a block."""
-    kind = draw(st.sampled_from(("rz", "x", "h", "r", "request", "block")))
+def _separator(draw, L, kinds=("rz", "x", "h", "r", "request", "block")):
+    """One instruction of one of `kinds`, none an iSWAP layer: an rz, x, h or r layer, a request or a block."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "request":
         return AnalogRequest(tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=L - 1, max_size=L - 1))))
     if kind == "block":
@@ -548,16 +557,17 @@ def _separator(draw, L):
 
 @st.composite
 def _iswap_runs(draw):
-    """iSWAP layers on random disjoint slots and gate kinds, split into runs by the other instructions."""
+    """iSWAP layers on random disjoint slots and gate kinds, split into runs by requests and blocks."""
     L = draw(st.integers(2, 8))
+    separator = _separator(L, ("request", "block"))
     instrs = []
     for _ in range(draw(st.integers(1, 6))):
-        instrs += [draw(_separator(L)) for _ in range(draw(st.integers(0, 2)))]
+        instrs += [draw(separator) for _ in range(draw(st.integers(0, 2)))]
         slots = sorted(draw(st.sets(st.integers(0, L - 2), min_size=1, max_size=L - 1)))
         starts = [j for k, j in enumerate(slots) if k == 0 or j > slots[k - 1] + 1]
         make = [draw(st.sampled_from((Gate.iswap, Gate.iswap_dg))) for _ in starts]
         instrs.append(DigitalLayer(tuple(m(j) for m, j in zip(make, starts))))
-    instrs += [draw(_separator(L)) for _ in range(draw(st.integers(0, 2)))]
+    instrs += [draw(separator) for _ in range(draw(st.integers(0, 2)))]
     resource = NNChain(L, draw(st.lists(st.floats(0.5, 1.5), min_size=L - 1, max_size=L - 1)))
     return Circuit(L, tuple(instrs)), resource
 
@@ -571,16 +581,13 @@ def test_merged_lowering_equals_per_layer_lowering(case):
     u = circuit_unitary(merged, resource)
     assert phase_distance(u, circuit_unitary(reference, resource)).distance < 1e-12
     assert phase_distance(u, circuit_unitary(circuit, resource)).distance < 1e-12
-    # the emitted layers are x, h and r only, and their product is the identity
-    # on every qubit; they are told apart by identity, since an input h layer
-    # can equal an emitted one
-    inputs = set(map(id, circuit.instructions))
-    emitted = [i for i in merged.instructions if isinstance(i, DigitalLayer) and id(i) not in inputs]
+    # every layer is emitted, x, h and r only, and their product is the identity on every qubit
+    emitted = [i for i in merged.instructions if isinstance(i, DigitalLayer)]
     assert all(g.type in (GateType.X, GateType.H, GateType.R) for la in emitted for g in la.gates)
     assert single_qubit_frames(Circuit(circuit.num_qubits, tuple(emitted))) == [IDENTITY_FRAME] * circuit.num_qubits
     # a run of n layers costs n + 1 requests instead of 2n; other requests pass through
     runs = [len(list(g)) for k, g in itertools.groupby(
-        circuit.instructions, key=lambda i: isinstance(i, DigitalLayer) and i.has_iswaps) if k]
+        circuit.instructions, key=lambda i: isinstance(i, DigitalLayer)) if k]
     passed = sum(isinstance(i, AnalogRequest) for i in circuit.instructions)
     assert sum(isinstance(i, AnalogRequest) for i in merged.instructions) == sum(n + 1 for n in runs) + passed
 

@@ -68,19 +68,21 @@ def test_schedule_runs_once_per_distinct_request(monkeypatch):
 def test_lowered_iswap_layers_share_layers_and_blocks():
     L = 5
     resource = NNChain(L, (0.9, 1.3, 0.6, 1.1))
-    # The same run of two iSWAP layers twice, split by a rotation: the second
+    # The same run of two iSWAP layers twice, split by a request: the second
     # lowering repeats the first one's layer and request objects.
     run = (DigitalLayer((Gate.iswap(0), Gate.iswap_dg(2))), DigitalLayer((Gate.iswap_dg(1), Gate.iswap(3))))
-    split = DigitalLayer((Gate(GateType.H, (4,)),))
+    split = AnalogRequest((0.3, 0.0, -0.2, 0.1))
     lowered = lower_swap_layers(Circuit(L, run + (split,) + run))
-    assert len(lowered.instructions) == 17
-    first, second = lowered.instructions[:8], lowered.instructions[9:]
+    # h req r req r req, h closing the frame, the split, the run again, the undo word h
+    assert len(lowered.instructions) == 15
+    assert lowered.instructions[7] is split
+    first, second = lowered.instructions[:6], lowered.instructions[8:14]
     assert all(a is b for a, b in zip(first, second, strict=True))
     assert len({id(i) for i in first if isinstance(i, AnalogRequest)}) == 3
-    # so do their blocks once scheduled
+    # so do their blocks once scheduled; the split's blocks stand between them
     halves = block_runs(schedule_requests(lowered, resource, 0.7))
-    assert len(halves) == 6 and all(halves)
-    for a_run, b_run in zip(halves[:3], halves[3:], strict=True):
+    assert len(halves) == 7 and all(halves)
+    for a_run, b_run in zip(halves[:3], halves[4:], strict=True):
         assert all(a is b for a, b in zip(a_run, b_run, strict=True))
     # The XX and YY halves of one layer run the very same block objects.
     runs = block_runs(schedule_requests(lower_swap_layers(Circuit(L, run[:1])), resource, 0.7))
