@@ -33,7 +33,6 @@ import math
 import os
 import re
 import stat
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -110,7 +109,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 # The C scanner, and the pure-Python scanner's object parser (a hook whose
-# signature is the same on 3.10 to 3.13).
+# signature is the same on 3.10 to 3.13, the versions it was read on; CI
+# also runs the tests on 3.14).
 _decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
 _scan = _decoder.scan_once
 
@@ -188,6 +188,8 @@ def _read_json(path: str) -> tuple[Any, str]:
         return json.loads(text, cls=_Reader), text
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except FileFormatError as exc:   # a repeated key (_unique_keys)
+        raise FileFormatError(f"{path}: {exc}") from None
     except ValueError as exc:
         # not UTF-8, malformed JSON, or an integer longer than the
         # interpreter's int-to-str digit limit
@@ -424,10 +426,13 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def write_replacing(path: str, chunks: Iterable[str]) -> None:
-    """Write `chunks` to a temporary file, then rename it onto the file `path` names.
+    """Write `chunks` to a new temporary file, then rename it onto the file `path` names.
 
     A symbolic link is followed: the temporary file goes beside the link's
-    final target and replaces that, so the link stays a link.  A target that
+    final target and replaces that, so the link stays a link.  The
+    temporary file is opened exclusively under a random name, so it is
+    never one that was already there, and it gets the mode (and any
+    default ACL) of a plain open under the caller's umask.  A target that
     exists but is not a regular file (a directory, a FIFO, a device) is left
     untouched and refused.  If anything fails part way, the temporary file
     is removed and whatever was there before is left as it was.  An OS
@@ -442,17 +447,12 @@ def write_replacing(path: str, chunks: Iterable[str]) -> None:
         pass
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(target), prefix=os.path.basename(target) + ".", suffix=".tmp"
-        )
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
-            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            with fh:
                 fh.writelines(chunks)
-            # mkstemp creates the file 0600; give it what a plain open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):

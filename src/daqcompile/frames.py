@@ -42,14 +42,15 @@ like the blocks, so they commute with the run and stay inside it.  The
 terms of one run commute, and a fold rewrites only the X images of the
 qubits its rotation anticommutes with, so every term is pulled back
 through the Z images as they stand when the run starts.  Each distinct run
-is summed once, keyed by the identities of its block objects, which the
-schedule reader shares wherever a line repeats.  A non-finite angle makes
-B infinite, so it fails at any tolerance; nothing here raises on a schedule
-the reader accepts.
+is summed once per walk, keyed by its blocks' durations and masks, so
+equal runs share their angles however the file was laid out.  A non-finite
+angle makes B infinite, so it fails at any tolerance; nothing here raises
+on a schedule the reader accepts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,7 +175,7 @@ class _Walk:
         return None
 
 
-def _run_angles(run: list[ResourceBlock], couplings: tuple[float, ...]) -> list[float]:
+def _run_angles(run: tuple[ResourceBlock, ...], couplings: tuple[float, ...]) -> list[float]:
     """Slot angles g_j sum_n d_n s_nj of a run of blocks, each sum exact and rounded once.
 
     The durations are summed as integers over their largest denominator, a
@@ -220,30 +221,21 @@ def check_schedule(circuit: Circuit, resource: NNChain, target: Mapping[Edge, fl
     if resource.num_qubits != L:
         raise ValueError("resource chain size does not match the circuit")
     walk = _Walk(L)
-    run_angles: dict[tuple[int, ...], list[float]] = {}
+    # equal blocks hash alike (a frozen dataclass), and +-0.0 durations sum alike
+    run_angles = functools.cache(lambda blocks: _run_angles(blocks, resource.couplings))
     run: list[ResourceBlock] = []
-
-    def flush() -> None:
-        key = tuple(map(id, run))
-        angles = run_angles.get(key)
-        if angles is None:
-            angles = run_angles[key] = _run_angles(run, resource.couplings)
-        walk.slots(angles)
-        run.clear()
-
     for instr in circuit.instructions:
         if isinstance(instr, ResourceBlock):
             run.append(instr)
-        elif not isinstance(instr, DigitalLayer):
+            continue
+        if not isinstance(instr, DigitalLayer):
             raise ValueError("analog requests must be scheduled first")
-        elif all(g.type is GateType.RZ for g in instr.gates):
-            walk.layer(instr)           # diagonal, so it commutes with the open run
-        else:
-            if run:
-                flush()
-            walk.layer(instr)
+        if run and not all(g.type is GateType.RZ for g in instr.gates):
+            walk.slots(run_angles(tuple(run)))   # an rz layer is diagonal, so the run stays open
+            run.clear()
+        walk.layer(instr)
     if run:
-        flush()
+        walk.slots(run_angles(tuple(run)))
     realised = dict.fromkeys(target, 0.0)
     singles = [0.0] * L
     others = []                         # longer strings, in first-seen order

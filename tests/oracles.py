@@ -841,13 +841,16 @@ def reference_json(path: str):
 
     The same duplicate-key hook as the product's reader, and no line
     sharing; a read or parse fault gives the product's FileFormatError
-    texts, the wording after "invalid JSON: " the running Python's own.
+    texts, the wording after "invalid JSON: " the running Python's own, and
+    a repeated key "<path>: duplicate keys [...]".
     """
     try:
         with open(path, "rb") as fh:
             return json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:

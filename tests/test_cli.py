@@ -302,23 +302,6 @@ def test_verify_passes_at_12_qubits(tmp_path, capsys):
     assert captured.out.endswith("PASS\n") and captured.err == ""
 
 
-@pytest.mark.parametrize("cap, old_code", [(2, 4), (3, 0)])
-def test_verify_max_qubits_option(tmp_path, capsys, cap, old_code):
-    # `--max-qubits` went with the dense cap: a value below the problem's 3
-    # qubits (which exited 4) and one at it (which passed) are both now
-    # unknown options, a usage error with nothing on stdout
-    problem = ata_problem(tmp_path, L=3)
-    out = str(tmp_path / "s.json")
-    assert main(["compile", "--input", problem, "--output", out]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--input", problem, "--schedule", out, "--max-qubits", str(cap)])
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and f"error: unrecognized arguments: --max-qubits {cap}" in captured.err
-    assert "dense-verification cap" not in captured.err
-
-
 def _scaled_block(out, factor):
     """Scale the duration of the schedule file's longest block by `factor`; returns it."""
     doc = json.loads(out.read_text(encoding="utf-8"))
@@ -439,8 +422,20 @@ def test_duplicate_json_keys_exit_1(tmp_path, capsys):
     )
     out = tmp_path / "s.json"
     assert main(["compile", "--input", str(problem), "--output", str(out)]) == 1
-    assert "duplicate keys ['num_qubits']" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {problem}: duplicate keys ['num_qubits']\n"
     assert not out.exists()
+    # stats and verify read two files: the message names the one with the repeat
+    good = Path(ata_problem(tmp_path, L=4))
+    assert main(["compile", "--input", str(good), "--output", str(out)]) == 0
+    for source in (good, out):
+        bad = tmp_path / f"repeated-{source.name}"
+        bad.write_text(source.read_text(encoding="utf-8").replace('"time": ', '"time": 1, "time": ', 1),
+                       encoding="utf-8")
+        problem, schedule = (bad, out) if source is good else (good, bad)
+        for command in ("stats", "verify"):
+            capsys.readouterr()
+            assert main([command, "--input", str(problem), "--schedule", str(schedule)]) == 1
+            assert capsys.readouterr() == ("", f"error: {bad}: duplicate keys ['time']\n")
 
 
 _BAD_VERIFY_OPTIONS = [
@@ -465,7 +460,14 @@ def test_usage_errors_exit_1(tmp_path, capsys, case):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    # --epsilon and --max-qubits (the dense verifier's cap) are gone: unknown options
+    if case == "epsilon" or case.startswith("--max-qubits"):
+        unknown = "--epsilon 1e-12" if case == "epsilon" else case
+        assert f"error: unrecognized arguments: {unknown}" in captured.err
+    else:
+        assert "unrecognized arguments" not in captured.err
     assert not out.exists()
 
 
@@ -811,6 +813,21 @@ def test_console_entry_point(tmp_path):
     )
     assert verify_run.returncode == 0, verify_run.stderr
     assert "PASS" in verify_run.stdout
+
+
+@pytest.mark.skipif(os.name != "posix", reason="umask and file modes are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_compiled_file_mode_follows_the_umask(tmp_path, umask):
+    # the child gets the umask, so this process never changes its own
+    problem = ata_problem(tmp_path, L=4)
+    out = tmp_path / "s.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "daqcompile.cli", "compile", "--input", problem, "--output", str(out)],
+        capture_output=True, text=True, encoding="utf-8", env=child_env(), umask=umask,
+    )
+    assert run.returncode == 0, run.stderr
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["p.json", "s.json"]
 
 
 @pytest.mark.parametrize("kind", ["ata", "nn"])

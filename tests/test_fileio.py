@@ -27,6 +27,7 @@ from daqcompile.fileio import (
     load_problem_with_sha256,
     load_schedule,
     schedule_document,
+    write_replacing,
 )
 from daqcompile.graphs import CouplingGraph, NNChain
 
@@ -258,6 +259,31 @@ def test_lines_differing_in_the_sign_of_zero_load_apart(tmp_path):
     assert layers[1] is not layers[0] and blocks[1] is not blocks[0]
 
 
+def test_write_replacing_never_touches_the_umask(tmp_path, monkeypatch):
+    # the exclusive open applies the umask itself; reading it would mean setting it
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+    path = tmp_path / "s.json"
+    path.write_text("previous schedule\n", encoding="utf-8")
+    write_replacing(str(path), iter_canonical(_SCHEDULE))
+    assert path.read_bytes() == dumps_canonical(_SCHEDULE).encode("utf-8")
+    assert os.listdir(tmp_path) == ["s.json"]
+
+
+def test_write_replacing_removes_only_its_own_temporary_file(tmp_path, monkeypatch):
+    # a file already at the temporary name is not opened, written or removed
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    path = tmp_path / "s.json"
+    taken = tmp_path / f"s.json.{bytes(6).hex()}.tmp"
+    taken.write_text("someone else's\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f"cannot write {re.escape(str(path))}: File exists"):
+        write_replacing(str(path), iter_canonical(_SCHEDULE))
+    assert taken.read_text(encoding="utf-8") == "someone else's\n"
+    assert sorted(os.listdir(tmp_path)) == [taken.name]
+
+
 def _canonical_text(instructions=None) -> str:
     doc = _SCHEDULE if instructions is None else {**_SCHEDULE, "instructions": instructions}
     return dumps_canonical(doc)
@@ -473,7 +499,8 @@ def test_one_fault_gives_one_message_in_either_file(tmp_path, name):
             load(str(path))
         messages.append(str(info.value))
     assert messages[0] == messages[1] == messages[2]
-    assert messages[0].startswith(f"{path}: invalid JSON: ") or name == "duplicate-key"
+    what = "duplicate keys ['time']" if name == "duplicate-key" else "invalid JSON: "
+    assert messages[0].startswith(f"{path}: {what}")
 
 
 def _random_problem(rng: random.Random, L: int, kind: str) -> dict:

@@ -1,13 +1,16 @@
 """The Pauli-frame verifier against the dense oracle in `unitaries`."""
 
 import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from daqcompile import frames
 from daqcompile.circuits import (
     AnalogRequest,
     Circuit,
@@ -17,6 +20,7 @@ from daqcompile.circuits import (
     ResourceBlock,
 )
 from daqcompile.compiler import compile_ata, compile_chain
+from daqcompile.fileio import dumps_canonical, load_schedule, schedule_document
 from daqcompile.frames import CONJUGATION, _run_angles, check_schedule, pauli_product
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.unitaries import circuit_unitary, gate_matrix, phase_distance, zz_evolution
@@ -154,6 +158,47 @@ def test_report_parts_are_floats_without_longer_z_strings():
     report = check_schedule(circuit, resource, {e: w * t_f for e, w in weights.items()})
     assert report.passed(TOL) and report.other_z == 0.0
     assert type(report.other_z) is float and type(report.single_z) is float
+
+
+def test_runs_are_summed_once_per_distinct_content_in_any_layout(tmp_path, monkeypatch):
+    # the writer's layout shares repeated lines' blocks; CRLF line ends are
+    # still read line by line, and a re-indented file builds every block
+    # apart, yet equal runs must still be summed once
+    L, t_f = 12, 0.7
+    rng = random.Random(1)
+    resource = NNChain(L, tuple(rng.uniform(0.5, 1.5) for _ in range(L - 1)))
+    weights = {(i, j): rng.gauss(0.0, 1.0) for i in range(L) for j in range(i + 1, L)}
+    circuit = compile_ata(CouplingGraph(L, weights), resource, t_f).circuit
+    target = {e: w * t_f for e, w in weights.items()}
+    runs, run = [], []
+    for instr in circuit.instructions:
+        if isinstance(instr, ResourceBlock):
+            run.append((instr.duration, instr.x_mask))
+        elif run and any(g.type is not GateType.RZ for g in instr.gates):
+            runs.append(tuple(run))
+            run = []
+    if run:
+        runs.append(tuple(run))
+    assert len(set(runs)) < len(runs)
+    stats = {"analog_requests": 0, "resource_blocks": 0, "sqr_gates": 0, "total_analog_time": 0.0}
+    text = dumps_canonical(schedule_document(circuit, resource, t_f, stats, "0.1.0", "ab" * 32))
+    copies = {"writer": text, "crlf": text.replace("\n", "\r\n"), "indent": json.dumps(json.loads(text), indent=1)}
+    calls = []
+
+    def counted(run, couplings):
+        calls.append(run)
+        return _run_angles(run, couplings)
+
+    monkeypatch.setattr(frames, "_run_angles", counted)
+    reports = []
+    for name, copy in copies.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(copy.encode("utf-8"))
+        calls.clear()
+        reports.append(check_schedule(load_schedule(str(path))[0], resource, target))
+        assert len(calls) == len(set(runs)), name
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].passed(TOL)
 
 
 # --- agreement with the dense engine ------------------------------------------
