@@ -42,10 +42,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+from ._frozen import Frozen
 from .graphs import CouplingGraph
 
 
@@ -61,13 +61,11 @@ class GateType(str, Enum):
 _TWO_QUBIT = frozenset({GateType.ISWAP, GateType.ISWAP_DG})
 
 
-@dataclass(frozen=True)
-class Gate:
-    type: GateType
-    qubits: tuple[int, ...]
-    angle: float = 0.0
-
-    def __post_init__(self):
+class Gate(Frozen):
+    def __init__(self, type: GateType, qubits: tuple[int, ...], angle: float = 0.0):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if self.type in _TWO_QUBIT:
             if len(self.qubits) != 2 or self.qubits[1] != self.qubits[0] + 1:
@@ -82,6 +80,15 @@ class Gate:
         if self.angle != 0.0 and self.type is not GateType.RZ:
             raise ValueError(f"{self.type.value} takes no angle")
 
+    # written out, faster than the base's field walk: a layer's == and hash go through its gates
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.type, self.qubits, self.angle) == (other.type, other.qubits, other.angle)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.type, self.qubits, self.angle))
+
     @classmethod
     def iswap(cls, left: int) -> "Gate":
         return cls(GateType.ISWAP, (left, left + 1))
@@ -95,16 +102,15 @@ class Gate:
         return self.type in _TWO_QUBIT
 
 
-@dataclass(frozen=True)
-class DigitalLayer:
-    """Gates applying in parallel; no qubit may appear twice."""
+class DigitalLayer(Frozen):
+    """Gates applying in parallel; no qubit may appear twice.
 
-    gates: tuple[Gate, ...]
-    # derived from the gates, so left out of repr, == and the hash
-    max_qubit: int = field(init=False, repr=False, compare=False)
-    sqr_count: int = field(init=False, repr=False, compare=False)
+    max_qubit and sqr_count are derived from the gates, so repr, == and the
+    hash leave them out.
+    """
 
-    def __post_init__(self):
+    def __init__(self, gates: tuple[Gate, ...]):
+        object.__setattr__(self, "gates", gates)
         if not self.gates:
             raise ValueError("empty digital layer")
         touched: set[int] = set()
@@ -123,21 +129,18 @@ class DigitalLayer:
         return self.sqr_count < len(self.gates)
 
 
-@dataclass(frozen=True)
-class AnalogRequest:
+class AnalogRequest(Frozen):
     """Ideal chain ZZ evolution: slot j should accumulate phase slot_angles[j]."""
 
-    slot_angles: tuple[float, ...]
-
-    def __post_init__(self):
+    def __init__(self, slot_angles: tuple[float, ...]):
+        object.__setattr__(self, "slot_angles", slot_angles)
         angles = tuple(float(a) for a in self.slot_angles)
         if not all(math.isfinite(a) for a in angles):
             raise ValueError("non-finite slot angle")
         object.__setattr__(self, "slot_angles", angles)
 
 
-@dataclass(frozen=True)
-class ResourceBlock:
+class ResourceBlock(Frozen):
     """The resource chain's evolution for `duration` between two X layers on the qubits masked 1.
 
     The X layers flip the sign of every coupling whose two qubits differ in
@@ -145,10 +148,9 @@ class ResourceBlock:
     another byte value or a tuple, list or array, is a ValueError.
     """
 
-    duration: float
-    x_mask: bytes
-
-    def __post_init__(self):
+    def __init__(self, duration: float, x_mask: bytes):
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "x_mask", x_mask)
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError(f"block duration must be finite and >= 0, got {self.duration}")
         if type(self.x_mask) is not bytes:
@@ -156,30 +158,36 @@ class ResourceBlock:
         if self.x_mask.translate(None, b"\0\1"):
             raise ValueError("x_mask bytes must be 0 or 1")
 
+    # written out, faster than the base's field walk: verify's run cache hashes and compares blocks
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.duration, self.x_mask) == (other.duration, other.x_mask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.duration, self.x_mask))
+
 
 Instruction = Union[DigitalLayer, AnalogRequest, ResourceBlock]
 
 
-@dataclass(frozen=True)
-class ScheduleStats:
-    analog_block_count: int
-    total_analog_time: float
-    sqr_count: int
+class ScheduleStats(Frozen):
+    def __init__(self, analog_block_count: int, total_analog_time: float, sqr_count: int):
+        object.__setattr__(self, "analog_block_count", analog_block_count)
+        object.__setattr__(self, "total_analog_time", total_analog_time)
+        object.__setattr__(self, "sqr_count", sqr_count)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
     """Instructions checked and counted per occurrence, in program order, in one walk.
 
     The block durations must sum to a finite total.  circuit_stats returns
     the counts, which repr, == and the hash leave out.
     """
 
-    num_qubits: int
-    instructions: tuple[Instruction, ...]
-    _stats: ScheduleStats = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, num_qubits: int, instructions: tuple[Instruction, ...]):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "instructions", instructions)
         L = self.num_qubits
         if L < 2:
             raise ValueError("a circuit needs at least 2 qubits")

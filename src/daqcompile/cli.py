@@ -10,7 +10,10 @@ diagnostics to stderr; outputs are byte-identical for identical inputs.
 Only `compile` imports `compiler` and only `verify` imports `frames`, each
 inside its command.  No module the command line loads imports NumPy:
 `unitaries`, the dense oracle that does, serves the tests and the
-benchmark's tracer.
+benchmark's tracer.  Nor does any import `dataclasses` or `inspect`, for
+start-up: the value classes stand on `_frozen.Frozen`, since importing
+those two and running the dataclass decorators took longer than importing
+the whole package does now.
 """
 
 from __future__ import annotations

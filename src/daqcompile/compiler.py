@@ -17,9 +17,9 @@ from the problem by the command line where it is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._frozen import Frozen
 from .circuits import (
     AnalogRequest,
     Circuit,
@@ -34,12 +34,12 @@ from .graphs import CouplingGraph, NNChain
 from .scheduler import schedule
 
 
-@dataclass(frozen=True)
-class CompileResult:
+class CompileResult(Frozen):
     """Executable schedule plus the number of analog requests it was solved from."""
 
-    circuit: Circuit
-    analog_requests: int
+    def __init__(self, circuit: Circuit, analog_requests: int):
+        object.__setattr__(self, "circuit", circuit)
+        object.__setattr__(self, "analog_requests", analog_requests)
 
 
 def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:

@@ -33,9 +33,9 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
+from ._frozen import Frozen
 from .circuits import (
     Circuit,
     DigitalLayer,
@@ -52,14 +52,17 @@ SCHEDULE_FORMAT = "daqc-schedule/1"
 _SQR_NAMES = {t.value: t for t in (GateType.X, GateType.H, GateType.R, GateType.RZ)}
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    num_qubits: int
-    resource: NNChain
-    target_type: str                      # "ata" or "nn"
-    target_graph: CouplingGraph | None
-    target_angles: tuple[float, ...] | None
-    t_f: float
+class ProblemSpec(Frozen):
+    """A problem file's content: an "ata" target_type has target_graph, an "nn" one target_angles."""
+
+    def __init__(self, num_qubits: int, resource: NNChain, target_type: str,
+                 target_graph: CouplingGraph | None, target_angles: tuple[float, ...] | None, t_f: float):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "resource", resource)
+        object.__setattr__(self, "target_type", target_type)
+        object.__setattr__(self, "target_graph", target_graph)
+        object.__setattr__(self, "target_angles", target_angles)
+        object.__setattr__(self, "t_f", t_f)
 
 
 # --- strict readers ---------------------------------------------------------
@@ -198,17 +201,17 @@ def _read_json(path: str) -> tuple[Any, str]:
         raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _chain_header(data: dict) -> tuple[int, NNChain, float]:
-    """num_qubits, resource_couplings and time: the fields both files open with."""
-    L = _as_int(data["num_qubits"], "num_qubits")
+def _chain_header(data: dict, path: str) -> tuple[int, NNChain, float]:
+    """num_qubits, resource_couplings and time: the fields both files open with; a fault names the file."""
+    L = _as_int(data["num_qubits"], f"{path}: num_qubits")
     if L < 2:
-        raise FileFormatError("num_qubits must be >= 2")
-    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
-    return L, resource, _as_number(data["time"], "time")
+        raise FileFormatError(f"{path}: num_qubits must be >= 2")
+    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, f"{path}: resource_couplings"))
+    return L, resource, _as_number(data["time"], f"{path}: time")
 
 
 def load_problem(path: str) -> ProblemSpec:
-    return _problem(_read_json(path)[0])
+    return _problem(_read_json(path)[0], path)
 
 
 def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
@@ -220,15 +223,15 @@ def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
     import hashlib   # here, so that `stats` and `verify` never load OpenSSL
 
     data, text = _read_json(path)
-    return _problem(data), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _problem(data, path), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _COUPLING_FIELDS = {"i", "j", "value"}
 
 
-def _problem(data: Any) -> ProblemSpec:
+def _problem(data: Any, path: str) -> ProblemSpec:
     _require_keys(data, {"num_qubits", "resource_couplings", "target", "time"}, "problem")
-    L, resource, t_f = _chain_header(data)
+    L, resource, t_f = _chain_header(data, path)
     if t_f <= 0:
         raise FileFormatError("time must be positive")
     target = data["target"]
@@ -358,7 +361,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L, resource, t_f = _chain_header(data)
+    L, resource, t_f = _chain_header(data, path)
     entries = data["instructions"]
     if not isinstance(entries, list):
         raise FileFormatError("instructions: expected a list")

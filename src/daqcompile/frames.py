@@ -53,9 +53,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._frozen import Frozen
 from .circuits import Circuit, DigitalLayer, GateType, ResourceBlock
 from .graphs import Edge, NNChain
 
@@ -92,26 +92,34 @@ def _off_pi(angle: float) -> float:
     return abs(math.remainder(angle, math.pi)) if math.isfinite(angle) else math.inf
 
 
-@dataclass(frozen=True)
-class CouplingCheck:
-    """One edge's ledger against its target angle t * g'."""
+class CouplingCheck(Frozen):
+    """One edge's ledger against its target angle t * g'; off is |realised - target| mod pi."""
 
-    edge: Edge
-    realised: float
-    target: float
-    off: float          # |realised - target| mod pi
+    def __init__(self, edge: Edge, realised: float, target: float, off: float):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "realised", realised)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "off", off)
 
 
-@dataclass(frozen=True)
-class FrameReport:
+class FrameReport(Frozen):
     """Verdict of a frame walk; `bound` is B, the sum of the four parts."""
 
-    bound: float
-    couplings: tuple[CouplingCheck, ...]   # every target or ledger edge, worst first
-    single_z: float                        # sum over qubits of |single| mod pi
-    other_z: float                         # sum over longer Z strings of |angle| mod pi
-    rounding: float                        # sum of |phi - k pi/4| over folded rotations
-    frame_off: int | None                  # first qubit whose X or Z image is not its own
+    def __init__(
+        self,
+        bound: float,
+        couplings: tuple[CouplingCheck, ...],   # every target or ledger edge, worst first
+        single_z: float,                        # sum over qubits of |single| mod pi
+        other_z: float,                         # sum over longer Z strings of |angle| mod pi
+        rounding: float,                        # sum of |phi - k pi/4| over folded rotations
+        frame_off: int | None,                  # first qubit whose X or Z image is not its own
+    ):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "single_z", single_z)
+        object.__setattr__(self, "other_z", other_z)
+        object.__setattr__(self, "rounding", rounding)
+        object.__setattr__(self, "frame_off", frame_off)
 
     def passed(self, tol: float) -> bool:
         return self.frame_off is None and self.bound < tol
@@ -221,7 +229,8 @@ def check_schedule(circuit: Circuit, resource: NNChain, target: Mapping[Edge, fl
     if resource.num_qubits != L:
         raise ValueError("resource chain size does not match the circuit")
     walk = _Walk(L)
-    # equal blocks hash alike (a frozen dataclass), and +-0.0 durations sum alike
+    # ResourceBlock's == and hash go by duration and mask, so equal runs share a key; +-0.0
+    # durations are equal and sum alike
     run_angles = functools.cache(lambda blocks: _run_angles(blocks, resource.couplings))
     run: list[ResourceBlock] = []
     for instr in circuit.instructions:

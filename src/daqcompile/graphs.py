@@ -20,8 +20,9 @@ Qubit indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._frozen import Frozen
 
 Edge = tuple[int, int]
 
@@ -42,18 +43,16 @@ def validate_permutation(perm: Sequence[int], num_qubits: int) -> tuple[int, ...
     return perm
 
 
-@dataclass(frozen=True)
-class CouplingGraph:
+class CouplingGraph(Frozen):
     """Symmetric weighted graph of ZZ coupling strengths g_ij (rad/time).
 
     Absent edges mean zero coupling; explicit zero weights are allowed (they
     matter for disabled slots and sparse targets).
     """
 
-    num_qubits: int
-    weights: dict[Edge, float]
-
-    def __post_init__(self):
+    def __init__(self, num_qubits: int, weights: dict[Edge, float]):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "weights", weights)
         if self.num_qubits < 2:
             raise ValueError("a coupling graph needs at least 2 qubits")
         canon: dict[Edge, float] = {}
@@ -71,14 +70,12 @@ class CouplingGraph:
         return self.weights.get(canonical_edge(i, j, self.num_qubits), 0.0)
 
 
-@dataclass(frozen=True)
-class NNChain:
+class NNChain(Frozen):
     """Fixed chain resource: coupling j sits between qubits j and j+1."""
 
-    num_qubits: int
-    couplings: tuple[float, ...]
-
-    def __post_init__(self):
+    def __init__(self, num_qubits: int, couplings: tuple[float, ...]):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "couplings", couplings)
         if self.num_qubits < 2:
             raise ValueError("a chain needs at least 2 qubits")
         couplings = tuple(float(g) for g in self.couplings)
@@ -112,8 +109,7 @@ def zigzag_path(k: int, num_qubits: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class PathCover:
+class PathCover(Frozen):
     """A set of Hamiltonian paths with per-path disabled slots.
 
     Slot j of a path couples its entries j and j+1.  walecki_cover
@@ -122,11 +118,11 @@ class PathCover:
     valid too.
     """
 
-    num_qubits: int
-    paths: tuple[tuple[int, ...], ...]
-    disabled_slots: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
+    def __init__(self, num_qubits: int, paths: tuple[tuple[int, ...], ...],
+                 disabled_slots: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "disabled_slots", disabled_slots)
         if len(self.disabled_slots) != len(self.paths):
             raise ValueError("one disabled-slot set per path required")
         for p in self.paths:

@@ -16,22 +16,20 @@ tests call this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._frozen import Frozen
 from .graphs import validate_permutation, zigzag_path
 
 Layer = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SwapSequence:
+class SwapSequence(Frozen):
     """Layers of parallel adjacent swaps over `num_qubits` array positions."""
 
-    num_qubits: int
-    layers: tuple[Layer, ...]
-
-    def __post_init__(self):
+    def __init__(self, num_qubits: int, layers: tuple[Layer, ...]):
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "layers", layers)
         norm = []
         for layer in self.layers:
             starts = tuple(sorted(int(i) for i in layer))

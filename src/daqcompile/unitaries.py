@@ -24,11 +24,11 @@ compiled dense target took about 0.07 s at 8 qubits and 1.6 s at 10 on a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from ._frozen import Frozen
 from .circuits import AnalogRequest, Circuit, DigitalLayer, Gate, GateType
 from .graphs import CouplingGraph, Edge, NNChain
 
@@ -120,11 +120,11 @@ def circuit_unitary(circuit: Circuit, resource: NNChain | None = None) -> np.nda
     return u
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(Frozen):
     """Global-phase-invariant distance between unitaries."""
 
-    distance: float
+    def __init__(self, distance: float):
+        object.__setattr__(self, "distance", distance)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:

@@ -31,7 +31,8 @@ Next come the helpers that only tests need: complete graphs and edge sets,
 path covers and their weighted composition, permutations applied by swap
 sequences, the sign matrix with its row-elimination inverse and the minimum
 analog time, the Kronecker-chain gate embedding, and the paper's general
-Z-relaying swap family, of which the compiler uses only the bare iSWAP.
+Z-relaying swap family, of which the compiler uses only the bare iSWAP,
+and the value semantics every immutable class of the package keeps.
 
 Element-at-a-time references for the vectorised product code close the
 file: the scheduler's X-mask for one block, built bit by bit, the slot
@@ -44,13 +45,16 @@ and schedules alike, and the schedule reader that builds every instruction
 entry from it on its own, which the product's line-shared reader must match.
 """
 
+import copy
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from daqcompile.circuits import (
@@ -750,6 +754,41 @@ def general_swap_unitary(gs: GeneralSwap) -> np.ndarray:
     return rz_low(gs.rz_last) @ (zz @ iswap) @ rz_low(gs.rz_first)
 
 
+# --- value semantics ---------------------------------------------------------------
+
+def check_value_semantics(cls, fields: dict, changed: dict):
+    """A frozen dataclass's value semantics, on cls(**fields) and on one built with `changed` fields.
+
+    Equal fields give equal instances with equal hashes, whether passed by
+    keyword or in order; a changed field gives an unequal one; the tuple of
+    the fields is never equal; repr is Name(field=value!r, ...) over the
+    fields in order; assigning or deleting any attribute raises
+    AttributeError; copy and pickle give equal instances.
+    """
+    value = cls(**fields)
+    same = cls(*fields.values())
+    assert value == same and not value != same
+    try:
+        hash(same)
+    except TypeError:   # a dict field (CouplingGraph.weights) makes the value unhashable
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+    other = cls(**{**fields, **changed})
+    assert value != other and not value == other
+    stored = tuple(getattr(value, name) for name in fields)
+    assert value != stored and stored != value
+    assert repr(value) == f"{cls.__qualname__}({', '.join(f'{k}={v!r}' for k, v in zip(fields, stored))})"
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == stored
+    assert copy.copy(value) == value == copy.deepcopy(value) == pickle.loads(pickle.dumps(value))
+
+
 # --- an element-at-a-time reference for the scheduler ---------------------------
 
 def mask_from_row(row: Sequence[int], order: Sequence[int], flips: Sequence[bool], num_qubits: int) -> tuple:
@@ -871,7 +910,7 @@ def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L, resource, t_f = _chain_header(data)
+    L, resource, t_f = _chain_header(data, path)
     if not isinstance(data["instructions"], list):
         raise FileFormatError("instructions: expected a list")
     instrs = []

@@ -15,6 +15,7 @@ from daqcompile.circuits import (
     Gate,
     GateType,
     ResourceBlock,
+    ScheduleStats,
     _UNDO,
     ata_circuit_general,
     circuit_stats,
@@ -35,6 +36,7 @@ from oracles import (
     ata_circuit_per_path,
     bridge_layers,
     bridges,
+    check_value_semantics,
     complete_graph,
     evolution,
     frame_after,
@@ -690,3 +692,37 @@ def test_resource_block_mask_forms():
     for mask in (b"\1\2\0", b"\xff\0", b"\0\1\x80"):
         with pytest.raises(ValueError, match="x_mask bytes must be 0 or 1"):
             ResourceBlock(0.5, mask)
+
+
+_LAYER = DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.RZ, (2,), 0.25)))
+_BLOCK = ResourceBlock(0.5, b"\0\1\1")
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (Gate, {"type": GateType.RZ, "qubits": (2,), "angle": 0.25}, {"angle": -0.25}),
+    (DigitalLayer, {"gates": _LAYER.gates}, {"gates": _LAYER.gates[:1]}),
+    (AnalogRequest, {"slot_angles": (0.5, -0.25)}, {"slot_angles": (0.5, 0.25)}),
+    (ResourceBlock, {"duration": 0.5, "x_mask": b"\0\1\1"}, {"x_mask": b"\1\1\1"}),
+    (ScheduleStats, {"analog_block_count": 1, "total_analog_time": 0.5, "sqr_count": 2}, {"sqr_count": 3}),
+    (Circuit, {"num_qubits": 3, "instructions": (_LAYER, _BLOCK)}, {"instructions": (_BLOCK, _LAYER)}),
+], ids=["gate", "layer", "request", "block", "stats", "circuit"])
+def test_value_semantics(cls, fields, changed):
+    check_value_semantics(cls, fields, changed)
+
+
+@pytest.mark.parametrize("make, derived", [
+    (lambda: DigitalLayer(_LAYER.gates), {"max_qubit": 7, "sqr_count": 0}),
+    (lambda: Circuit(3, (_LAYER, _BLOCK)), {"_stats": ScheduleStats(0, 0.0, 0)}),
+], ids=["layer", "circuit"])
+def test_derived_fields_stay_out_of_eq_hash_and_repr(make, derived):
+    value, altered = make(), make()
+    vars(altered).update(derived)
+    assert altered == value and hash(altered) == hash(value) and repr(altered) == repr(value)
+    assert not any(name in repr(value) for name in derived)
+
+
+def test_blocks_of_signed_zero_durations_are_equal():
+    # frames.check_schedule's run cache relies on this
+    plus, minus = ResourceBlock(0.0, b"\0\1"), ResourceBlock(-0.0, b"\0\1")
+    assert plus == minus and hash(plus) == hash(minus)
+    assert repr(minus) == "ResourceBlock(duration=-0.0, x_mask=b'\\x00\\x01')"

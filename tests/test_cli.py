@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -617,10 +618,10 @@ _NAN_BLOCK = {"resource_block": {"duration": math.nan, "x_mask": [False, False, 
 
 
 @pytest.mark.parametrize("file, fields, message", [
-    ("problem", {"time": math.nan}, "time: non-finite number"),
-    ("problem", {"resource_couplings": [math.inf, 1.0]}, "resource_couplings[0]: non-finite number"),
-    ("problem", {"resource_couplings": [1.0]}, "resource_couplings: expected a list of 2 numbers"),
-    ("problem", {"num_qubits": 1}, "num_qubits must be >= 2"),
+    ("problem", {"time": math.nan}, "{path}: time: non-finite number"),
+    ("problem", {"resource_couplings": [math.inf, 1.0]}, "{path}: resource_couplings[0]: non-finite number"),
+    ("problem", {"resource_couplings": [1.0]}, "{path}: resource_couplings: expected a list of 2 numbers"),
+    ("problem", {"num_qubits": 1}, "{path}: num_qubits must be >= 2"),
     ("problem", None, None),
     ("schedule", {"instructions": {}}, "instructions: expected a list"),
     ("schedule", {"instructions": [{"barrier": {}}]}, "instructions[0]: expected 'sqr' or 'resource_block'"),
@@ -629,7 +630,7 @@ _NAN_BLOCK = {"resource_block": {"duration": math.nan, "x_mask": [False, False, 
         "instructions-object", "unknown-instruction", "nan-duration"])
 def test_malformed_fields_exit_1(tmp_path, capsys, file, fields, message):
     # A problem is compiled, a schedule is read by stats and verify; fields=None
-    # names a file that does not exist.
+    # names a file that does not exist, and {path} stands for the bad file's.
     problem = nn_problem(tmp_path, L=3, angles=[0.3, -0.2])
     out = tmp_path / "s.json"
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
@@ -647,7 +648,26 @@ def test_malformed_fields_exit_1(tmp_path, capsys, file, fields, message):
         if message is None:
             assert captured.err.startswith(f"error: cannot read {inputs['problem']}: "), captured.err
         else:
-            assert captured.err == f"error: {message}\n"
+            assert captured.err == f"error: {message.format(path=inputs[file])}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("file", ["problem", "schedule"])
+@pytest.mark.parametrize("field, value", [("num_qubits", "4"), ("resource_couplings", "x"), ("time", "x")],
+                         ids=["num-qubits", "resource-couplings", "time"])
+def test_header_field_messages_name_their_file(tmp_path, capsys, file, field, value):
+    # both files open with these fields, so only the path tells which one is bad
+    problem = ata_problem(tmp_path, L=5, t_f=0.7)
+    out = tmp_path / "s.json"
+    assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+    inputs = {"problem": problem, "schedule": str(out)}
+    doc = json.loads(Path(inputs[file]).read_text(encoding="utf-8"))
+    inputs[file] = write_json(tmp_path / f"bad-{file}.json", {**doc, field: value})
+    capsys.readouterr()
+    for command in ("stats", "verify"):
+        assert main([command, "--input", inputs["problem"], "--schedule", inputs["schedule"]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {inputs[file]}: {field}"), captured.err
         assert captured.out == ""
 
 
@@ -933,6 +953,44 @@ def test_only_compile_imports_hashlib(tmp_path):
     run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, encoding="utf-8",
                          env=child_env())
     assert run.returncode == 0, run.stderr
+
+
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # start-up: importing them (with ast, dis and tokenize) costs more than the
+    # package's own code; the baseline child loads what argparse and json load
+    # on this interpreter, so a standard library that needs them is not blamed
+    problem = ata_problem(tmp_path, L=6, t_f=0.7)
+    schedule = str(tmp_path / "s.json")
+    calls = [["compile", "--input", problem, "--output", schedule],
+             ["stats", "--input", problem, "--schedule", schedule],
+             ["verify", "--input", problem, "--schedule", schedule]]
+    baseline = (
+        "import argparse, json\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_subparsers(dest='command').add_parser('stats').add_argument('--input')\n"
+        "parser.parse_args(['stats', '--input', 'p.json'])\n"
+        "json.loads(json.dumps({'time': [0.5]}))\n"
+    )
+    commands = f"import daqcompile.cli\nfor argv in {calls!r}:\n    assert daqcompile.cli.main(argv) == 0, argv\n"
+    loaded = []
+    for script in (baseline, commands):
+        run = subprocess.run([sys.executable, "-S", "-c", script + "import sys\nprint(*sys.modules)\n"],
+                             capture_output=True, text=True, encoding="utf-8", env=child_env())
+        assert run.returncode == 0, run.stderr
+        loaded.append(set(run.stdout.split()))
+    assert {"dataclasses", "inspect"} & (loaded[1] - loaded[0]) == set()
+
+
+def test_no_package_module_imports_dataclasses():
+    for path in sorted(Path(daqcompile.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name
 
 
 def test_package_import_loads_no_submodule():

@@ -20,14 +20,14 @@ from daqcompile.circuits import (
     lower_swap_layers,
 )
 from daqcompile.cli import main
-from daqcompile.compiler import compile_ata, schedule_requests
+from daqcompile.compiler import CompileResult, compile_ata, schedule_requests
 from daqcompile.errors import UnschedulableError
 from daqcompile.fileio import dumps_canonical, load_schedule, schedule_document
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.scheduler import schedule
 from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
-from oracles import IDENTITY_FRAME, single_qubit_frames
+from oracles import IDENTITY_FRAME, check_value_semantics, single_qubit_frames
 
 
 def random_problem(L, seed):
@@ -238,3 +238,8 @@ def test_compiled_swap_network_matches_the_exact_target(problem):
     assert result.analog_requests == (1 if L == 2 else 3 * L - 4 if L % 2 == 0 else 3 * L - 3)
     u = circuit_unitary(result.circuit, resource)
     assert phase_distance(u, exact_target(graph, t_f)).distance < 1e-11
+
+
+def test_compile_result_value_semantics():
+    fields = {"circuit": Circuit(2, (ResourceBlock(0.5, b"\0\1"),)), "analog_requests": 1}
+    check_value_semantics(CompileResult, fields, {"analog_requests": 2})

@@ -21,6 +21,7 @@ from daqcompile.circuits import Circuit, DigitalLayer, Gate, GateType, ResourceB
 from daqcompile.compiler import compile_ata
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
+    ProblemSpec,
     dumps_canonical,
     iter_canonical,
     load_problem,
@@ -31,7 +32,13 @@ from daqcompile.fileio import (
 )
 from daqcompile.graphs import CouplingGraph, NNChain
 
-from oracles import reference_json, reference_load_schedule, same_document, schedule_spelling
+from oracles import (
+    check_value_semantics,
+    reference_json,
+    reference_load_schedule,
+    same_document,
+    schedule_spelling,
+)
 
 _keys = st.text(alphabet=st.sampled_from("abxyz_ éλ中\"\\\n"), max_size=4)
 _scalars = (
@@ -527,7 +534,7 @@ def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
         expected = reference_json(str(path))
         assert same_document(fileio._read_json(str(path))[0], expected)
         problem, digest = load_problem_with_sha256(str(path))
-        assert problem == fileio._problem(expected)
+        assert problem == fileio._problem(expected, str(path))
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -674,8 +681,14 @@ def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
     assert fileio._read_json(str(path))[0] == value   # no floats, and too deep for same_document
     assert len(decoded) == 5   # 3, the couplings, the target, 0.5 and the field
     messages = []
-    for load in (load_problem, lambda p: fileio._problem(reference_json(p))):
+    for load in (load_problem, lambda p: fileio._problem(reference_json(p), p)):
         with pytest.raises(FileFormatError) as info:
             load(str(path))
         messages.append(str(info.value))
     assert messages == ["problem: unknown fields ['extra']"] * 2
+
+
+def test_problem_spec_value_semantics():
+    fields = {"num_qubits": 3, "resource": NNChain(3, (1.0, 0.5)), "target_type": "nn", "target_graph": None,
+              "target_angles": (0.25, -0.5), "t_f": 0.5}
+    check_value_semantics(ProblemSpec, fields, {"t_f": 0.75})

@@ -21,11 +21,11 @@ from daqcompile.circuits import (
 )
 from daqcompile.compiler import compile_ata, compile_chain
 from daqcompile.fileio import dumps_canonical, load_schedule, schedule_document
-from daqcompile.frames import CONJUGATION, _run_angles, check_schedule, pauli_product
+from daqcompile.frames import CONJUGATION, CouplingCheck, FrameReport, _run_angles, check_schedule, pauli_product
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.unitaries import circuit_unitary, gate_matrix, phase_distance, zz_evolution
 
-from oracles import X, run_angles
+from oracles import X, check_value_semantics, run_angles
 
 Z = np.diag([1.0 + 0j, -1.0])
 TOL = 1e-9
@@ -283,3 +283,12 @@ def test_frame_verdict_agrees_with_dense(data):
         assert report.passed(TOL)
     if report.frame_off is None:
         assert report.bound >= math.sqrt(2) * dense - DENSE_NOISE, (kind, report.bound, dense)
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (CouplingCheck, {"edge": (0, 2), "realised": 0.25, "target": 0.5, "off": 0.25}, {"off": 0.0}),
+    (FrameReport, {"bound": 1e-12, "couplings": (CouplingCheck((0, 1), 0.5, 0.5, 0.0),), "single_z": 0.0,
+                   "other_z": 0.0, "rounding": 1e-12, "frame_off": None}, {"frame_off": 2}),
+], ids=["coupling-check", "frame-report"])
+def test_value_semantics(cls, fields, changed):
+    check_value_semantics(cls, fields, changed)

@@ -4,6 +4,7 @@ import pytest
 from daqcompile.graphs import CouplingGraph, NNChain, PathCover, walecki_cover, zigzag_path
 
 from oracles import (
+    check_value_semantics,
     complete_edge_set,
     compose_weighted_paths,
     enabled_edges,
@@ -189,3 +190,13 @@ def test_nnchain_validation():
     with pytest.raises(ValueError):
         NNChain(4, (1.0, float("nan"), 1.0))
     assert NNChain(3, [1, 2]).couplings == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (CouplingGraph, {"num_qubits": 3, "weights": {(0, 1): 1.0, (2, 1): -0.5}}, {"weights": {(0, 1): 1.0}}),
+    (NNChain, {"num_qubits": 3, "couplings": (1.0, 0.5)}, {"couplings": (1.0, 0.25)}),
+    (PathCover, {"num_qubits": 3, "paths": ((0, 1, 2), (1, 0, 2)), "disabled_slots": (frozenset(), frozenset({0}))},
+     {"disabled_slots": (frozenset(), frozenset())}),
+], ids=["coupling-graph", "chain", "path-cover"])
+def test_value_semantics(cls, fields, changed):
+    check_value_semantics(cls, fields, changed)

@@ -6,6 +6,7 @@ from daqcompile.swaps import SwapSequence, sort_network_sequence, walecki_sequen
 
 from oracles import (
     apply_sequence,
+    check_value_semantics,
     concat,
     head_ladders,
     identity_permutation,
@@ -164,3 +165,7 @@ def test_generated_layers_never_reuse_a_qubit():
             for layer in walecki_sequence(k, L).layers:
                 touched = [q for i in layer for q in (i, i + 1)]
                 assert len(touched) == len(set(touched))
+
+
+def test_swap_sequence_value_semantics():
+    check_value_semantics(SwapSequence, {"num_qubits": 4, "layers": ((2, 0), (1,))}, {"layers": ((1,),)})

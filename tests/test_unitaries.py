@@ -7,11 +7,12 @@ import pytest
 from daqcompile.circuits import AnalogRequest, Circuit, DigitalLayer, Gate, GateType, ResourceBlock
 from daqcompile.graphs import CouplingGraph, NNChain, walecki_cover, zigzag_path
 from daqcompile.swaps import SwapSequence, sort_network_sequence, walecki_sequence
-from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
+from daqcompile.unitaries import DistanceReport, circuit_unitary, exact_target, phase_distance, zz_evolution
 
 from oracles import (
     X,
     apply_sequence,
+    check_value_semantics,
     complete_graph,
     evolution,
     gate_unitary,
@@ -328,3 +329,7 @@ def test_phase_distance_shape_mismatch():
     with pytest.raises(ValueError):
         phase_distance(np.eye(2), np.eye(4))
 
+
+
+def test_distance_report_value_semantics():
+    check_value_semantics(DistanceReport, {"distance": 1e-15}, {"distance": 0.5})
