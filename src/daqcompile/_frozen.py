@@ -12,17 +12,24 @@ about 8.5 ms for the 13 of them.  Defining them on this base takes 0.1 ms.
 class Frozen:
     """A value whose fields are its __init__'s parameters, in order.
 
-    ==, hash and repr go over the fields, and == holds only between
-    instances of one class (anything else gets NotImplemented); attributes
-    that __init__ derives from the fields stay out of all three.  __init__
-    writes each field with object.__setattr__, since touching self.__dict__
-    would make every later attribute read a little slower.  Assigning or
-    deleting an attribute raises AttributeError.
+    A subclass's __init__ checks its arguments as locals and ends with one
+    super().__init__(...) that hands over the field values in order; they
+    are written with object.__setattr__, since touching self.__dict__ would
+    make every later attribute read a little slower.  ==, hash and repr go
+    over the fields, and == holds only between instances of one class
+    (anything else gets NotImplemented); attributes that __init__ derives
+    from the fields and writes itself stay out of all three.  Assigning or
+    deleting an attribute raises AttributeError.  Only
+    `circuits.ResourceBlock` writes its fields, == and hash out, for speed.
     """
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -63,31 +63,19 @@ _TWO_QUBIT = frozenset({GateType.ISWAP, GateType.ISWAP_DG})
 
 class Gate(Frozen):
     def __init__(self, type: GateType, qubits: tuple[int, ...], angle: float = 0.0):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.type in _TWO_QUBIT:
-            if len(self.qubits) != 2 or self.qubits[1] != self.qubits[0] + 1:
-                raise ValueError(f"{self.type.value} must act on an adjacent pair, got {self.qubits}")
-        else:
-            if len(self.qubits) != 1:
-                raise ValueError(f"{self.type.value} is single-qubit, got {self.qubits}")
-        if self.qubits[0] < 0:
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if not math.isfinite(self.angle):
+        qubits = tuple(int(q) for q in qubits)
+        if type in _TWO_QUBIT:
+            if len(qubits) != 2 or qubits[1] != qubits[0] + 1:
+                raise ValueError(f"{type.value} must act on an adjacent pair, got {qubits}")
+        elif len(qubits) != 1:
+            raise ValueError(f"{type.value} is single-qubit, got {qubits}")
+        if qubits[0] < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if not math.isfinite(angle):
             raise ValueError("non-finite gate angle")
-        if self.angle != 0.0 and self.type is not GateType.RZ:
-            raise ValueError(f"{self.type.value} takes no angle")
-
-    # written out, faster than the base's field walk: a layer's == and hash go through its gates
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.type, self.qubits, self.angle) == (other.type, other.qubits, other.angle)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.type, self.qubits, self.angle))
+        if angle != 0.0 and type is not GateType.RZ:
+            raise ValueError(f"{type.value} takes no angle")
+        super().__init__(type, qubits, angle)
 
     @classmethod
     def iswap(cls, left: int) -> "Gate":
@@ -110,17 +98,17 @@ class DigitalLayer(Frozen):
     """
 
     def __init__(self, gates: tuple[Gate, ...]):
-        object.__setattr__(self, "gates", gates)
-        if not self.gates:
+        if not gates:
             raise ValueError("empty digital layer")
         touched: set[int] = set()
         sqr = 0
-        for g in self.gates:
+        for g in gates:
             for q in g.qubits:
                 if q in touched:
                     raise ValueError(f"qubit {q} used twice in one layer")
                 touched.add(q)
             sqr += not g.is_two_qubit
+        super().__init__(gates)
         object.__setattr__(self, "max_qubit", max(touched))
         object.__setattr__(self, "sqr_count", sqr)
 
@@ -133,11 +121,10 @@ class AnalogRequest(Frozen):
     """Ideal chain ZZ evolution: slot j should accumulate phase slot_angles[j]."""
 
     def __init__(self, slot_angles: tuple[float, ...]):
-        object.__setattr__(self, "slot_angles", slot_angles)
-        angles = tuple(float(a) for a in self.slot_angles)
-        if not all(math.isfinite(a) for a in angles):
+        slot_angles = tuple(float(a) for a in slot_angles)
+        if not all(math.isfinite(a) for a in slot_angles):
             raise ValueError("non-finite slot angle")
-        object.__setattr__(self, "slot_angles", angles)
+        super().__init__(slot_angles)
 
 
 class ResourceBlock(Frozen):
@@ -148,17 +135,18 @@ class ResourceBlock(Frozen):
     another byte value or a tuple, list or array, is a ValueError.
     """
 
+    # Writes, == and hash written out: an L=96 compile or load builds 5 000-12 000 blocks,
+    # the base's loops cost about 0.4 us more per block, and verify's run cache hashes blocks.
     def __init__(self, duration: float, x_mask: bytes):
+        if not (math.isfinite(duration) and duration >= 0.0):
+            raise ValueError(f"block duration must be finite and >= 0, got {duration}")
+        if type(x_mask) is not bytes:
+            raise ValueError(f"x_mask must be bytes, got {type(x_mask).__name__}")
+        if x_mask.translate(None, b"\0\1"):
+            raise ValueError("x_mask bytes must be 0 or 1")
         object.__setattr__(self, "duration", duration)
         object.__setattr__(self, "x_mask", x_mask)
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ValueError(f"block duration must be finite and >= 0, got {self.duration}")
-        if type(self.x_mask) is not bytes:
-            raise ValueError(f"x_mask must be bytes, got {type(self.x_mask).__name__}")
-        if self.x_mask.translate(None, b"\0\1"):
-            raise ValueError("x_mask bytes must be 0 or 1")
 
-    # written out, faster than the base's field walk: verify's run cache hashes and compares blocks
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.duration, self.x_mask) == (other.duration, other.x_mask)
@@ -173,9 +161,7 @@ Instruction = Union[DigitalLayer, AnalogRequest, ResourceBlock]
 
 class ScheduleStats(Frozen):
     def __init__(self, analog_block_count: int, total_analog_time: float, sqr_count: int):
-        object.__setattr__(self, "analog_block_count", analog_block_count)
-        object.__setattr__(self, "total_analog_time", total_analog_time)
-        object.__setattr__(self, "sqr_count", sqr_count)
+        super().__init__(analog_block_count, total_analog_time, sqr_count)
 
 
 class Circuit(Frozen):
@@ -186,14 +172,12 @@ class Circuit(Frozen):
     """
 
     def __init__(self, num_qubits: int, instructions: tuple[Instruction, ...]):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "instructions", instructions)
-        L = self.num_qubits
+        L = num_qubits
         if L < 2:
             raise ValueError("a circuit needs at least 2 qubits")
         analog = sqr = 0
         total = 0.0
-        for instr in self.instructions:
+        for instr in instructions:
             if isinstance(instr, ResourceBlock):
                 if len(instr.x_mask) != L:
                     raise ValueError(f"x_mask needs length {L}")
@@ -211,6 +195,7 @@ class Circuit(Frozen):
                 raise TypeError(f"unknown instruction {instr!r}")
         if not math.isfinite(total):
             raise ValueError("block durations sum beyond the float range")
+        super().__init__(num_qubits, instructions)
         object.__setattr__(self, "_stats", ScheduleStats(analog, total, sqr))
 
 

@@ -67,12 +67,13 @@ def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
     """The problem and its schedule, which must agree on qubits, couplings and time."""
     problem = load_problem(args.input)
     circuit, resource_echo, t_f, metadata = load_schedule(args.schedule)
+    pair = f"schedule {args.schedule} and problem {args.input}"
     if circuit.num_qubits != problem.num_qubits:
-        raise FileFormatError("schedule and problem disagree on num_qubits")
+        raise FileFormatError(f"{pair} disagree on num_qubits")
     if resource_echo != problem.resource:
-        raise FileFormatError("schedule and problem disagree on resource couplings")
+        raise FileFormatError(f"{pair} disagree on resource couplings")
     if t_f != problem.t_f:
-        raise FileFormatError("schedule and problem disagree on time")
+        raise FileFormatError(f"{pair} disagree on time")
     return problem, circuit, metadata
 
 

@@ -38,8 +38,7 @@ class CompileResult(Frozen):
     """Executable schedule plus the number of analog requests it was solved from."""
 
     def __init__(self, circuit: Circuit, analog_requests: int):
-        object.__setattr__(self, "circuit", circuit)
-        object.__setattr__(self, "analog_requests", analog_requests)
+        super().__init__(circuit, analog_requests)
 
 
 def schedule_requests(circuit: Circuit, resource: NNChain, t_f: float) -> Circuit:

@@ -57,12 +57,7 @@ class ProblemSpec(Frozen):
 
     def __init__(self, num_qubits: int, resource: NNChain, target_type: str,
                  target_graph: CouplingGraph | None, target_angles: tuple[float, ...] | None, t_f: float):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "resource", resource)
-        object.__setattr__(self, "target_type", target_type)
-        object.__setattr__(self, "target_graph", target_graph)
-        object.__setattr__(self, "target_angles", target_angles)
-        object.__setattr__(self, "t_f", t_f)
+        super().__init__(num_qubits, resource, target_type, target_graph, target_angles, t_f)
 
 
 # --- strict readers ---------------------------------------------------------
@@ -233,7 +228,7 @@ def _problem(data: Any, path: str) -> ProblemSpec:
     _require_keys(data, {"num_qubits", "resource_couplings", "target", "time"}, "problem")
     L, resource, t_f = _chain_header(data, path)
     if t_f <= 0:
-        raise FileFormatError("time must be positive")
+        raise FileFormatError(f"{path}: time must be positive")
     target = data["target"]
     if not isinstance(target, dict) or "type" not in target:
         raise FileFormatError("target: expected an object with a 'type' field")

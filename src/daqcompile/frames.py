@@ -96,10 +96,7 @@ class CouplingCheck(Frozen):
     """One edge's ledger against its target angle t * g'; off is |realised - target| mod pi."""
 
     def __init__(self, edge: Edge, realised: float, target: float, off: float):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "realised", realised)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "off", off)
+        super().__init__(edge, realised, target, off)
 
 
 class FrameReport(Frozen):
@@ -114,12 +111,7 @@ class FrameReport(Frozen):
         rounding: float,                        # sum of |phi - k pi/4| over folded rotations
         frame_off: int | None,                  # first qubit whose X or Z image is not its own
     ):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "single_z", single_z)
-        object.__setattr__(self, "other_z", other_z)
-        object.__setattr__(self, "rounding", rounding)
-        object.__setattr__(self, "frame_off", frame_off)
+        super().__init__(bound, couplings, single_z, other_z, rounding, frame_off)
 
     def passed(self, tol: float) -> bool:
         return self.frame_off is None and self.bound < tol

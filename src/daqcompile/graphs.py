@@ -51,20 +51,18 @@ class CouplingGraph(Frozen):
     """
 
     def __init__(self, num_qubits: int, weights: dict[Edge, float]):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "weights", weights)
-        if self.num_qubits < 2:
+        if num_qubits < 2:
             raise ValueError("a coupling graph needs at least 2 qubits")
         canon: dict[Edge, float] = {}
-        for (i, j), w in self.weights.items():
+        for (i, j), w in weights.items():
             w = float(w)
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight on edge ({i}, {j})")
-            edge = canonical_edge(i, j, self.num_qubits)
+            edge = canonical_edge(i, j, num_qubits)
             if edge in canon and canon[edge] != w:
                 raise ValueError(f"conflicting weights for edge {edge}")
             canon[edge] = w
-        object.__setattr__(self, "weights", canon)
+        super().__init__(num_qubits, canon)
 
     def weight(self, i: int, j: int) -> float:
         return self.weights.get(canonical_edge(i, j, self.num_qubits), 0.0)
@@ -74,18 +72,14 @@ class NNChain(Frozen):
     """Fixed chain resource: coupling j sits between qubits j and j+1."""
 
     def __init__(self, num_qubits: int, couplings: tuple[float, ...]):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "couplings", couplings)
-        if self.num_qubits < 2:
+        if num_qubits < 2:
             raise ValueError("a chain needs at least 2 qubits")
-        couplings = tuple(float(g) for g in self.couplings)
-        if len(couplings) != self.num_qubits - 1:
-            raise ValueError(
-                f"expected {self.num_qubits - 1} couplings, got {len(couplings)}"
-            )
+        couplings = tuple(float(g) for g in couplings)
+        if len(couplings) != num_qubits - 1:
+            raise ValueError(f"expected {num_qubits - 1} couplings, got {len(couplings)}")
         if not all(math.isfinite(g) for g in couplings):
             raise ValueError("non-finite chain coupling")
-        object.__setattr__(self, "couplings", couplings)
+        super().__init__(num_qubits, couplings)
 
 
 def zigzag_path(k: int, num_qubits: int) -> tuple[int, ...]:
@@ -120,16 +114,14 @@ class PathCover(Frozen):
 
     def __init__(self, num_qubits: int, paths: tuple[tuple[int, ...], ...],
                  disabled_slots: tuple[frozenset[int], ...]):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "disabled_slots", disabled_slots)
-        if len(self.disabled_slots) != len(self.paths):
+        if len(disabled_slots) != len(paths):
             raise ValueError("one disabled-slot set per path required")
-        for p in self.paths:
-            validate_permutation(p, self.num_qubits)
-        for disabled in self.disabled_slots:
-            if any(not 0 <= s < self.num_qubits - 1 for s in disabled):
+        for p in paths:
+            validate_permutation(p, num_qubits)
+        for disabled in disabled_slots:
+            if any(not 0 <= s < num_qubits - 1 for s in disabled):
                 raise ValueError("disabled slot index out of range")
+        super().__init__(num_qubits, paths, disabled_slots)
 
 
 def walecki_cover(num_qubits: int) -> PathCover:

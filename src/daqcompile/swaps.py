@@ -28,20 +28,18 @@ class SwapSequence(Frozen):
     """Layers of parallel adjacent swaps over `num_qubits` array positions."""
 
     def __init__(self, num_qubits: int, layers: tuple[Layer, ...]):
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "layers", layers)
         norm = []
-        for layer in self.layers:
+        for layer in layers:
             starts = tuple(sorted(int(i) for i in layer))
             prev = None
             for i in starts:
-                if not 0 <= i <= self.num_qubits - 2:
-                    raise ValueError(f"swap start {i} out of range for {self.num_qubits} qubits")
+                if not 0 <= i <= num_qubits - 2:
+                    raise ValueError(f"swap start {i} out of range for {num_qubits} qubits")
                 if prev is not None and i - prev < 2:
                     raise ValueError(f"overlapping swaps ({prev},{prev + 1}) and ({i},{i + 1})")
                 prev = i
             norm.append(starts)
-        object.__setattr__(self, "layers", tuple(norm))
+        super().__init__(num_qubits, tuple(norm))
 
     def __len__(self) -> int:
         return len(self.layers)

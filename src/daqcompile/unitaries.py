@@ -124,7 +124,7 @@ class DistanceReport(Frozen):
     """Global-phase-invariant distance between unitaries."""
 
     def __init__(self, distance: float):
-        object.__setattr__(self, "distance", distance)
+        super().__init__(distance)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> DistanceReport:

@@ -80,6 +80,10 @@ from daqcompile.graphs import CouplingGraph, NNChain, PathCover, canonical_edge,
 from daqcompile.swaps import SwapSequence, sort_network_sequence
 from daqcompile.unitaries import gate_matrix
 
+# The dense oracle's own rounding: correct schedules read up to ~3e-14 at
+# L <= 8 there, while the frame bound B reads ~1e-14.
+DENSE_NOISE = 1e-13
+
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -757,14 +761,16 @@ def general_swap_unitary(gs: GeneralSwap) -> np.ndarray:
 # --- value semantics ---------------------------------------------------------------
 
 def check_value_semantics(cls, fields: dict, changed: dict):
-    """A frozen dataclass's value semantics, on cls(**fields) and on one built with `changed` fields.
+    """A `Frozen` value class's semantics, on cls(**fields) and on one built with `changed` fields.
 
-    Equal fields give equal instances with equal hashes, whether passed by
-    keyword or in order; a changed field gives an unequal one; the tuple of
-    the fields is never equal; repr is Name(field=value!r, ...) over the
-    fields in order; assigning or deleting any attribute raises
-    AttributeError; copy and pickle give equal instances.
+    `fields` names every field of the class, in order.  Equal fields give
+    equal instances with equal hashes, whether passed by keyword or in
+    order; a changed field gives an unequal one; the tuple of the fields is
+    never equal; repr is Name(field=value!r, ...) over the fields in order;
+    assigning or deleting any attribute raises AttributeError; copy and
+    pickle give equal instances.
     """
+    assert cls._fields == tuple(fields)
     value = cls(**fields)
     same = cls(*fields.values())
     assert value == same and not value != same

@@ -698,14 +698,17 @@ _LAYER = DigitalLayer((Gate(GateType.H, (0,)), Gate(GateType.RZ, (2,), 0.25)))
 _BLOCK = ResourceBlock(0.5, b"\0\1\1")
 
 
-@pytest.mark.parametrize("cls, fields, changed", [
+VALUE_CASES = [
     (Gate, {"type": GateType.RZ, "qubits": (2,), "angle": 0.25}, {"angle": -0.25}),
     (DigitalLayer, {"gates": _LAYER.gates}, {"gates": _LAYER.gates[:1]}),
     (AnalogRequest, {"slot_angles": (0.5, -0.25)}, {"slot_angles": (0.5, 0.25)}),
     (ResourceBlock, {"duration": 0.5, "x_mask": b"\0\1\1"}, {"x_mask": b"\1\1\1"}),
     (ScheduleStats, {"analog_block_count": 1, "total_analog_time": 0.5, "sqr_count": 2}, {"sqr_count": 3}),
     (Circuit, {"num_qubits": 3, "instructions": (_LAYER, _BLOCK)}, {"instructions": (_BLOCK, _LAYER)}),
-], ids=["gate", "layer", "request", "block", "stats", "circuit"])
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", VALUE_CASES, ids=["gate", "layer", "request", "block", "stats", "circuit"])
 def test_value_semantics(cls, fields, changed):
     check_value_semantics(cls, fields, changed)
 

@@ -619,6 +619,7 @@ _NAN_BLOCK = {"resource_block": {"duration": math.nan, "x_mask": [False, False, 
 
 @pytest.mark.parametrize("file, fields, message", [
     ("problem", {"time": math.nan}, "{path}: time: non-finite number"),
+    ("problem", {"time": 0.0}, "{path}: time must be positive"),
     ("problem", {"resource_couplings": [math.inf, 1.0]}, "{path}: resource_couplings[0]: non-finite number"),
     ("problem", {"resource_couplings": [1.0]}, "{path}: resource_couplings: expected a list of 2 numbers"),
     ("problem", {"num_qubits": 1}, "{path}: num_qubits must be >= 2"),
@@ -626,7 +627,7 @@ _NAN_BLOCK = {"resource_block": {"duration": math.nan, "x_mask": [False, False, 
     ("schedule", {"instructions": {}}, "instructions: expected a list"),
     ("schedule", {"instructions": [{"barrier": {}}]}, "instructions[0]: expected 'sqr' or 'resource_block'"),
     ("schedule", {"instructions": [_NAN_BLOCK]}, "instructions[0].duration: non-finite number"),
-], ids=["nan-time", "infinite-coupling", "short-couplings", "one-qubit", "missing-input",
+], ids=["nan-time", "zero-time", "infinite-coupling", "short-couplings", "one-qubit", "missing-input",
         "instructions-object", "unknown-instruction", "nan-duration"])
 def test_malformed_fields_exit_1(tmp_path, capsys, file, fields, message):
     # A problem is compiled, a schedule is read by stats and verify; fields=None
@@ -728,7 +729,7 @@ def test_mismatched_problem_and_schedule_exit_1(tmp_path, capsys, field):
     for command in ("stats", "verify"):
         assert main([command, "--input", other, "--schedule", out]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: schedule and problem disagree on {field}\n"
+        assert captured.err == f"error: schedule {out} and problem {other} disagree on {field}\n"
         assert captured.out == ""
 
 

@@ -240,6 +240,11 @@ def test_compiled_swap_network_matches_the_exact_target(problem):
     assert phase_distance(u, exact_target(graph, t_f)).distance < 1e-11
 
 
+VALUE_CASES = [
+    (CompileResult, {"circuit": Circuit(2, (ResourceBlock(0.5, b"\0\1"),)), "analog_requests": 1},
+     {"analog_requests": 2}),
+]
+
+
 def test_compile_result_value_semantics():
-    fields = {"circuit": Circuit(2, (ResourceBlock(0.5, b"\0\1"),)), "analog_requests": 1}
-    check_value_semantics(CompileResult, fields, {"analog_requests": 2})
+    check_value_semantics(*VALUE_CASES[0])

@@ -688,7 +688,11 @@ def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
     assert messages == ["problem: unknown fields ['extra']"] * 2
 
 
+VALUE_CASES = [
+    (ProblemSpec, {"num_qubits": 3, "resource": NNChain(3, (1.0, 0.5)), "target_type": "nn", "target_graph": None,
+                   "target_angles": (0.25, -0.5), "t_f": 0.5}, {"t_f": 0.75}),
+]
+
+
 def test_problem_spec_value_semantics():
-    fields = {"num_qubits": 3, "resource": NNChain(3, (1.0, 0.5)), "target_type": "nn", "target_graph": None,
-              "target_angles": (0.25, -0.5), "t_f": 0.5}
-    check_value_semantics(ProblemSpec, fields, {"t_f": 0.75})
+    check_value_semantics(*VALUE_CASES[0])

@@ -25,13 +25,10 @@ from daqcompile.frames import CONJUGATION, CouplingCheck, FrameReport, _run_angl
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.unitaries import circuit_unitary, gate_matrix, phase_distance, zz_evolution
 
-from oracles import X, check_value_semantics, run_angles
+from oracles import DENSE_NOISE, X, check_value_semantics, run_angles
 
 Z = np.diag([1.0 + 0j, -1.0])
 TOL = 1e-9
-# The dense oracle's own rounding: correct schedules read up to ~3e-14 at
-# L <= 8 there, while B reads ~1e-14.
-DENSE_NOISE = 1e-13
 
 
 def pauli_matrix(p) -> np.ndarray:
@@ -285,10 +282,13 @@ def test_frame_verdict_agrees_with_dense(data):
         assert report.bound >= math.sqrt(2) * dense - DENSE_NOISE, (kind, report.bound, dense)
 
 
-@pytest.mark.parametrize("cls, fields, changed", [
+VALUE_CASES = [
     (CouplingCheck, {"edge": (0, 2), "realised": 0.25, "target": 0.5, "off": 0.25}, {"off": 0.0}),
     (FrameReport, {"bound": 1e-12, "couplings": (CouplingCheck((0, 1), 0.5, 0.5, 0.0),), "single_z": 0.0,
                    "other_z": 0.0, "rounding": 1e-12, "frame_off": None}, {"frame_off": 2}),
-], ids=["coupling-check", "frame-report"])
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", VALUE_CASES, ids=["coupling-check", "frame-report"])
 def test_value_semantics(cls, fields, changed):
     check_value_semantics(cls, fields, changed)

@@ -192,11 +192,14 @@ def test_nnchain_validation():
     assert NNChain(3, [1, 2]).couplings == (1.0, 2.0)
 
 
-@pytest.mark.parametrize("cls, fields, changed", [
+VALUE_CASES = [
     (CouplingGraph, {"num_qubits": 3, "weights": {(0, 1): 1.0, (2, 1): -0.5}}, {"weights": {(0, 1): 1.0}}),
     (NNChain, {"num_qubits": 3, "couplings": (1.0, 0.5)}, {"couplings": (1.0, 0.25)}),
     (PathCover, {"num_qubits": 3, "paths": ((0, 1, 2), (1, 0, 2)), "disabled_slots": (frozenset(), frozenset({0}))},
      {"disabled_slots": (frozenset(), frozenset())}),
-], ids=["coupling-graph", "chain", "path-cover"])
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed", VALUE_CASES, ids=["coupling-graph", "chain", "path-cover"])
 def test_value_semantics(cls, fields, changed):
     check_value_semantics(cls, fields, changed)

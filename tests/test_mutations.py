@@ -1,11 +1,14 @@
-"""Property: one mutated node in a problem or schedule file never crashes the CLI.
+"""Property: one mutated node in a problem or schedule file never crashes the CLI, nor passes `verify` wrongly.
 
 Start from a valid L=4 problem and the schedule `compile` writes for it,
 change one node of one of the two files, and run `stats` and `verify` on
 the pair.  The only allowed outcomes are exit 0 (the change was harmless),
 1 (malformed input) and 3 (verification failed); an exception escaping
-`main` fails the property.  A mutated problem is also compiled, which may
-exit 0, 1 or 2 (unschedulable).
+`main` fails the property.  When `verify` exits 0, the dense oracle must
+agree that the schedule realises the problem's target: the frame bound B is
+at least sqrt(2) times the dense distance, so a PASS at tolerance tol means
+a distance below tol/sqrt(2), up to the oracle's own rounding.  A mutated
+problem is also compiled, which may exit 0, 1 or 2 (unschedulable).
 """
 
 import contextlib
@@ -13,6 +16,7 @@ import copy
 import functools
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -21,6 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daqcompile.cli import main
+from daqcompile.fileio import load_problem, load_schedule
+from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance, zz_evolution
+
+from oracles import DENSE_NOISE
+
+VERIFY_TOL = 1e-9   # verify's default --tol
 
 PROBLEM = {
     "num_qubits": 4,
@@ -95,6 +105,17 @@ def _mutated(draw, doc):
     return doc
 
 
+def _dense_distance(problem_path: Path, schedule_path: Path) -> float:
+    """Phase distance between the schedule's unitary and the problem's target, by the dense oracle."""
+    problem = load_problem(str(problem_path))
+    circuit = load_schedule(str(schedule_path))[0]
+    if problem.target_type == "ata":
+        target = exact_target(problem.target_graph, problem.t_f)
+    else:
+        target = zz_evolution({(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}, problem.num_qubits)
+    return phase_distance(circuit_unitary(circuit, problem.resource), target).distance
+
+
 @pytest.mark.parametrize("kind", ["problem", "schedule"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -110,6 +131,9 @@ def test_mutated_documents_never_raise(kind, data):
             code = _quiet_main([command, "--input", str(paths["problem"]),
                                 "--schedule", str(paths["schedule"])])
             assert code in (0, 1, 3), (command, code)
+        if code == 0:   # the last command, verify, passed: the schedule must be right
+            distance = _dense_distance(paths["problem"], paths["schedule"])
+            assert distance < VERIFY_TOL / math.sqrt(2) + DENSE_NOISE, distance
         if kind == "problem":
             code = _quiet_main(["compile", "--input", str(paths["problem"]),
                                 "--output", str(Path(d, "compiled.json"))])

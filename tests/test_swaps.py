@@ -167,5 +167,8 @@ def test_generated_layers_never_reuse_a_qubit():
                 assert len(touched) == len(set(touched))
 
 
+VALUE_CASES = [(SwapSequence, {"num_qubits": 4, "layers": ((2, 0), (1,))}, {"layers": ((1,),)})]
+
+
 def test_swap_sequence_value_semantics():
-    check_value_semantics(SwapSequence, {"num_qubits": 4, "layers": ((2, 0), (1,))}, {"layers": ((1,),)})
+    check_value_semantics(*VALUE_CASES[0])

@@ -331,5 +331,8 @@ def test_phase_distance_shape_mismatch():
 
 
 
+VALUE_CASES = [(DistanceReport, {"distance": 1e-15}, {"distance": 0.5})]
+
+
 def test_distance_report_value_semantics():
-    check_value_semantics(DistanceReport, {"distance": 1e-15}, {"distance": 0.5})
+    check_value_semantics(*VALUE_CASES[0])
