@@ -1,39 +1,40 @@
 """Problem and schedule files: one strict JSON reader and deterministic emission.
 
-Both formats are UTF-8 JSON.  Both files go through one reader: it reads the
-file once, decodes it as strict UTF-8, parses it with json.loads and maps
-every read or parse fault to one FileFormatError text, whose JSON part is
-the running Python's own; one helper checks the chain header they share.
-The standard library's object parser walks the document object.  An array
-directly in it that is in the writer's layout, one item per line (a
-schedule's instructions), is read by one loop over its lines: each distinct
-line is parsed once, alone, by the standard C scanner, and its repeats
-share that value.  Every other value, and any such array in another layout,
-is one call of the C scanner.  On Python 3.10 and 3.11 the Python frames of
-_document, parse_object and _member share the C scanner's recursion limit,
-so a few values nested just short of it that json.loads reads are refused;
-3.12 counts C recursion apart.  Unknown and repeated fields are rejected, a
-block's boolean list becomes the mask's bytes, and load_schedule builds one
-instruction per distinct parsed entry.  The writer keeps field order, puts
-each top-level field on its own line and each item of a top-level list (a
-schedule instruction) on its own compact line, and spells floats as
-Python's shortest repr, which round-trips binary64 exactly; identical
-inputs produce byte-identical outputs.  schedule_document renders each
-distinct instruction object's line once (the compiler shares them), a
-block's x_mask list straight from the mask's bytes, and iter_canonical
-writes those lines as they are, a fixed number of lines to a piece.
+Both formats are UTF-8 JSON.  Each loader runs under one wrapper, _loads_file,
+which pauses the cyclic collector and names the file once in every fault, as
+"<path>: <message>".  One reader reads the file once as strict UTF-8 and
+parses it with json.loads, whose fault texts it keeps; one helper checks the
+chain header both files share.  The standard library's object parser walks the
+document object.  An array directly in it that is in the writer's layout, one
+item per line (a schedule's instructions), is read by one loop over its lines:
+each distinct line is parsed once, alone, by the standard C scanner, and its
+repeats share that value.  Every other value, and any such array in another
+layout, is one call of the C scanner.  On Python 3.10 and 3.11 the Python
+frames of _document, parse_object and _member share the C scanner's recursion
+limit, so a few values nested just short of it that json.loads reads are
+refused; 3.12 counts C recursion apart.  Unknown and repeated fields are
+rejected, a block's boolean list becomes the mask's bytes, and load_schedule
+builds one instruction per distinct parsed entry.  The writer keeps field
+order, puts each top-level field on its own line and each item of a top-level
+list (a schedule instruction) on its own compact line, and spells floats as
+Python's shortest repr, which round-trips binary64 exactly; identical inputs
+produce byte-identical outputs.  schedule_document renders each distinct
+instruction object's line once (the compiler shares them), a block's x_mask
+list straight from the mask's bytes, and iter_canonical writes those lines as
+they are, a fixed number of lines to a piece.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import json
 import math
 import os
 import re
 import stat
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ._frozen import Frozen
 from .circuits import (
@@ -185,30 +186,48 @@ def _read_json(path: str) -> tuple[Any, str]:
             text = fh.read().decode("utf-8")
         return json.loads(text, cls=_Reader), text
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except FileFormatError as exc:   # a repeated key (_unique_keys)
-        raise FileFormatError(f"{path}: {exc}") from None
-    except ValueError as exc:
-        # not UTF-8, malformed JSON, or an integer longer than the
-        # interpreter's int-to-str digit limit
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+        raise FileFormatError(f"cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:   # not UTF-8, malformed JSON, or an int past the int-to-str digit limit
+        raise FileFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
+        raise FileFormatError("invalid JSON: nested too deeply") from None
 
 
-def _chain_header(data: dict, path: str) -> tuple[int, NNChain, float]:
-    """num_qubits, resource_couplings and time: the fields both files open with; a fault names the file."""
-    L = _as_int(data["num_qubits"], f"{path}: num_qubits")
+def _loads_file(load: Callable[[str], Any]) -> Callable[[str], Any]:
+    """`load`, run with the cyclic collector paused and each FileFormatError re-raised as "<path>: <message>".
+
+    The parsed JSON and what is built from it form no reference cycles, so collecting while they are
+    built only re-scans them (a tenth of an L=96 schedule load); the caller's setting is restored.
+    """
+    @functools.wraps(load)
+    def loader(path: str) -> Any:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(path)
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+        finally:
+            if enabled:
+                gc.enable()
+    return loader
+
+
+def _chain_header(data: dict) -> tuple[int, NNChain, float]:
+    """num_qubits, resource_couplings and time: the fields both files open with."""
+    L = _as_int(data["num_qubits"], "num_qubits")
     if L < 2:
-        raise FileFormatError(f"{path}: num_qubits must be >= 2")
-    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, f"{path}: resource_couplings"))
-    return L, resource, _as_number(data["time"], f"{path}: time")
+        raise FileFormatError("num_qubits must be >= 2")
+    resource = NNChain(L, _as_number_list(data["resource_couplings"], L - 1, "resource_couplings"))
+    return L, resource, _as_number(data["time"], "time")
 
 
+@_loads_file
 def load_problem(path: str) -> ProblemSpec:
-    return _problem(_read_json(path)[0], path)
+    return _problem(_read_json(path)[0])
 
 
+@_loads_file
 def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
     """The problem and the sha256 of the very bytes it was parsed from.
 
@@ -218,17 +237,17 @@ def load_problem_with_sha256(path: str) -> tuple[ProblemSpec, str]:
     import hashlib   # here, so that `stats` and `verify` never load OpenSSL
 
     data, text = _read_json(path)
-    return _problem(data, path), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _problem(data), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _COUPLING_FIELDS = {"i", "j", "value"}
 
 
-def _problem(data: Any, path: str) -> ProblemSpec:
+def _problem(data: Any) -> ProblemSpec:
     _require_keys(data, {"num_qubits", "resource_couplings", "target", "time"}, "problem")
-    L, resource, t_f = _chain_header(data, path)
+    L, resource, t_f = _chain_header(data)
     if t_f <= 0:
-        raise FileFormatError(f"{path}: time must be positive")
+        raise FileFormatError("time must be positive")
     target = data["target"]
     if not isinstance(target, dict) or "type" not in target:
         raise FileFormatError("target: expected an object with a 'type' field")
@@ -272,8 +291,8 @@ def _checked_gate(g: Any, L: int, where: str) -> Gate:
     keys = {"q", "gate", "angle"} if g.get("gate") == "rz" else {"q", "gate"}
     _require_keys(g, keys, where)
     q = _as_int(g["q"], f"{where}.q")
-    if q >= L:
-        raise FileFormatError(f"{where}.q: need q < {L}, got {q}")
+    if not 0 <= q < L:
+        raise FileFormatError(f"{where}.q: need 0 <= q < {L}, got {q}")
     gate_type = _SQR_NAMES.get(g["gate"]) if isinstance(g["gate"], str) else None
     if gate_type is None:
         raise FileFormatError(f"{where}: unknown gate {g['gate']!r}")
@@ -324,21 +343,7 @@ def _check_metadata(metadata: Any) -> None:
     _as_number(stats["total_analog_time"], "metadata.stats.total_analog_time")
 
 
-@contextlib.contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, then restore the caller's setting."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-# The parsed JSON and the circuit form no reference cycles, so collecting while
-# they are built only re-scans them: about a tenth of the load at L=96.
-@_collector_paused()
+@_loads_file
 def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """Parse a schedule file into (circuit, resource echo, time, metadata).
 
@@ -356,7 +361,7 @@ def load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L, resource, t_f = _chain_header(data, path)
+    L, resource, t_f = _chain_header(data)
     entries = data["instructions"]
     if not isinstance(entries, list):
         raise FileFormatError("instructions: expected a list")

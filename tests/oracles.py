@@ -885,30 +885,37 @@ def reference_json(path: str):
     """The file's value from json.loads over the whole strict-UTF-8 text.
 
     The same duplicate-key hook as the product's reader, and no line
-    sharing; a read or parse fault gives the product's FileFormatError
-    texts, the wording after "invalid JSON: " the running Python's own, and
-    a repeated key "<path>: duplicate keys [...]".
+    sharing; a read or parse fault gives the product reader's FileFormatError
+    texts, which do not name the file: "cannot read: " and the OS error's
+    text, "invalid JSON: " and the running Python's own wording, and
+    "duplicate keys [...]" for a repeated key.
     """
     try:
         with open(path, "rb") as fh:
             return json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    except FileFormatError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+        raise FileFormatError(f"cannot read: {exc.strerror or exc}") from exc
     except ValueError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+        raise FileFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
+        raise FileFormatError("invalid JSON: nested too deeply") from None
 
 
 def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     """fileio.load_schedule with no instruction line shared.
 
     json.loads parses the whole file, then every entry is built into its own
-    instruction object, however often its line repeats.
+    instruction object, however often its line repeats.  Every fault reads
+    "<path>: <message>", the file named once, as the product's loaders
+    give it.
     """
-    data = reference_json(path)
+    try:
+        return _reference_schedule(reference_json(path))
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _reference_schedule(data) -> tuple[Circuit, NNChain, float, dict]:
     _require_keys(
         data,
         {"format", "num_qubits", "resource_couplings", "time", "instructions", "metadata"},
@@ -916,7 +923,7 @@ def reference_load_schedule(path: str) -> tuple[Circuit, NNChain, float, dict]:
     )
     if data["format"] != SCHEDULE_FORMAT:
         raise FileFormatError(f"unsupported schedule format {data['format']!r}")
-    L, resource, t_f = _chain_header(data, path)
+    L, resource, t_f = _chain_header(data)
     if not isinstance(data["instructions"], list):
         raise FileFormatError("instructions: expected a list")
     instrs = []

@@ -1,5 +1,6 @@
 """The canonical writer (standard JSON that parses back to the same document) and the one strict reader of both files."""
 
+import ast
 import copy
 import gc
 import hashlib
@@ -10,6 +11,7 @@ import random
 import re
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -361,7 +363,7 @@ def test_reader_stays_linear_after_a_long_item(tmp_path, layout):
     with pytest.raises(FileFormatError) as info:
         load_schedule(str(path))
     assert time.perf_counter() - start < 10.0
-    assert str(info.value) == "instructions[0]: expected exactly one of 'sqr'/'resource_block'"
+    assert str(info.value) == f"{path}: instructions[0]: expected exactly one of 'sqr'/'resource_block'"
 
 
 def test_loaded_gates_are_shared_except_rz(tmp_path):
@@ -385,55 +387,65 @@ def test_loaded_gates_are_shared_except_rz(tmp_path):
     ({"q": 1, "gate": ["x"]}, "instructions[2].sqr[1]: unknown gate ['x']"),
     ({"q": 1.0, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
     ({"q": True, "gate": "x"}, "instructions[2].sqr[1].q: expected an integer"),
-    ({"q": -1, "gate": "r"}, "instructions[2]: negative qubit index in (-1,)"),
-    ({"q": 3, "gate": "r"}, "instructions[2].sqr[1].q: need q < 3, got 3"),
+    ({"q": -1, "gate": "r"}, "instructions[2].sqr[1].q: need 0 <= q < 3, got -1"),
+    ({"q": 3, "gate": "r"}, "instructions[2].sqr[1].q: need 0 <= q < 3, got 3"),
     (["x", 1], "instructions[2].sqr[1]: expected an object"),
 ], ids=["missing-gate", "missing-q", "extra-key", "rz-without-angle", "unknown-name", "name-list",
         "float-q", "bool-q", "negative-q", "q-beyond-L", "not-an-object"])
 def test_reader_gate_messages(tmp_path, entry, message):
     doc = copy.deepcopy(_SCHEDULE)
     doc["instructions"][2]["sqr"][1] = entry
+    path = _write_schedule(tmp_path, doc)
     with pytest.raises(FileFormatError) as info:
-        load_schedule(_write_schedule(tmp_path, doc))
-    assert str(info.value) == message
+        load_schedule(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("mask", [[False, 1, True], [False, None, True], [False, True], "FTT"])
 def test_reader_mask_messages(tmp_path, mask):
     doc = copy.deepcopy(_SCHEDULE)
     doc["instructions"][1]["resource_block"]["x_mask"] = mask
+    path = _write_schedule(tmp_path, doc)
     with pytest.raises(FileFormatError) as info:
-        load_schedule(_write_schedule(tmp_path, doc))
-    assert str(info.value) == "instructions[1].x_mask: expected 3 booleans"
+        load_schedule(path)
+    assert str(info.value) == f"{path}: instructions[1].x_mask: expected 3 booleans"
+
+
+_PROBLEM = {"num_qubits": 3, "resource_couplings": [1.0, 1.0], "target": {"type": "nn", "angles": [0.5, 0.5]},
+            "time": 0.5}
 
 
 @pytest.mark.parametrize("malformed", [False, True], ids=["good", "malformed"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_load_schedule_pauses_and_restores_the_collector(tmp_path, monkeypatch, enabled, malformed):
-    doc = copy.deepcopy(_SCHEDULE)
-    if malformed:
-        doc["instructions"][1]["resource_block"]["x_mask"] = "FTT"
+@pytest.mark.parametrize("load", [load_problem, load_problem_with_sha256, load_schedule], ids=lambda f: f.__name__)
+def test_loaders_pause_and_restore_the_collector(tmp_path, monkeypatch, load, enabled, malformed):
+    if load is load_schedule:
+        doc = copy.deepcopy(_SCHEDULE)
+        if malformed:
+            doc["instructions"][1]["resource_block"]["x_mask"] = "FTT"
+    else:
+        doc = {**_PROBLEM, "target": {"type": "nn", "angles": "x"}} if malformed else _PROBLEM
     path = _write_schedule(tmp_path, doc)
     during = []
-    real_instruction = fileio._instruction
+    real_chain_header = fileio._chain_header
 
-    def instruction(*args):
+    def chain_header(data):
         during.append(gc.isenabled())
-        return real_instruction(*args)
+        return real_chain_header(data)
 
-    monkeypatch.setattr(fileio, "_instruction", instruction)
+    monkeypatch.setattr(fileio, "_chain_header", chain_header)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         if malformed:
-            with pytest.raises(FileFormatError):
-                load_schedule(path)
+            with pytest.raises(FileFormatError, match=f"^{re.escape(path)}: "):
+                load(path)
         else:
-            load_schedule(path)
+            load(path)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert during and not any(during)
+    assert during == [False]
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -455,9 +467,10 @@ def test_load_schedule_pauses_and_restores_the_collector(tmp_path, monkeypatch, 
 def test_reader_metadata_types(tmp_path, field, value, message):
     doc = copy.deepcopy(_SCHEDULE)
     doc["metadata"][field] = value
+    path = _write_schedule(tmp_path, doc)
     with pytest.raises(FileFormatError) as info:
-        load_schedule(_write_schedule(tmp_path, doc))
-    assert str(info.value) == message
+        load_schedule(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_reader_accepts_any_version_string_and_hex_digest(tmp_path):
@@ -470,14 +483,31 @@ def test_reader_rejects_durations_summing_past_the_float_range(tmp_path):
     doc = copy.deepcopy(_SCHEDULE)
     block = {"resource_block": {"duration": 1e308, "x_mask": [False, True, True]}}
     doc["instructions"][1:1] = [block, block]
+    path = _write_schedule(tmp_path, doc)
     with pytest.raises(FileFormatError) as info:
-        load_schedule(_write_schedule(tmp_path, doc))
-    assert str(info.value) == "instructions: block durations sum beyond the float range"
+        load_schedule(path)
+    assert str(info.value) == f"{path}: instructions: block durations sum beyond the float range"
     del doc["instructions"][1]
     assert load_schedule(_write_schedule(tmp_path, doc))[0].instructions[1].duration == 1e308
 
 
 # --- one reader for both files ---------------------------------------------------
+
+def test_only_the_load_wrapper_and_the_writer_name_the_file():
+    # Every loader runs under _loads_file, which names the file once in each
+    # fault, so no message below it may; write_replacing loads nothing and
+    # keeps its own "cannot write {path}".
+    tree = ast.parse(Path(fileio.__file__).read_text(encoding="utf-8"))
+    naming = set()
+    for top in tree.body:
+        for call in ast.walk(top):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "FileFormatError":
+                for field in (node for arg in call.args for node in ast.walk(arg)):
+                    if isinstance(field, ast.FormattedValue) and "path" in {
+                            name.id for name in ast.walk(field.value) if isinstance(name, ast.Name)}:
+                        naming.add(getattr(top, "name", ast.unparse(top)))
+    assert naming == {"_loads_file", "write_replacing"}
+
 
 _PROBLEM_TEXT = json.dumps({"num_qubits": 3, "resource_couplings": [1.0, 1.0],
                             "target": {"type": "nn", "angles": [0.5, 0.5]}, "time": 0.5})
@@ -505,7 +535,7 @@ def test_one_fault_gives_one_message_in_either_file(tmp_path, name):
         with pytest.raises(FileFormatError) as info:
             load(str(path))
         messages.append(str(info.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == messages[1] == f"{path}: {messages[2]}"
     what = "duplicate keys ['time']" if name == "duplicate-key" else "invalid JSON: "
     assert messages[0].startswith(f"{path}: {what}")
 
@@ -534,7 +564,7 @@ def test_problems_parse_as_the_reference_in_every_layout(tmp_path, kind, L):
         expected = reference_json(str(path))
         assert same_document(fileio._read_json(str(path))[0], expected)
         problem, digest = load_problem_with_sha256(str(path))
-        assert problem == fileio._problem(expected, str(path))
+        assert problem == fileio._problem(expected)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -681,11 +711,11 @@ def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
     assert fileio._read_json(str(path))[0] == value   # no floats, and too deep for same_document
     assert len(decoded) == 5   # 3, the couplings, the target, 0.5 and the field
     messages = []
-    for load in (load_problem, lambda p: fileio._problem(reference_json(p), p)):
+    for load in (load_problem, lambda p: fileio._problem(reference_json(p))):
         with pytest.raises(FileFormatError) as info:
             load(str(path))
         messages.append(str(info.value))
-    assert messages == ["problem: unknown fields ['extra']"] * 2
+    assert messages == [f"{path}: problem: unknown fields ['extra']", "problem: unknown fields ['extra']"]
 
 
 VALUE_CASES = [

@@ -4,7 +4,8 @@ Start from a valid L=4 problem and the schedule `compile` writes for it,
 change one node of one of the two files, and run `stats` and `verify` on
 the pair.  The only allowed outcomes are exit 0 (the change was harmless),
 1 (malformed input) and 3 (verification failed); an exception escaping
-`main` fails the property.  When `verify` exits 0, the dense oracle must
+`main` fails the property, and so does an exit 1 whose message does not
+name the mutated file.  When `verify` exits 0, the dense oracle must
 agree that the schedule realises the problem's target: the frame bound B is
 at least sqrt(2) times the dense distance, so a PASS at tolerance tol means
 a distance below tol/sqrt(2), up to the oracle's own rounding.  A mutated
@@ -52,9 +53,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _quiet_main(argv: list) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+def _quiet_main(argv: list) -> tuple[int, str]:
+    """main's exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 @functools.cache
@@ -63,7 +66,7 @@ def _documents() -> dict:
     with tempfile.TemporaryDirectory() as d:
         problem, schedule = Path(d, "problem.json"), Path(d, "schedule.json")
         problem.write_text(json.dumps(PROBLEM), encoding="utf-8")
-        assert _quiet_main(["compile", "--input", str(problem), "--output", str(schedule)]) == 0
+        assert _quiet_main(["compile", "--input", str(problem), "--output", str(schedule)])[0] == 0
         return {"problem": PROBLEM, "schedule": json.loads(schedule.read_text(encoding="utf-8"))}
 
 
@@ -128,13 +131,15 @@ def test_mutated_documents_never_raise(kind, data):
             paths[name] = Path(d, f"{name}.json")
             paths[name].write_text(json.dumps(doc), encoding="utf-8")
         for command in ("stats", "verify"):
-            code = _quiet_main([command, "--input", str(paths["problem"]),
-                                "--schedule", str(paths["schedule"])])
+            code, err = _quiet_main([command, "--input", str(paths["problem"]),
+                                     "--schedule", str(paths["schedule"])])
             assert code in (0, 1, 3), (command, code)
+            assert code != 1 or str(paths[kind]) in err, (command, err)
         if code == 0:   # the last command, verify, passed: the schedule must be right
             distance = _dense_distance(paths["problem"], paths["schedule"])
             assert distance < VERIFY_TOL / math.sqrt(2) + DENSE_NOISE, distance
         if kind == "problem":
-            code = _quiet_main(["compile", "--input", str(paths["problem"]),
-                                "--output", str(Path(d, "compiled.json"))])
+            code, err = _quiet_main(["compile", "--input", str(paths["problem"]),
+                                     "--output", str(Path(d, "compiled.json"))])
             assert code in (0, 1, 2), ("compile", code)
+            assert code != 1 or str(paths["problem"]) in err, ("compile", err)

@@ -59,7 +59,7 @@ REFUSALS = {
         ValueError, "cannot serialise AnalogRequest(slot_angles=(0.5,)); schedule analog requests first"),
     "schedule-format": (
         lambda: _load_with_format("daqc-schedule/0"), FileFormatError,
-        "unsupported schedule format 'daqc-schedule/0'"),
+        "schedule.json: unsupported schedule format 'daqc-schedule/0'"),
     "schedule-requests-size": (
         lambda: schedule_requests(Circuit(3, ()), CHAIN2, 0.7),
         ValueError, "resource chain size does not match the circuit"),
