@@ -3,9 +3,17 @@
 Exit codes: 0 success / verification passed, 1 malformed input (including
 command-line usage errors and an --output that is unwritable or not a
 regular file) or a standard output closed before the report was written (as
-by `| head -1`; nothing is printed to stderr then), 2 target unschedulable
+by `| head -n 0`; nothing is printed to stderr then), 2 target unschedulable
 on the given resource, 3 verification failed.  Reports go to stdout,
 diagnostics to stderr; outputs are byte-identical for identical inputs.
+
+`entry` is the process entry of both `python -m daqcompile.cli` and the
+`daqcompile` console script.  It switches the cyclic collector off and
+freezes the start-up heap before it runs `main`, so no collection scans that
+heap, not even those at interpreter shutdown: a command builds no reference
+cycles but argparse's, the same few at any size.  Then it flushes stdout, and
+points it at devnull if the reader has gone.  `main(argv)`, the in-process
+API, leaves the collector and file descriptor 1 as it found them.
 
 Only `compile` imports `compiler` and only `verify` imports `frames`, each
 inside its command.  No module the command line loads imports NumPy:
@@ -19,6 +27,7 @@ the whole package does now.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -201,10 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader has gone.  Point stdout at devnull so that the flush at
-        # interpreter exit does not raise again (the Python docs' idiom).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return 1   # the reader has gone; `entry` keeps the exit flush quiet
     except FileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -213,5 +219,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry: `main()` on a frozen start-up heap with the collector off, then a quiet exit flush."""
+    gc.disable()
+    gc.freeze()
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again (the Python docs' idiom).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -1,34 +1,33 @@
 """Problem and schedule files: one strict JSON reader and deterministic emission.
 
 Both formats are UTF-8 JSON.  Each loader runs under one wrapper, _loads_file,
-which pauses the cyclic collector and names the file once in every fault, as
-"<path>: <message>".  One reader reads the file once as strict UTF-8 and
-parses it with json.loads, whose fault texts it keeps; one helper checks the
-chain header both files share.  The standard library's object parser walks the
-document object.  An array directly in it that is in the writer's layout, one
-item per line (a schedule's instructions), is read by one loop over its lines:
-each distinct line is parsed once, alone, by the standard C scanner, and its
-repeats share that value.  Every other value, and any such array in another
-layout, is one call of the C scanner.  On Python 3.10 and 3.11 the Python
-frames of _document, parse_object and _member share the C scanner's recursion
-limit, so a few values nested just short of it that json.loads reads are
-refused; 3.12 counts C recursion apart.  Unknown and repeated fields are
-rejected, a block's boolean list becomes the mask's bytes, and load_schedule
-builds one instruction per distinct parsed entry.  The writer keeps field
-order, puts each top-level field on its own line and each item of a top-level
-list (a schedule instruction) on its own compact line, and spells floats as
-Python's shortest repr, which round-trips binary64 exactly; identical inputs
-produce byte-identical outputs.  schedule_document renders each distinct
-instruction object's line once (the compiler shares them), a block's x_mask
-list straight from the mask's bytes, and iter_canonical writes those lines as
-they are, a fixed number of lines to a piece.
+which names the file once in every fault, as "<path>: <message>".  One reader
+reads the file once as strict UTF-8 and parses it with json.loads, whose fault
+texts it keeps; one helper checks the chain header both files share.  The
+standard library's object parser walks the document object.  An array directly
+in it that is in the writer's layout, one item per line (a schedule's
+instructions), is read by one loop over its lines: each distinct line is
+parsed once, alone, by the standard C scanner, and its repeats share that
+value.  Every other value, and any such array in another layout, is one call
+of the C scanner.  On Python 3.10 and 3.11 the Python frames of _document,
+parse_object and _member share the C scanner's recursion limit, so a few
+values nested just short of it that json.loads reads are refused; 3.12 counts
+C recursion apart.  Unknown and repeated fields are rejected, a block's
+boolean list becomes the mask's bytes, and load_schedule builds one
+instruction per distinct parsed entry.  The writer keeps field order, puts
+each top-level field on its own line and each item of a top-level list (a
+schedule instruction) on its own compact line, and spells floats as Python's
+shortest repr, which round-trips binary64 exactly; identical inputs produce
+byte-identical outputs.  schedule_document renders each distinct instruction
+object's line once (the compiler shares them), a block's x_mask list straight
+from the mask's bytes, and iter_canonical writes those lines as they are, a
+fixed number of lines to a piece.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import gc
 import json
 import math
 import os
@@ -194,22 +193,13 @@ def _read_json(path: str) -> tuple[Any, str]:
 
 
 def _loads_file(load: Callable[[str], Any]) -> Callable[[str], Any]:
-    """`load`, run with the cyclic collector paused and each FileFormatError re-raised as "<path>: <message>".
-
-    The parsed JSON and what is built from it form no reference cycles, so collecting while they are
-    built only re-scans them (a tenth of an L=96 schedule load); the caller's setting is restored.
-    """
+    """`load`, with each FileFormatError re-raised as "<path>: <message>"."""
     @functools.wraps(load)
     def loader(path: str) -> Any:
-        enabled = gc.isenabled()
-        gc.disable()
         try:
             return load(path)
         except FileFormatError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
-        finally:
-            if enabled:
-                gc.enable()
     return loader
 
 

@@ -1,9 +1,11 @@
 import ast
+import gc
 import hashlib
 import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -897,6 +899,102 @@ def test_closed_stdout_exits_1_quietly(tmp_path, command):
     assert (run.returncode, run.stderr) == (1, "")
 
 
+def test_main_returns_1_on_a_closed_stdout_and_leaves_fd_1_alone(tmp_path, monkeypatch):
+    # in process, the reader having gone is exit 1; pointing fd 1 at devnull
+    # is the process entry's business, not the in-process API's
+    class Gone:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+    problem = ata_problem(tmp_path, L=4, t_f=0.3)
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", out]) == 0
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Gone())
+    assert main(["stats", "--input", problem, "--schedule", out]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def _console_script():
+    """The (module, function) that pyproject.toml's `daqcompile` console script names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^daqcompile = "([\w.]+):(\w+)"$', text, re.MULTILINE)
+    assert found, "no daqcompile console script in pyproject.toml"
+    return found.groups()
+
+
+@pytest.mark.parametrize("path", ["dash-m", "console-script"])
+def test_the_process_entry_runs_commands_on_a_frozen_heap_without_the_collector(tmp_path, path):
+    # both ways of starting a command go through one entry, which switches the
+    # collector off and freezes the start-up heap before the command runs
+    problem = ata_problem(tmp_path, L=4, t_f=0.3)
+    out = str(tmp_path / "s.json")
+    assert main(["compile", "--input", problem, "--output", out]) == 0
+    argv = ["stats", "--input", problem, "--schedule", out]
+    if path == "dash-m":
+        start = "runpy.run_module('daqcompile.cli', run_name='__main__', alter_sys=True)\n"
+    else:
+        module, function = _console_script()
+        start = f"sys.exit(getattr(importlib.import_module({module!r}), {function!r})())\n"
+    script = (
+        "import gc, importlib, runpy, sys\n"
+        "import daqcompile.fileio as fileio\n"
+        "assert gc.isenabled() and gc.get_freeze_count() == 0\n"
+        "load = fileio.load_problem\n"
+        "def observed(path):\n"
+        "    print('collector enabled', gc.isenabled(), 'frozen', gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "    return load(path)\n"
+        "fileio.load_problem = observed\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        + start
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, encoding="utf-8",
+                         env=child_env())
+    assert (run.returncode, run.stderr) == (0, "collector enabled False frozen True\n")
+    assert run.stdout.startswith("num_qubits: 4\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    problem = ata_problem(tmp_path, L=4, t_f=0.3)
+    out = str(tmp_path / "s.json")
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in (["compile", "--input", problem, "--output", out], ["stats", "--input", problem, "--schedule", out],
+                     ["verify", "--input", problem, "--schedule", out]):
+            assert main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv[0]
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_commands_build_no_cycles_that_grow_with_the_problem(tmp_path, capsys):
+    # the process entry never collects, which costs nothing only while a
+    # command's cyclic garbage (argparse's parser) stays the same at any L
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = []
+        for L in (6, 24):
+            problem = ata_problem(tmp_path, L=L, t_f=0.7, name=f"p{L}.json")
+            out = str(tmp_path / f"s{L}.json")
+            gc.collect()
+            for argv in (["compile", "--input", problem, "--output", out],
+                         ["stats", "--input", problem, "--schedule", out],
+                         ["verify", "--input", problem, "--schedule", out]):
+                assert main(argv) == 0
+            garbage.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert garbage[0] == garbage[1]
+
+
 def test_compile_and_stats_run_without_numpy(tmp_path):
     # no command needs NumPy: with it unimportable, `compile`, `stats` and
     # `verify` still run, and `compile` writes the schedules an ordinary
@@ -991,6 +1089,17 @@ def test_no_package_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name
+
+
+def test_only_the_process_entry_imports_gc():
+    # one collector policy, in one place: cli.entry
+    importers = []
+    for path in sorted(Path(daqcompile.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names} or \
+                    isinstance(node, ast.ImportFrom) and node.module == "gc":
+                importers.append(path.name)
+    assert importers == ["cli.py"]
 
 
 def test_package_import_loads_no_submodule():
