@@ -415,27 +415,40 @@ _PROBLEM = {"num_qubits": 3, "resource_couplings": [1.0, 1.0], "target": {"type"
             "time": 0.5}
 
 
-def test_loaders_leave_the_collector_as_they_found_it(tmp_path):
-    # the collector policy is the process entry's (cli.entry); a loader keeps
-    # only the wrapper that names the file once in each fault
-    schedule = copy.deepcopy(_SCHEDULE)
-    bad_schedule = copy.deepcopy(_SCHEDULE)
-    bad_schedule["instructions"][1]["resource_block"]["x_mask"] = "FTT"
-    bad_problem = {**_PROBLEM, "target": {"type": "nn", "angles": "x"}}
+@pytest.mark.parametrize("malformed", [False, True], ids=["good", "malformed"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("load", [load_problem, load_problem_with_sha256, load_schedule], ids=lambda f: f.__name__)
+def test_loaders_pause_and_restore_the_collector(tmp_path, monkeypatch, load, enabled, malformed):
+    # the pause is the caller's (cli.entry switches the collector off for the
+    # whole command): a loader runs under the caller's setting, leaves it as it
+    # found it, and keeps only the wrapper that names the file once in each fault
+    if load is load_schedule:
+        doc = copy.deepcopy(_SCHEDULE)
+        if malformed:
+            doc["instructions"][1]["resource_block"]["x_mask"] = "FTT"
+    else:
+        doc = {**_PROBLEM, "target": {"type": "nn", "angles": "x"}} if malformed else _PROBLEM
+    path = _write_schedule(tmp_path, doc)
+    during = []
+    real_chain_header = fileio._chain_header
+
+    def chain_header(data):
+        during.append(gc.isenabled())
+        return real_chain_header(data)
+
+    monkeypatch.setattr(fileio, "_chain_header", chain_header)
     was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
     try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            for load in (load_problem, load_problem_with_sha256, load_schedule):
-                good, bad = (schedule, bad_schedule) if load is load_schedule else (_PROBLEM, bad_problem)
-                load(_write_schedule(tmp_path, good))
-                assert gc.isenabled() is enabled, load.__name__
-                path = _write_schedule(tmp_path, bad)
-                with pytest.raises(FileFormatError, match=f"^{re.escape(path)}: "):
-                    load(path)
-                assert gc.isenabled() is enabled, load.__name__
+        if malformed:
+            with pytest.raises(FileFormatError, match=f"^{re.escape(path)}: "):
+                load(path)
+        else:
+            load(path)
+        assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+    assert during == [enabled]
 
 
 @pytest.mark.parametrize("field, value, message", [
