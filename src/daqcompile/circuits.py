@@ -11,11 +11,13 @@ A Circuit is an ordered instruction list over three kinds:
   set (flipping the sign of every coupling whose endpoints differ in mask);
   x_mask is immutable bytes, one 0 or 1 per qubit.
 
-Compilation strategy, the same for every L: a linear swap network
-(ata_circuit_general) whose iSWAP layers are lowered with the same-kind
-halves of consecutive layers merged (lower_swap_layers), 3L - 4 analog
-requests for even L and 3L - 3 for odd L >= 3.  Every swap is the bare
-iSWAP, the member of the paper's Z-relaying family
+Compilation strategy, the same for every L and every target: a linear
+swap network (swap_network) over a map of edges to phases, stopped at the
+last request that holds a nonzero pair, whose iSWAP layers are lowered with
+the same-kind halves of consecutive layers merged (lower_swap_layers).  A
+dense target takes 3L - 4 analog requests for even L and 3L - 3 for odd
+L >= 3, any other target at most that, and a chain target one.  Every
+swap is the bare iSWAP, the member of the paper's Z-relaying family
 exp(i pi/4 (XX + YY + c ZZ)) with c = 0 and no flanking rotations.  The
 lowering's basis changes are one Clifford frame carried from request to
 request, S^p or H S^p, tracked as two values with a literal table of the
@@ -43,10 +45,10 @@ import itertools
 import math
 import operator
 from enum import Enum
-from typing import Union
+from typing import Mapping, Union
 
 from ._frozen import Frozen
-from .graphs import CouplingGraph
+from .graphs import CouplingGraph, Edge
 
 
 class GateType(str, Enum):
@@ -210,8 +212,12 @@ def circuit_stats(circuit: Circuit) -> ScheduleStats:
 
 # --- the swap-network circuit -----------------------------------------------
 
-def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
-    """High-level circuit whose unitary is exp(i t_f H) for the target graph.
+def swap_network(num_qubits: int, phases: Mapping[Edge, float]) -> Circuit:
+    """High-level circuit whose unitary is exp(i sum_e phases[e] Z_i Z_j): every target's route.
+
+    `phases` maps edges (i, j) with i < j to their angles: t_f * g' for an
+    all-to-all target, the stated angle for a chain one.  Absent edges have
+    angle 0, and an edge outside the chain is a ValueError.
 
     The linear swap network (Kivlichan et al., arXiv:1711.04789): layer
     k = 0, 1, ... puts a plain iSWAP on every slot j = k (mod 2).  Its
@@ -223,17 +229,19 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     takes the current pair on every slot, and for odd L one last request
     before layer L - 2 takes the odd slots only: between them they take
     the pairs that swap in layers L - 1 and 0 to L - 2, each pair once.
-    Slot j carries t_f * g' of the pair it holds and 0 elsewhere.  The
-    network stops after L - 2 layers and is undone in reverse order with
-    iSWAP-daggers, so the digital part is the identity and needs no
-    compensation: 2L - 4 iSWAP layers for every L.  The four distinct
-    layers, plain and daggered on each slot parity, are built once and
-    shared.  Analog requests are ideal and still need scheduling onto a
-    resource chain.
+    Slot j carries the phase of the pair it holds and 0 elsewhere.  The
+    network stops after the layer before the last request that holds a
+    nonzero pair (request 0 if none does), and only the layers it ran are
+    undone, in reverse order with iSWAP-daggers, so the digital part is
+    the identity and needs no compensation.  A dense target runs all
+    2L - 4 iSWAP layers; a chain target, whose pairs all meet in request 0,
+    runs none.  The four distinct layers, plain and daggered on each slot
+    parity, are built once and shared.  Analog requests are ideal and
+    still need scheduling onto a resource chain.
     """
-    if not math.isfinite(t_f):
-        raise ValueError("non-finite evolution time")
-    L = target.num_qubits
+    L = num_qubits
+    if not all(0 <= i < j < L for i, j in phases):
+        raise ValueError(f"phases need edges (i, j) with 0 <= i < j < {L}")
     parities = range(min(2, L - 1))
     forward = [DigitalLayer(tuple(map(Gate.iswap, range(p, L - 1, 2)))) for p in parities]
     undo = [DigitalLayer(tuple(map(Gate.iswap_dg, range(p, L - 1, 2)))) for p in parities]
@@ -243,7 +251,8 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
     def request(slots: range) -> None:
         angles = [0.0] * (L - 1)
         for j in slots:
-            angles[j] = t_f * target.weight(order[j], order[j + 1])
+            a, b = order[j], order[j + 1]
+            angles[j] = phases.get((a, b) if a < b else (b, a), 0.0)
         instrs.append(AnalogRequest(tuple(angles)))
 
     for k in range(L - 2):
@@ -253,8 +262,24 @@ def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
             order[j], order[j + 1] = order[j + 1], order[j]
         instrs.append(forward[k & 1])
     request(range(1, L - 1, 2) if L & 1 else range(L - 1))
-    instrs.extend(undo[k & 1] for k in reversed(range(L - 2)))
+    # stop at the last request that holds a nonzero pair, or at request 0
+    while len(instrs) > 1 and not (isinstance(instrs[-1], AnalogRequest) and any(instrs[-1].slot_angles)):
+        instrs.pop()
+    # undo every layer that ran, last first, by the daggered layer on its slot parity
+    instrs += [undo[layer.gates[0].qubits[0]] for layer in reversed(instrs) if isinstance(layer, DigitalLayer)]
     return Circuit(L, tuple(instrs))
+
+
+def ata_circuit_general(target: CouplingGraph, t_f: float) -> Circuit:
+    """swap_network for a coupling graph evolved for t_f, for callers that hold a CouplingGraph.
+
+    Every pair's phase is t_f * g', an absent pair's t_f * 0.0, so -0.0
+    for a negative t_f.
+    """
+    if not math.isfinite(t_f):
+        raise ValueError("non-finite evolution time")
+    L = target.num_qubits
+    return swap_network(L, {(i, j): t_f * target.weights.get((i, j), 0.0) for j in range(L) for i in range(j)})
 
 
 # --- lowering iSWAP layers to analog requests + single-qubit rotations ------

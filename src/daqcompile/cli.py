@@ -87,13 +87,10 @@ def _load_pair(args: argparse.Namespace) -> tuple[ProblemSpec, Circuit, dict]:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .compiler import compile_ata, compile_chain
+    from .compiler import compile_target
 
     problem, input_sha256 = load_problem_with_sha256(args.input)
-    if problem.target_type == "ata":
-        result = compile_ata(problem.target_graph, problem.resource, problem.t_f)
-    else:
-        result = compile_chain(problem.target_angles, problem.resource, problem.t_f)
+    result = compile_target(problem.num_qubits, problem.target_phases, problem.resource, problem.t_f)
     stats = {"analog_requests": result.analog_requests, **_schedule_counts(result.circuit)}
     doc = schedule_document(
         result.circuit, problem.resource, problem.t_f, stats,
@@ -115,11 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .frames import check_schedule
 
     problem, circuit, _metadata = _load_pair(args)
-    if problem.target_type == "ata":
-        target = {edge: w * problem.t_f for edge, w in problem.target_graph.weights.items()}
-    else:
-        target = {(j, j + 1): phi for j, phi in enumerate(problem.target_angles)}
-    report = check_schedule(circuit, problem.resource, target)
+    report = check_schedule(circuit, problem.resource, problem.target_phases)
     passed = report.passed(args.tol)
     print(f"distance: {report.bound:.3e}")
     print(f"tolerance: {args.tol:.3e}")

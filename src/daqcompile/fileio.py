@@ -45,7 +45,7 @@ from .circuits import (
     ResourceBlock,
 )
 from .errors import FileFormatError
-from .graphs import CouplingGraph, NNChain
+from .graphs import CouplingGraph, Edge, NNChain
 
 SCHEDULE_FORMAT = "daqc-schedule/1"
 
@@ -53,11 +53,17 @@ _SQR_NAMES = {t.value: t for t in (GateType.X, GateType.H, GateType.R, GateType.
 
 
 class ProblemSpec(Frozen):
-    """A problem file's content: an "ata" target_type has target_graph, an "nn" one target_angles."""
+    """A problem file's content.
 
-    def __init__(self, num_qubits: int, resource: NNChain, target_type: str,
+    target_phases maps each edge (i, j), i < j, that the file names to its
+    phase, which `compile` and `verify` both read: time * value for an "ata"
+    target_type, the stated angle of edge (j, j + 1) for an "nn" one.  An
+    "ata" problem also has target_graph, an "nn" one target_angles.
+    """
+
+    def __init__(self, num_qubits: int, resource: NNChain, target_type: str, target_phases: dict[Edge, float],
                  target_graph: CouplingGraph | None, target_angles: tuple[float, ...] | None, t_f: float):
-        super().__init__(num_qubits, resource, target_type, target_graph, target_angles, t_f)
+        super().__init__(num_qubits, resource, target_type, target_phases, target_graph, target_angles, t_f)
 
 
 # --- strict readers ---------------------------------------------------------
@@ -265,12 +271,12 @@ def _problem(data: Any) -> ProblemSpec:
             if not math.isfinite(t_f * value):
                 raise FileFormatError(f"target.couplings[{idx}]: time * value is beyond the float range")
             weights[(i, j)] = value
-        graph = CouplingGraph(L, weights)
-        return ProblemSpec(L, resource, "ata", graph, None, t_f)
+        phases = {edge: t_f * w for edge, w in weights.items()}
+        return ProblemSpec(L, resource, "ata", phases, CouplingGraph(L, weights), None, t_f)
     if target["type"] == "nn":
         _require_keys(target, {"type", "angles"}, "target")
         angles = _as_number_list(target["angles"], L - 1, "target.angles")
-        return ProblemSpec(L, resource, "nn", None, angles, t_f)
+        return ProblemSpec(L, resource, "nn", {(j, j + 1): phi for j, phi in enumerate(angles)}, None, angles, t_f)
     raise FileFormatError(f"target.type must be 'ata' or 'nn', got {target['type']!r}")
 
 

@@ -66,6 +66,7 @@ from daqcompile.circuits import (
     ResourceBlock,
     ata_circuit_general,
 )
+from daqcompile.compiler import CompileResult, schedule_requests
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import (
     SCHEDULE_FORMAT,
@@ -448,9 +449,11 @@ def ata_circuit_pending_pairs(target: CouplingGraph, t_f: float) -> Circuit:
     one analog request, slot j carrying t_f * g' of the pair it holds and 0
     elsewhere.  A swapped pair stays adjacent for one more layer while every
     other pair separates, so the request is emitted only when some of those
-    pairs would separate, or when they finish the cover; then the network
-    stops and is undone in reverse order with iSWAP-daggers.
-    `ata_circuit_general` places the same requests by a closed rule.
+    pairs would separate, or when they finish the cover.  The network stops
+    at the first request after which no unassigned pair has a nonzero
+    angle, and the layers it ran are undone in reverse order with
+    iSWAP-daggers.  `ata_circuit_general` places the same requests, and
+    stops at the same one, by a closed rule.
     """
     if not math.isfinite(t_f):
         raise ValueError("non-finite evolution time")
@@ -461,6 +464,7 @@ def ata_circuit_pending_pairs(target: CouplingGraph, t_f: float) -> Circuit:
     order = list(range(L))         # order[j]: the logical qubit at position j
     done = bytearray(L * L)        # done[a * L + b]: pair (a, b) is in a request
     left = L * (L - 1) // 2
+    nonzero = sum(t_f * target.weight(a, b) != 0.0 for b in range(L) for a in range(b))
     instrs = []
     k = 0
     while True:
@@ -471,10 +475,11 @@ def ata_circuit_pending_pairs(target: CouplingGraph, t_f: float) -> Circuit:
             for j in pending:
                 a, b = order[j], order[j + 1]
                 angles[j] = t_f * target.weight(a, b)
+                nonzero -= angles[j] != 0.0
                 done[a * L + b] = done[b * L + a] = 1
             instrs.append(AnalogRequest(tuple(angles)))
             left -= len(pending)
-            if not left:
+            if not (left and nonzero):
                 break
         for j in range(k & 1, L - 1, 2):
             order[j], order[j + 1] = order[j + 1], order[j]
@@ -482,6 +487,28 @@ def ata_circuit_pending_pairs(target: CouplingGraph, t_f: float) -> Circuit:
         k += 1
     instrs.extend(undo[i & 1] for i in reversed(range(k)))
     return Circuit(L, tuple(instrs))
+
+
+def request_pairs(num_qubits: int) -> list:
+    """The pairs each request of the whole swap network takes, in order, as ata_circuit_pending_pairs places them.
+
+    Each pair (i, j) gets the weight 1 + i * L + j, so a request's nonzero
+    slot angles at time 1 spell its pairs.
+    """
+    L = num_qubits
+    graph = CouplingGraph(L, {(i, j): 1.0 + i * L + j for i in range(L) for j in range(i + 1, L)})
+    return [[divmod(int(a) - 1, L) for a in instr.slot_angles if a]
+            for instr in ata_circuit_pending_pairs(graph, 1.0).instructions if isinstance(instr, AnalogRequest)]
+
+
+# --- the one-request chain route ----------------------------------------------
+
+def compile_chain_one_request(target_angles, resource: NNChain, t_f: float) -> CompileResult:
+    """A chain target's angles as one analog request, scheduled: the route `nn` targets took on their own."""
+    request = AnalogRequest(tuple(float(a) for a in target_angles))
+    high_level = Circuit(resource.num_qubits, (request,))
+    executable = schedule_requests(high_level, resource, t_f)
+    return CompileResult(executable, 1)
 
 
 # --- the per-layer iSWAP lowering ---------------------------------------------

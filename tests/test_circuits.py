@@ -391,15 +391,20 @@ def test_swap_network_assigns_every_pair_once(L):
 @pytest.mark.parametrize("L", [*range(2, 65), 96, 97, 128, 129])
 def test_swap_network_matches_its_generic_rule(L):
     # The closed rule places every request where tracking the pairs that
-    # have met places it: instructions with equal reprs, so the same sign on
-    # every zero angle (a negative time turns an absent edge's 0.0
-    # into -0.0, while slots a request leaves out stay 0.0), and the same
-    # layer objects at the same places.
+    # have met places it, and stops at the same request: instructions with
+    # equal reprs, so the same sign on every zero angle (a negative time
+    # turns an absent edge's 0.0 into -0.0, while slots a request leaves out
+    # stay 0.0), and the same layer objects at the same places.  Besides a
+    # dense, a sparse and an empty target, targets whose pairs all meet in
+    # the first n requests stop early.
     rng = random.Random(L)
     dense = random_graph(L, rng)
     sparse = CouplingGraph(L, {(i, j): rng.gauss(0.0, 1.0) for i in range(L) for j in range(i + 1, L)
                                if rng.random() < 0.3})
-    for target in (dense, sparse, CouplingGraph(L, {})):
+    pairs = oracles.request_pairs(L)
+    early = [CouplingGraph(L, {e: rng.gauss(0.0, 1.0) for request in pairs[:n] for e in request})
+             for n in sorted({1, len(pairs) // 2, len(pairs) - 1} - {0})]
+    for target in (dense, sparse, CouplingGraph(L, {}), *early):
         for t_f in (0.7, -0.7):
             got = ata_circuit_general(target, t_f)
             want = oracles.ata_circuit_pending_pairs(target, t_f)

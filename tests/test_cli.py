@@ -17,10 +17,20 @@ import pytest
 import daqcompile
 from daqcompile import __version__
 from daqcompile.cli import main
+from daqcompile.circuits import circuit_stats
 from daqcompile.compiler import compile_ata
 from daqcompile.fileio import dumps_canonical, load_problem, load_schedule, schedule_document
+from daqcompile.graphs import CouplingGraph
+from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
-from oracles import complete_graph, minimum_time, same_document, schedule_spelling
+from oracles import (
+    compile_chain_one_request,
+    complete_graph,
+    minimum_time,
+    request_pairs,
+    same_document,
+    schedule_spelling,
+)
 
 
 def write_json(path, obj):
@@ -79,6 +89,53 @@ def test_compile_then_verify_nn_with_sign_flips(tmp_path):
     assert main(["verify", "--input", problem, "--schedule", out]) == 0
 
 
+@pytest.mark.parametrize("L", range(2, 13))
+def test_nn_target_compiles_to_its_one_request_schedule(tmp_path, capsys, L):
+    # an nn target's pairs all meet in the swap network's first request, so
+    # it compiles to that request alone: the schedule of the angles taken as
+    # one request, zero and -0.0 angles included
+    rng = random.Random(f"nn/{L}")
+    couplings = [rng.uniform(0.5, 1.5) for _ in range(L - 1)]
+    angles = [rng.choice([0.0, -0.0, rng.gauss(0.0, 1.0)]) for _ in range(L - 1)]
+    for case, phis in enumerate((angles, [0.0] * (L - 1), [-0.0] * (L - 1))):
+        problem = nn_problem(tmp_path, L=L, couplings=couplings, angles=phis, t_f=0.7, name=f"p{case}.json")
+        out = tmp_path / f"s{case}.json"
+        assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+        spec = load_problem(problem)
+        want = compile_chain_one_request(phis, spec.resource, spec.t_f)
+        counts = circuit_stats(want.circuit)
+        stats = {"analog_requests": 1, "resource_blocks": counts.analog_block_count,
+                 "sqr_gates": counts.sqr_count, "total_analog_time": counts.total_analog_time}
+        digest = hashlib.sha256((tmp_path / f"p{case}.json").read_bytes()).hexdigest()
+        spelled = schedule_spelling(want.circuit, couplings, 0.7, stats, __version__, digest)
+        assert same_document(json.loads(out.read_text(encoding="utf-8")), spelled)
+        assert main(["verify", "--input", problem, "--schedule", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_empty_target_compiles_to_no_blocks(tmp_path, capsys, L):
+    # no pair holds a nonzero phase, so the network stops at its first
+    # request, whose zero angles solve to no blocks: a zero resource
+    # coupling is no obstacle, and the schedule is the identity
+    zero_slot = [1.0] * (L - 1)
+    zero_slot[(L - 1) // 2] = 0.0
+    zeros = [{"i": i, "j": j, "value": [0.0, -0.0][(i + j) % 2]} for i in range(L) for j in range(i + 1, L)]
+    for case, (couplings, resource) in enumerate((([], None), ([], zero_slot), (zeros, zero_slot))):
+        problem = ata_problem(tmp_path, L=L, t_f=0.7, couplings=couplings, resource=resource, name=f"p{case}.json")
+        out = tmp_path / f"s{case}.json"
+        capsys.readouterr()
+        assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert report[1:5] == ["analog_requests: 1", "resource_blocks: 0", "sqr_gates: 0",
+                               "total_analog_time: 0.0"]
+        circuit, chain, _, _ = load_schedule(str(out))
+        assert circuit.instructions == ()
+        assert phase_distance(circuit_unitary(circuit, chain), exact_target(CouplingGraph(L, {}), 0.7)).distance < 1e-12
+        assert main(["verify", "--input", problem, "--schedule", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
 def test_compile_then_verify_odd_l(tmp_path):
     problem = ata_problem(
         tmp_path, L=5, t_f=0.9,
@@ -125,6 +182,29 @@ def test_compiled_file_digest_is_pinned(tmp_path, L, digest):
     assert main(["compile", "--input", problem, "--output", str(out)]) == 0
     assert __version__ == "0.1.0"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("L, digest", [
+    pytest.param(6, "70af0edcf9422874408ef0c496eb7348236a33546532336214ecb426ce9c7c5f", id="L6"),
+    pytest.param(7, "647378575fa157b965570e92ad24088940e1af8424414adc012d5e9dc4307ac1", id="L7"),
+])
+def test_a_far_pair_in_the_last_request_runs_the_whole_network(tmp_path, capsys, L, digest):
+    # the adjacent pairs and one far pair that meets only in the network's
+    # last request: every layer runs and is undone, and the file is the one
+    # the whole network always wrote (dyadic values, as in the pins above);
+    # without the far pair the network stops at its first request
+    i, j = max(request_pairs(L)[-1], key=lambda pair: pair[1] - pair[0])
+    adjacent = [(k, k + 1) for k in range(L - 1)]
+    for edges, requests in ((adjacent + [(i, j)], 3 * L - 4 if L % 2 == 0 else 3 * L - 3), (adjacent, 1)):
+        problem = ata_problem(tmp_path, L=L, t_f=0.75, resource=[(k % 5 + 2) / 4 for k in range(L - 1)], couplings=[
+            {"i": a, "j": b, "value": ((7 * a + 3 * b) % 17 - 8) / 8} for a, b in edges
+        ])
+        out = tmp_path / "s.json"
+        assert main(["compile", "--input", problem, "--output", str(out)]) == 0
+        assert f"analog_requests: {requests}" in capsys.readouterr().out
+        assert main(["verify", "--input", problem, "--schedule", str(out)]) == 0
+        if requests > 1:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_compiled_file_parses_to_schedule_document(tmp_path):

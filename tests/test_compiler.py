@@ -20,13 +20,14 @@ from daqcompile.circuits import (
     lower_swap_layers,
 )
 from daqcompile.cli import main
-from daqcompile.compiler import CompileResult, compile_ata, schedule_requests
+from daqcompile.compiler import CompileResult, compile_ata, compile_chain, schedule_requests
 from daqcompile.errors import UnschedulableError
 from daqcompile.fileio import dumps_canonical, load_schedule, schedule_document
 from daqcompile.graphs import CouplingGraph, NNChain
 from daqcompile.scheduler import schedule
 from daqcompile.unitaries import circuit_unitary, exact_target, phase_distance
 
+import oracles
 from oracles import IDENTITY_FRAME, check_value_semantics, single_qubit_frames
 
 
@@ -232,12 +233,33 @@ def _sparse_problems(draw):
 @settings(max_examples=40, deadline=None)
 @given(_sparse_problems())
 def test_compiled_swap_network_matches_the_exact_target(problem):
+    # A target whose every pair is nonzero runs the whole network; any other
+    # stops where the pair-tracking oracle, run through the same lowering,
+    # stops, which is never later.
     graph, resource, t_f = problem
     result = compile_ata(graph, resource, t_f)
     L = graph.num_qubits
-    assert result.analog_requests == (1 if L == 2 else 3 * L - 4 if L % 2 == 0 else 3 * L - 3)
+    full = 1 if L == 2 else 3 * L - 4 if L % 2 == 0 else 3 * L - 3
+    oracle = lower_swap_layers(oracles.ata_circuit_pending_pairs(graph, t_f))
+    assert result.analog_requests == circuit_stats(oracle).analog_block_count <= full
+    if len(graph.weights) == L * (L - 1) // 2 and all(graph.weights.values()):
+        assert result.analog_requests == full
     u = circuit_unitary(result.circuit, resource)
     assert phase_distance(u, exact_target(graph, t_f)).distance < 1e-11
+
+
+@pytest.mark.parametrize("L", range(2, 13))
+def test_chain_targets_compile_to_their_one_request_schedule(L):
+    # compile_chain takes the one swap-network route, which stops at its
+    # first request: the schedule of the angles as one request, blocks,
+    # masks and the sign of every zero alike
+    rng = random.Random(f"chain/{L}")
+    resource = NNChain(L, tuple(rng.uniform(0.5, 1.5) for _ in range(L - 1)))
+    mixed = [rng.choice([0.0, -0.0, rng.gauss(0.0, 1.0)]) for _ in range(L - 1)]
+    for angles in (mixed, [0.0] * (L - 1), [-0.0] * (L - 1), [rng.gauss(0.0, 1.0) for _ in range(L - 1)]):
+        got = compile_chain(angles, resource, 0.7)
+        want = oracles.compile_chain_one_request(angles, resource, 0.7)
+        assert got == want and repr(got) == repr(want)
 
 
 VALUE_CASES = [

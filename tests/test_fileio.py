@@ -721,11 +721,15 @@ def test_a_deeply_nested_field_reads_as_the_reference(tmp_path, monkeypatch):
     assert messages == [f"{path}: problem: unknown fields ['extra']", "problem: unknown fields ['extra']"]
 
 
+_NN_SPEC = {"num_qubits": 3, "resource": NNChain(3, (1.0, 0.5)), "target_type": "nn",
+            "target_phases": {(0, 1): 0.25, (1, 2): -0.5}, "target_graph": None,
+            "target_angles": (0.25, -0.5), "t_f": 0.5}
 VALUE_CASES = [
-    (ProblemSpec, {"num_qubits": 3, "resource": NNChain(3, (1.0, 0.5)), "target_type": "nn", "target_graph": None,
-                   "target_angles": (0.25, -0.5), "t_f": 0.5}, {"t_f": 0.75}),
+    (ProblemSpec, _NN_SPEC, {"t_f": 0.75}),
+    (ProblemSpec, _NN_SPEC, {"target_phases": {(0, 1): 0.25, (1, 2): 0.5}}),
 ]
 
 
 def test_problem_spec_value_semantics():
-    check_value_semantics(*VALUE_CASES[0])
+    for case in VALUE_CASES:
+        check_value_semantics(*case)

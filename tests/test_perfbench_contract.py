@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import request_pairs
+
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", _ROOT / "perfbench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_spec)
@@ -17,9 +19,12 @@ _spec.loader.exec_module(tracing)
 
 
 def _problem(kind: str, L: int, rng: random.Random) -> dict:
-    if kind == "ata":
+    """A dense ("ata"), "empty", "early" (no pair of the swap network's last request) or "nn" target."""
+    if kind != "nn":
+        last = set(request_pairs(L)[-1])
         target = {"type": "ata", "couplings": [
             {"i": i, "j": j, "value": rng.gauss(0.0, 1.0)} for i in range(L) for j in range(i + 1, L)
+            if kind == "ata" or kind == "early" and (i, j) not in last
         ]}
     else:
         target = {"type": "nn", "angles": [rng.gauss(0.0, 1.0) for _ in range(L - 1)]}
@@ -27,7 +32,12 @@ def _problem(kind: str, L: int, rng: random.Random) -> dict:
             "target": target, "time": 0.7}
 
 
-@pytest.mark.parametrize("kind, L", [("ata", 6), ("ata", 7), ("nn", 5)])
+# Requests per compile: a dense target runs the whole network, the others
+# stop where the CLI stops (the staged calls must cut there too).
+_REQUESTS = {("ata", 6): 14, ("ata", 7): 18, ("nn", 5): 1, ("empty", 5): 1, ("early", 7): 14}
+
+
+@pytest.mark.parametrize("kind, L", list(_REQUESTS))
 def test_traced_pipeline_matches_the_cli(tmp_path, monkeypatch, kind, L):
     monkeypatch.setattr(sys, "path", list(sys.path))    # Pipeline prepends the source tree
     problem, sched = tmp_path / "p.json", tmp_path / "s.json"
@@ -39,7 +49,7 @@ def test_traced_pipeline_matches_the_cli(tmp_path, monkeypatch, kind, L):
     # the traced pipeline writes the very file `daqcompile compile` writes
     _, code = pipe.main_seconds(["compile", "--input", str(problem), "--output", str(tmp_path / "cli.json")])
     assert code == 0 and (tmp_path / "cli.json").read_bytes() == sched.read_bytes()
-    assert counters["circuits.analog_requests"] > 0 and counters["fileio.bytes"] > 0
+    assert counters["circuits.analog_requests"] == _REQUESTS[kind, L] and counters["fileio.bytes"] > 0
     assert pipe.stats(tr, problem, sched) == {}
     assert pipe.verify(tr, problem, sched)["distance"] < 1e-12
     assert {s["name"] for s in tr.spans} >= {"cli.compile", "cli.stats", "cli.verify"}

@@ -10,8 +10,10 @@ import re
 
 import pytest
 
-from daqcompile.circuits import AnalogRequest, Circuit, DigitalLayer, Gate, GateType, ata_circuit_general
-from daqcompile.compiler import compile_ata, schedule_requests
+from daqcompile.circuits import (
+    AnalogRequest, Circuit, DigitalLayer, Gate, GateType, ata_circuit_general, swap_network,
+)
+from daqcompile.compiler import compile_ata, compile_chain, schedule_requests
 from daqcompile.errors import FileFormatError
 from daqcompile.fileio import load_schedule, schedule_document
 from daqcompile.frames import check_schedule
@@ -66,6 +68,14 @@ REFUSALS = {
     "compile-size": (
         lambda: compile_ata(CouplingGraph(3, {}), CHAIN2, 0.7),
         ValueError, "resource chain size does not match the target"),
+    "chain-angles": (
+        lambda: compile_chain((0.5, 0.5), CHAIN2, 0.7),
+        ValueError, "resource chain size does not match the target"),
+    "swap-network-edge": (
+        lambda: swap_network(3, {(0, 1): 0.5, (1, 3): 0.5}), ValueError,
+        "phases need edges (i, j) with 0 <= i < j < 3"),
+    "swap-network-edge-order": (
+        lambda: swap_network(3, {(1, 0): 0.5}), ValueError, "phases need edges (i, j) with 0 <= i < j < 3"),
     "verify-size": (
         lambda: check_schedule(Circuit(3, ()), CHAIN2, {}),
         ValueError, "resource chain size does not match the circuit"),
